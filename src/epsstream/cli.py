@@ -66,12 +66,27 @@ def _read_points(path: str, scale: int) -> list[Point2]:
 def _load_snapshot(path: str) -> Snapshot:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "snapshot" not in obj:
-        raise StreamParseError("not a snapshot file")
-    meta = obj["snapshot"]
-    cfg = make_config(Fraction(meta["eps"]), meta["family"], Fraction(meta["c"]),
-                      int(meta["scale"]))
-    return Snapshot(sample_from_json(obj["sample"]), int(meta["n"]), cfg)
+    try:
+        meta, raw = obj["snapshot"], obj["sample"]
+        cfg = make_config(Fraction(meta["eps"]), meta["family"], Fraction(meta["c"]),
+                          int(meta["scale"]))
+        sample = sample_from_json(raw)
+        n, claimed = int(meta["n"]), Fraction(meta["certified_error"])
+    except (KeyError, TypeError) as exc:
+        raise StreamParseError(f"not a snapshot file (missing or malformed {exc})") from exc
+    if raw.get("family") != cfg.family.kind.value:
+        raise FamilyMismatchError(f"snapshot sample family {raw.get('family')!r} "
+                                  f"differs from its header's {cfg.family.kind.value!r}")
+    if sample.total_weight != n:
+        raise EpsStreamError(f"snapshot header has n={n} but its sample weighs "
+                             f"{_frac(sample.total_weight)}")
+    if claimed != sample.eps_bound:
+        raise EpsStreamError(f"snapshot header certifies {_frac(claimed)} but its "
+                             f"sample carries {_frac(sample.eps_bound)}")
+    if sample.eps_bound > cfg.eps:
+        raise EpsStreamError(f"snapshot certificate {_frac(sample.eps_bound)} exceeds "
+                             f"eps {_frac(cfg.eps)}")
+    return Snapshot(sample, n, cfg)
 
 
 def _snapshot_json(snap: Snapshot) -> dict:
@@ -107,6 +122,13 @@ def _cmd_build(args, out) -> int:
     if args.resume:
         with open(args.resume, "r", encoding="utf-8") as fh:
             state = StreamState.from_json(json.load(fh))
+        stored = state.config
+        mismatched = [f"{name} {have} (flags: {want})" for name, have, want in (
+            ("family", stored.family.kind.value, cfg.family.kind.value),
+            ("eps", _frac(stored.eps), _frac(cfg.eps)), ("c", _frac(stored.c), _frac(cfg.c)),
+            ("scale", stored.scale, cfg.scale)) if have != want]
+        if mismatched:
+            raise EpsStreamError("resumed state has " + ", ".join(mismatched))
     else:
         state = StreamState(cfg)
     state.extend(pts)

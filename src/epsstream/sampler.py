@@ -5,7 +5,9 @@ sign class, and rescale its weights so the represented mass is preserved
 exactly.  Unlike the textbook construction we never trust an a-priori
 discrepancy bound; after every halving the worst-case error of the kept
 class is measured exactly over all induced ranges, and a halving that would
-overspend the error budget is rolled back.  The certificate attached to a
+overspend the error budget is rolled back -- or skipped outright when an
+exact lower bound on its error, read off one induced singleton range,
+already exceeds the remaining budget.  The certificate attached to a
 sample is therefore a sum of exactly measured quantities.
 
 Colorings are guided by a hyperbolic-cosine potential (method of
@@ -326,10 +328,8 @@ def _guidance_masks(kind: FamilyKind, pts: Sequence[Point2]) -> list[int]:
 
 
 def _scaled_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
-    denom = 1
-    for w in weights:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    return [int(w * denom) for w in weights], denom
+    denom = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
 def _class_error_deltas(signs, scaled, keep_sign):
@@ -394,6 +394,45 @@ def halve(sample: WeightedSample, fam: RangeFamily,
     return out, err
 
 
+def singleton_error_bound(sample: WeightedSample) -> Fraction:
+    """Exact lower bound on the error ``halve(sample, fam)`` reports, any family.
+
+    Let p be the lexicographically largest point, g_p its weight and T the
+    total weight.  {p} is an induced range of every family:
+
+    * halfplane: p is a hull vertex; it alone maximizes x + d*y for small
+      d > 0, so a closed halfplane cuts it off;
+    * wedge: the intersection of that halfplane with itself;
+    * dwedge: its symmetric difference with an empty halfplane;
+    * quadrant: x >= p.x, y >= p.y (no point has larger x, and none with
+      x = p.x has larger y);
+    * disk: the radius-0 disk at p;
+    * slab: a zero-width slab along a line through p whose slope avoids
+      every pair slope; vpar: the same slab inside a strip holding all x.
+
+    A halving keeps one sign class K, both classes nonempty, with
+    |K| <= (m+1)//2 + 1, and rescales K's mass M to T.  On {p} it errs by
+    g_p/T if p is dropped and by g_p * (1/M - 1/T) if p is kept, where M is
+    at most M_max, the smaller of T - w_min and the sum of the (m+1)//2 + 1
+    largest weights.  Both are at least T/2, so 1/M_max - 1/T <= 1/T and
+    every halving errs by at least g_p * (1/M_max - 1/T).  Coincident
+    copies of p could share the range unevenly, so the bound is 0 unless p
+    occurs once.
+    """
+    m = len(sample)
+    if m < 2:
+        return Fraction(0)
+    top = max(sample.points)
+    if sample.points.count(top) > 1:
+        return Fraction(0)
+    scaled, _ = _scaled_weights(sample.weights)  # the bound is scale-free
+    g = scaled[sample.points.index(top)]
+    total = sum(scaled)
+    heaviest = sum(sorted(scaled, reverse=True)[:(m + 1) // 2 + 1])
+    kept_max = min(total - min(scaled), heaviest)
+    return Fraction(g * (total - kept_max), kept_max * total)
+
+
 def collapse_duplicates(sample: WeightedSample) -> WeightedSample:
     """Merge coincident points (a zero-error reduction for any family)."""
     agg: dict[tuple, Fraction] = {}
@@ -410,7 +449,11 @@ def collapse_duplicates(sample: WeightedSample) -> WeightedSample:
 
 def reduce_with_budget(sample: WeightedSample, fam: RangeFamily, budget: Fraction,
                        thresholds: dict | None = None) -> tuple[WeightedSample, Fraction]:
-    """Collapse duplicates, then halve while the measured error fits the budget."""
+    """Collapse duplicates, then halve while the measured error fits the budget.
+
+    An attempt is skipped, not computed, when its singleton error bound
+    already exceeds the remaining budget: it would be rolled back anyway.
+    """
     thresholds = thresholds or DEFAULT_REDUCE_THRESHOLDS
     current = collapse_duplicates(sample)
     spent = Fraction(0)
@@ -418,6 +461,8 @@ def reduce_with_budget(sample: WeightedSample, fam: RangeFamily, budget: Fractio
     est_ranges = max(4, min(len(current), 64) ** min(fam.oracle_dimension, 3))
     while len(current) >= 2:
         if len(current) > min(threshold, fam.oracle_cap):
+            break
+        if singleton_error_bound(current) > budget - spent:
             break
         if len(current) > _ALWAYS_TRY:
             bound = potential_bound(current, est_ranges) / float(current.total_weight)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -143,3 +144,75 @@ def test_env_scale_override(tmp_path, monkeypatch):
     data = json.loads(snap.read_text())
     assert data["snapshot"]["scale"] == 2
     assert [2, 2] in [p[:2] for p in data["sample"]["points"]]
+
+
+@pytest.mark.parametrize("scale,flags", [
+    ("1", ["--family", "disk", "--eps", "1/4"]),
+    ("1", ["--family", "halfplane", "--eps", "1/2"]),
+    ("1", ["--family", "halfplane", "--eps", "1/4", "--c", "2"]),
+    ("2", ["--family", "halfplane", "--eps", "1/4"]),
+])
+def test_resume_rejects_mismatched_config(tmp_path, stream_file, capsys, scale, flags):
+    state = tmp_path / "state.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(stream_file), "--family", "halfplane",
+                    "--eps", "1/4", "--state", str(state)])[0] == 0
+    before = state.read_text()
+    code, out = run_cli(["--scale", scale, "build", "--input", str(stream_file),
+                         "--resume", str(state), "--state", str(state)] + flags)
+    assert code == 3 and out == ""
+    assert "resumed state has" in capsys.readouterr().err
+    assert state.read_text() == before
+
+
+def _edited_snapshot(tmp_path, stream_file, edit):
+    snap = tmp_path / "snap.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(stream_file),
+                    "--family", "halfplane", "--eps", "1/2", "--snapshot", str(snap)])[0] == 0
+    data = json.loads(snap.read_text())
+    edit(data)
+    snap.write_text(json.dumps(data))
+    return snap
+
+
+def _set_sample_family(data):
+    data["sample"]["family"] = "disk"
+
+
+def _set_header_certificate(data):
+    claimed = Fraction(data["snapshot"]["certified_error"]) + Fraction(1, 64)
+    data["snapshot"]["certified_error"] = str(claimed)
+
+
+def _raise_certificate(data):
+    data["snapshot"]["certified_error"] = data["sample"]["eps_bound"] = "3/4"
+
+
+def _set_header_n(data):
+    data["snapshot"]["n"] = 4000
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_sample_family, "sample family 'disk'"),
+    (_set_header_certificate, "header certifies"),
+    (_raise_certificate, "exceeds eps"),
+    (_set_header_n, "n=4000"),
+])
+def test_snapshot_load_rejects_inconsistent_file(tmp_path, stream_file, capsys, edit, message):
+    snap = _edited_snapshot(tmp_path, stream_file, edit)
+    for args in (["net"], ["stats", "tukey-median"]):
+        code, out = run_cli(args + ["--snapshot", str(snap)])
+        assert code == 3 and out == ""
+        assert message in capsys.readouterr().err
+
+
+def test_snapshot_load_accepts_unedited_file(tmp_path, stream_file):
+    snap = _edited_snapshot(tmp_path, stream_file, lambda data: None)
+    assert run_cli(["net", "--snapshot", str(snap)])[0] == 0
+
+
+def test_snapshot_load_reports_missing_field(tmp_path, stream_file, capsys):
+    snap = _edited_snapshot(tmp_path, stream_file,
+                            lambda data: data["snapshot"].pop("certified_error"))
+    code, out = run_cli(["net", "--snapshot", str(snap)])
+    assert code == 2 and out == ""
+    assert "certified_error" in capsys.readouterr().err

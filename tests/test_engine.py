@@ -14,6 +14,7 @@ from epsstream import (
     schedule_weight,
     verify_approximation,
 )
+from epsstream import sampler
 from epsstream.engine import budget_prefix, snapshot_of_exact
 from epsstream.errors import EpsStreamError
 from streams import STYLES, make_stream
@@ -169,3 +170,21 @@ def test_module_level_op_aliases():
     snap = snapshot(st)
     assert snap.n == 2
     assert memory_footprint(st).levels_occupied == 1
+
+
+def test_ingest_skips_futile_halvings(monkeypatch):
+    calls = []
+    real_halve = sampler.halve
+
+    def counting_halve(*args, **kwargs):
+        calls.append(args[0])
+        return real_halve(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "halve", counting_halve)
+    eps = Fraction(1, 4)
+    state = StreamState(make_config(eps, "halfplane")).extend(make_stream("uniform", 512, seed=41))
+    assert calls == []
+    snap = state.snapshot()
+    assert calls
+    assert len(snap.sample) < 512
+    assert snap.certified_error <= eps

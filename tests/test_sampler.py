@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsstream import (
     FamilyKind,
@@ -20,6 +22,7 @@ from epsstream.sampler import (
     potential_bound,
     sample_from_json,
     sample_to_json,
+    singleton_error_bound,
 )
 from streams import STYLES, make_stream
 
@@ -105,6 +108,50 @@ class TestHalve:
         out, _ = halve(s, HP)
         assert out.total_weight == s.total_weight
         assert sum(out.weights, Fraction(0)) == s.total_weight
+
+
+def _weighted_samples():
+    """Small weighted samples rich in ties: a coarse grid (tied x and y)
+    or a line (collinear), unequal Fraction weights, duplicates collapsed."""
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    line = st.builds(lambda t, a: (t, a * t + 1), st.integers(-4, 4), st.sampled_from((0, 1, -2)))
+    weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    point = st.one_of(grid, line)
+
+    def build(rows):
+        pts = tuple(Point2(x, y) for (x, y), _ in rows)
+        ws = tuple(w for _, w in rows)
+        return collapse_duplicates(WeightedSample(pts, ws, sum(ws, Fraction(0)), Fraction(0)))
+
+    return st.lists(st.tuples(point, weight), min_size=2, max_size=9).map(build).filter(
+        lambda s: len(s) >= 2)
+
+
+class TestSingletonErrorBound:
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @settings(max_examples=100, deadline=None)
+    @given(sample=_weighted_samples())
+    def test_bound_below_measured_halving_error(self, kind, sample):
+        bound = singleton_error_bound(sample)
+        assert 0 < bound <= halve(sample, family(kind))[1]
+
+    def test_equal_weights_near_one_over_m(self):
+        s = WeightedSample.uniform([Point2(i, (i * i) % 5) for i in range(8)])
+        # T = 8, M_max = min(7, 5) = 5: 1/5 - 1/8 = 3/40
+        assert singleton_error_bound(s) == Fraction(3, 40)
+
+    def test_tight_on_two_points(self):
+        s = WeightedSample((Point2(0, 0), Point2(1, 1)), (Fraction(1), Fraction(3)),
+                           Fraction(4), Fraction(0))
+        # keep (1, 1) at weight 4: it errs by 1/4 on either singleton
+        for kind in FamilyKind:
+            assert singleton_error_bound(s) == halve(s, family(kind))[1] == Fraction(1, 4)
+
+    def test_coincident_top_point_gives_no_bound(self):
+        # the pair splits its own singleton range evenly, so halving is free
+        s = WeightedSample.uniform([Point2(3, 3), Point2(3, 3)])
+        assert singleton_error_bound(s) == 0
+        assert halve(s, HP)[1] == 0
 
 
 class TestApprox:
