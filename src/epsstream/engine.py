@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EpsStreamError
+from .errors import EpsStreamError, StreamParseError
 from .ranges import DEFAULT_SCALE, FamilyKind, Point2, RangeFamily, family
 from .sampler import (
     DEFAULT_REDUCE_THRESHOLDS,
@@ -268,20 +268,42 @@ class StreamState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StreamState":
+        """Rebuild a state written by ``to_json``, checking what it claims.
+
+        A missing or malformed field raises ``StreamParseError``; slots that
+        do not spell n, or whose delta differs from their sample's
+        certificate or exceeds the level's budget prefix, raise
+        ``EpsStreamError``.
+        """
+        if not isinstance(obj, dict):
+            raise StreamParseError("not a state file (expected a JSON object)")
         if obj.get("version") != 1:
             raise EpsStreamError(f"unsupported state version {obj.get('version')!r}")
-        c = obj["config"]
-        cfg = EngineConfig(Fraction(c["eps"]), family(c["family"]), Fraction(c["c"]),
-                           int(c["scale"]), tuple(tuple(t) for t in c["reduce_thresholds"]))
+        try:
+            c = obj["config"]
+            cfg = EngineConfig(Fraction(c["eps"]), family(c["family"]), Fraction(c["c"]),
+                               int(c["scale"]), tuple(tuple(t) for t in c["reduce_thresholds"]))
+            n = int(obj["n"])
+            slots = [(int(slot["level"]), Fraction(slot["delta"]), sample_from_json(slot["sample"]))
+                     for slot in obj["slots"]]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise StreamParseError(f"not a state file (missing or malformed {exc})") from exc
         state = cls(cfg)
-        state.n = int(obj["n"])
-        for slot in obj["slots"]:
-            sample = sample_from_json(slot["sample"])
-            state.slots[int(slot["level"])] = LevelSummary(int(slot["level"]), sample,
-                                                           Fraction(slot["delta"]))
+        state.n = n
+        for level, delta, sample in slots:
+            if level in state.slots:
+                raise EpsStreamError(f"two slots at level {level}")
+            state.slots[level] = LevelSummary(level, sample, delta)
         occupied = sorted(state.slots)
         if sorted(k for k in range(state.n.bit_length()) if state.n >> k & 1) != occupied:
             raise EpsStreamError("slot levels do not match n")
+        for level, summ in sorted(state.slots.items()):
+            if summ.delta != summ.sample.eps_bound:
+                raise EpsStreamError(f"slot {level} has delta {summ.delta} but its sample "
+                                     f"certifies {summ.sample.eps_bound}")
+            budget = budget_prefix(level, cfg)
+            if summ.delta > budget:
+                raise EpsStreamError(f"slot {level} delta {summ.delta} exceeds its budget {budget}")
         return state
 
 

@@ -27,6 +27,13 @@ from .ranges import FamilyKind, Point2
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
 
+# The int64 halfplane sweep takes |coordinates| below this (see its docstring);
+# its direction keys pack two 32-bit offset fields into one uint64.
+_NP_COORD_LIMIT = 1 << 30
+_KEY_BITS = np.uint64(32)
+_KEY_OFF = np.int64(1) << np.int64(31)
+_KEY_MASK = np.uint64((1 << 32) - 1)
+
 
 def _collapse_by_coordinate(pts: Sequence[Point2], deltas: Sequence[int]):
     """Merge coincident points; no range can separate them."""
@@ -171,7 +178,12 @@ def _max_halfplane_sums_py(pts, delta_lists) -> list[int]:
 
 
 def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
-    """Vectorized apex sweep; callers guarantee int64-safe magnitudes."""
+    """Vectorized apex sweep; callers guarantee int64-safe magnitudes.
+
+    With every |coordinate| below 2^30, apex offsets and their primitive
+    directions stay below 2^31, so each cross product of two directions is
+    below 2^62 and their difference below 2^63.
+    """
     m = len(pts)
     k = len(delta_lists)
     xs = np.array([p.x for p in pts], dtype=np.int64)
@@ -179,11 +191,14 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
     ds = np.array(delta_lists, dtype=np.int64)  # k x m
     totals = ds.sum(axis=1)
     best = np.abs(totals).astype(np.int64)
-    off = np.int64(1) << np.int64(27)
-    shift = np.int64(1) << np.int64(28)
 
     def enc(px, py):
-        return (px + off) * shift + (py + off)
+        # two 32-bit offset fields: keys sort like (px, py) lexicographically
+        return ((px + _KEY_OFF).astype(np.uint64) << _KEY_BITS) | (py + _KEY_OFF).astype(np.uint64)
+
+    def dec(keys):
+        return ((keys >> _KEY_BITS).astype(np.int64) - _KEY_OFF,
+                (keys & _KEY_MASK).astype(np.int64) - _KEY_OFF)
 
     for ai in range(m):
         dx = xs - xs[ai]
@@ -206,12 +221,10 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
         for j in range(k):
             gsum[j] = np.bincount(inv, weights=ds[j, rest].astype(np.float64),
                                   minlength=ng).astype(np.int64)
-        upx = ukeys // shift - off
-        upy = ukeys % shift - off
+        upx, upy = dec(ukeys)
         # events: group directions and their antipodes
         evkeys = np.unique(np.concatenate([ukeys, enc(-upx, -upy)]))
-        epx = evkeys // shift - off
-        epy = evkeys % shift - off
+        epx, epy = dec(evkeys)
         ang = np.arctan2(epy.astype(np.float64), epx.astype(np.float64))
         ang = np.where(ang < 0, ang + 2 * np.pi, ang)
         order = np.argsort(ang, kind="stable")
@@ -250,7 +263,6 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
         cand = np.maximum(np.abs(c1).max(axis=1),
                           np.maximum(np.abs(c2).max(axis=1), np.abs(c3).max(axis=1)))
         best = np.maximum(best, cand)
-        best = np.maximum(best, np.abs(base))
     return [int(v) for v in best]
 
 
@@ -260,9 +272,24 @@ def max_halfplane_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int
         return [0] * len(delta_lists)
     max_coord = max(max(abs(p.x), abs(p.y)) for p in pts)
     max_abs_sum = max(sum(abs(d) for d in dl) for dl in delta_lists) if delta_lists else 0
-    if max_coord < (1 << 25) and max_abs_sum < (1 << 52):
+    if max_coord < _NP_COORD_LIMIT and max_abs_sum < _FLOAT_EXACT_LIMIT:
         return _max_halfplane_sums_np(pts, delta_lists)
     return _max_halfplane_sums_py(pts, delta_lists)
+
+
+def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
+    """The m x R 0/1 uint8 matrix of R index bitmasks over m points.
+
+    Row i marks, in increasing order, the masks that hold point i.
+    """
+    nbytes = (m + 7) // 8
+    for mask in masks:
+        if mask < 0 or mask.bit_length() > m:
+            raise ValueError(f"range mask is not a subset of {m} points (bit length "
+                             f"{mask.bit_length()}{', negative' if mask < 0 else ''})")
+    packed = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks),
+                           dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed.T, axis=0, count=m, bitorder="little")
 
 
 def halfplane_subset_masks(pts: Sequence[Point2]) -> list[int]:
@@ -499,19 +526,10 @@ def max_vpar_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
 
 def _wedge_machinery(pts: Sequence[Point2], deltas: Sequence[int]):
     masks = halfplane_subset_masks(pts)
-    m = len(pts)
     sigma = np.array(deltas, dtype=np.float64)
     if sum(abs(d) for d in deltas) >= _FLOAT_EXACT_LIMIT:
         raise OverflowError("wedge measure: deltas too large for exact float sums")
-    rows = np.zeros((len(masks), m), dtype=np.float64)
-    for r, mask in enumerate(masks):
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                rows[r, i] = 1.0
-            mm >>= 1
-            i += 1
+    rows = membership_matrix(masks, len(pts)).T.astype(np.float64, order="C")
     return rows, sigma
 
 

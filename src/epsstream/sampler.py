@@ -168,15 +168,7 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
         raise ValueError("coloring needs at least 2 points")
     masks = [_as_mask(r, m) for r in ranges]
     nr = max(1, len(masks))
-    point_ranges: list[list[int]] = [[] for _ in range(m)]
-    for rid, mask in enumerate(masks):
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                point_ranges[i].append(rid)
-            mm >>= 1
-            i += 1
+    member = rangesums.membership_matrix(masks, m)
     w2 = float(sum(w * w for w in sample.weights))
     lam = math.sqrt(2.0 * math.log(2.0 * nr) / w2) if w2 > 0 else 1.0
     d = np.zeros(len(masks), dtype=np.float64)
@@ -188,8 +180,8 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
     for i in order:
         w = sample.weights[i]
         total_after -= w
-        ids = point_ranges[i]
-        if ids:
+        ids = np.flatnonzero(member[i])
+        if ids.size:
             cur = d[ids]
             g = float(w)
             up = np.cosh(np.clip(lam * (cur + g), -_COSH_CAP, _COSH_CAP)).sum()
@@ -205,7 +197,7 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
                 sign = -1 if running > 0 else 1
         signs[i] = sign
         running += sign * w
-        if ids:
+        if ids.size:
             d[ids] += sign * float(w)
     return Coloring(tuple(signs))
 

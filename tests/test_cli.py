@@ -164,6 +164,58 @@ def test_resume_rejects_mismatched_config(tmp_path, stream_file, capsys, scale, 
     assert state.read_text() == before
 
 
+def _resume_edited_state(tmp_path, stream_file, edit):
+    state = tmp_path / "state.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(stream_file), "--family", "halfplane",
+                    "--eps", "1/4", "--state", str(state)])[0] == 0
+    data = json.loads(state.read_text())
+    edit(data)
+    state.write_text(json.dumps(data))
+    before = state.read_text()
+    code, out = run_cli(["--scale", "1", "build", "--input", str(stream_file), "--family",
+                         "halfplane", "--eps", "1/4", "--resume", str(state),
+                         "--state", str(state)])
+    assert out == "" and state.read_text() == before
+    return code
+
+
+def _top_slot(data):
+    return max(data["slots"], key=lambda slot: slot["level"])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: [data.clear(), data.update(version=1)], "'config'"),
+    (lambda data: data.pop("n"), "'n'"),
+    (lambda data: data.update(slots=5), "not iterable"),
+    (lambda data: data.update(config=[]), "list indices"),
+    (lambda data: _top_slot(data).pop("delta"), "'delta'"),
+    (lambda data: _top_slot(data)["sample"].pop("points"), "'points'"),
+], ids=["only-version", "no-n", "slots-not-a-list", "config-not-an-object",
+        "slot-without-delta", "sample-without-points"])
+def test_resume_reports_missing_or_malformed_field(tmp_path, stream_file, capsys, edit, message):
+    assert _resume_edited_state(tmp_path, stream_file, edit) == 2
+    err = capsys.readouterr().err
+    assert "not a state file" in err and message in err
+
+
+def _set_slot_delta(data):
+    _top_slot(data)["delta"] = "1/1024"
+
+
+def _raise_slot_certificate(data):
+    slot = _top_slot(data)
+    slot["delta"] = slot["sample"]["eps_bound"] = "1/8"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_slot_delta, "but its sample certifies"),
+    (_raise_slot_certificate, "exceeds its budget"),
+])
+def test_resume_rejects_inconsistent_slot(tmp_path, stream_file, capsys, edit, message):
+    assert _resume_edited_state(tmp_path, stream_file, edit) == 3
+    assert message in capsys.readouterr().err
+
+
 def _edited_snapshot(tmp_path, stream_file, edit):
     snap = tmp_path / "snap.json"
     assert run_cli(["--scale", "1", "build", "--input", str(stream_file),

@@ -6,6 +6,15 @@ test stream style, each family at a small n, and eps 1/4 and 1/2.  They
 were recorded before halvings started being skipped by the singleton error
 bound, so a pass here shows that skipping changes no output.  A change that
 alters outputs on purpose must re-record them, and say so.
+
+Two larger halfplane streams at eps 1/4 reach paths the small ones do not:
+256 uniform points, whose snapshot halvings are guided by projection
+prefixes (more than 72 points), and the same stream mapped by
+v -> 128*v + 3*2^27 into [2^27, 5*2^27], whose range sums ran on the exact
+Python sweep while the int64 sweep stopped at |coordinate| 2^25.  Their
+digests were recorded from an unmodified copy of the code before range
+masks were decoded with numpy and before the int64 sweep was extended to
+|coordinate| < 2^30, so a pass here shows both changes keep every output.
 """
 
 import hashlib
@@ -14,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from epsstream import StreamState, make_config
+from epsstream import Point2, StreamState, make_config
 from epsstream.sampler import sample_to_json
 from streams import make_stream
 
@@ -194,15 +203,42 @@ GOLDEN = {
 }
 
 
+
+def _wide(points):
+    return [Point2(128 * p.x + 3 * (1 << 27), 128 * p.y + 3 * (1 << 27)) for p in points]
+
+
+GOLDEN_LARGE = {
+    "uniform-256": (
+        lambda: make_stream("uniform", 256, seed=SEED),
+        "e4b67edc4bf9dc2100c3cbcfaee4148d0396e96a0882a78ff503ad1beff976a1",
+        "13cfb0dcd34eb4c82b056c506395f422006933d7a69e5cb1f254edc3956c8348"),
+    "wide-256": (
+        lambda: _wide(make_stream("uniform", 256, seed=SEED)),
+        "d3f217d7545085c5d80305f546903035865471337dc527c075b8e7e75e02ed3c",
+        "737147c448c0a9e444601a767db1dc2b28999b3ccccefd16d3921cd29c4acf69"),
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("fam,style,eps", sorted(GOLDEN))
-def test_outputs_match_golden_digests(fam, style, eps):
-    cfg = make_config(Fraction(eps), fam)
-    state = StreamState(cfg).extend(make_stream(style, SIZES[fam], seed=SEED))
+def _digests(fam, eps, points):
+    state = StreamState(make_config(Fraction(eps), fam)).extend(points)
     snap = state.snapshot()
     blob = json.dumps(sample_to_json(snap.sample, snap.family), sort_keys=True,
                       separators=(",", ":"))
-    assert (_sha(state.to_json_str()), _sha(blob)) == GOLDEN[(fam, style, eps)]
+    return _sha(state.to_json_str()), _sha(blob)
+
+
+@pytest.mark.parametrize("fam,style,eps", sorted(GOLDEN))
+def test_outputs_match_golden_digests(fam, style, eps):
+    points = make_stream(style, SIZES[fam], seed=SEED)
+    assert _digests(fam, eps, points) == GOLDEN[(fam, style, eps)]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LARGE))
+def test_large_halfplane_outputs_match_golden_digests(name):
+    points, state_digest, snapshot_digest = GOLDEN_LARGE[name]
+    assert _digests("halfplane", "1/4", points()) == (state_digest, snapshot_digest)

@@ -1,0 +1,82 @@
+"""The int64 halfplane sweep must agree with the exact Python sweep.
+
+``max_halfplane_sums`` hands inputs with every |coordinate| below 2^30 to
+the vectorized sweep and larger ones to the pure-Python sweep; the two must
+report the same maxima wherever the fast one is allowed to run.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epsstream import Point2
+from epsstream import rangesums
+from epsstream.rangesums import _max_halfplane_sums_np, _max_halfplane_sums_py, max_halfplane_sums
+
+LIM = (1 << 30) - 1
+_SPREAD = 1 << 20  # largest offset the line and antipode strategies add
+
+
+def _point_sets():
+    """Points near the 2^30 limit, rich in collinear triples, duplicates and
+    pairs in antipodal directions from a shared apex."""
+    coord = st.one_of(st.integers(-LIM, LIM), st.sampled_from((-LIM, 0, LIM)))
+    anchor = st.integers(-LIM + _SPREAD, LIM - _SPREAD)
+    step = st.integers(-(1 << 16), 1 << 16)
+    free = st.builds(lambda x, y: [Point2(x, y)], coord, coord)
+    # a + t*(dx, dy) for several t: collinear, and antipodal around a
+    line = st.builds(lambda ax, ay, dx, dy, ts: [Point2(ax + t * dx, ay + t * dy) for t in ts],
+                     anchor, anchor, step, step,
+                     st.lists(st.integers(-16, 16), min_size=2, max_size=5))
+    antipodal = st.builds(lambda ax, ay, dx, dy: [Point2(ax, ay), Point2(ax + dx, ay + dy),
+                                                  Point2(ax - dx, ay - dy)],
+                          anchor, anchor, step, step)
+
+    def build(groups, dup_picks):
+        pts = [p for g in groups for p in g]
+        return pts + [pts[i % len(pts)] for i in dup_picks]
+
+    return st.builds(build, st.lists(st.one_of(free, line, antipodal), min_size=1, max_size=6),
+                     st.lists(st.integers(0, 99), max_size=4))
+
+
+@st.composite
+def _inputs(draw):
+    pts = draw(_point_sets())
+    delta = st.integers(-(1 << 20), 1 << 20)
+    k = draw(st.integers(1, 4))
+    dls = [draw(st.lists(delta, min_size=len(pts), max_size=len(pts))) for _ in range(k)]
+    return pts, dls
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=_inputs())
+def test_fast_sweep_matches_python_sweep(inp):
+    pts, dls = inp
+    assert _max_halfplane_sums_np(pts, dls) == _max_halfplane_sums_py(pts, dls)
+
+
+def _refuse(*_args):
+    raise AssertionError("wrong halfplane sweep")
+
+
+_BOUNDARY = [Point2(-3, 5), Point2(7, -2), Point2(0, 0), Point2(4, 4)]
+_DELTAS = [[3, -1, 2, -5], [1, 1, -1, 1]]
+
+
+@pytest.mark.parametrize("x,y", [(LIM, 0), (0, -LIM), (-LIM, LIM)])
+def test_int64_sweep_up_to_two_to_the_thirty_minus_one(monkeypatch, x, y):
+    pts = _BOUNDARY + [Point2(x, y)]
+    dls = [d + [7] for d in _DELTAS]
+    expected = _max_halfplane_sums_py(pts, dls)
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+    assert max_halfplane_sums(pts, dls) == expected
+
+
+@pytest.mark.parametrize("x,y", [(1 << 30, 0), (0, -(1 << 30)), (-(1 << 30), 1)])
+def test_python_sweep_from_two_to_the_thirty(monkeypatch, x, y):
+    pts = _BOUNDARY + [Point2(x, y)]
+    dls = [d + [7] for d in _DELTAS]
+    expected = _max_halfplane_sums_py(pts, dls)
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_np", _refuse)
+    assert max_halfplane_sums(pts, dls) == expected

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from epsstream import (
 )
 from epsstream.rangesums import halfplane_subset_masks
 from epsstream.sampler import (
+    _COSH_CAP,
+    _guidance_masks,
     collapse_duplicates,
     potential_bound,
     sample_from_json,
@@ -72,6 +76,91 @@ class TestColoring:
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):
             low_discrepancy_coloring(WeightedSample.uniform([Point2(0, 0)]), [])
+
+
+def _reference_coloring(sample, ranges):
+    """The coloring as first written, decoding each range mask bit by bit."""
+    m = len(sample)
+    masks = []
+    for r in ranges:
+        mask = r if isinstance(r, int) else sum(1 << i for i in set(r))
+        masks.append(mask)
+    point_ranges = [[] for _ in range(m)]
+    for rid, mask in enumerate(masks):
+        i = 0
+        while mask:
+            if mask & 1:
+                point_ranges[i].append(rid)
+            mask >>= 1
+            i += 1
+    w2 = float(sum(w * w for w in sample.weights))
+    lam = math.sqrt(2.0 * math.log(2.0 * max(1, len(masks))) / w2)
+    d = np.zeros(len(masks), dtype=np.float64)
+    order = sorted(range(m), key=lambda i: (-sample.weights[i], sample.points[i], i))
+    signs = [0] * m
+    max_w = max(sample.weights)
+    total_after = sum(sample.weights, Fraction(0))
+    running = Fraction(0)
+    for i in order:
+        w = sample.weights[i]
+        total_after -= w
+        ids = point_ranges[i]
+        prefer = 1
+        if ids:
+            cur = d[ids]
+            up = np.cosh(np.clip(lam * (cur + float(w)), -_COSH_CAP, _COSH_CAP)).sum()
+            down = np.cosh(np.clip(lam * (cur - float(w)), -_COSH_CAP, _COSH_CAP)).sum()
+            prefer = 1 if up <= down else -1
+        limit = total_after + max_w
+        sign = prefer
+        if abs(running + sign * w) > limit:
+            sign = -prefer
+            if abs(running + sign * w) > limit:
+                sign = -1 if running > 0 else 1
+        signs[i] = sign
+        running += sign * w
+        if ids:
+            d[ids] += sign * float(w)
+    return tuple(signs)
+
+
+@st.composite
+def _colorings(draw):
+    """A weighted sample of m points and ranges over it: random masks, the
+    empty and the full mask, and index iterables of several kinds."""
+    m = draw(st.integers(2, 90))
+    pts = tuple(Point2(draw(st.integers(-5, 5)), draw(st.integers(-5, 5))) for _ in range(m))
+    ws = tuple(Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3))) for _ in range(m))
+    sample = WeightedSample(pts, ws, sum(ws, Fraction(0)), Fraction(0))
+    mask = st.integers(0, (1 << m) - 1)
+    index_set = st.sets(st.integers(0, m - 1), max_size=m)
+    as_iterable = st.sampled_from((list, tuple, set, lambda ix: sorted(ix, reverse=True)))
+    ranges = draw(st.lists(st.one_of(mask, st.builds(lambda f, ix: f(ix), as_iterable, index_set)),
+                           max_size=40))
+    ranges += [0, (1 << m) - 1, range(m // 2)]
+    draw(st.randoms()).shuffle(ranges)
+    return sample, ranges
+
+
+class TestColoringDecode:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_colorings())
+    def test_matches_bit_by_bit_reference(self, case):
+        sample, ranges = case
+        assert low_discrepancy_coloring(sample, ranges).signs == _reference_coloring(sample, ranges)
+
+    @pytest.mark.parametrize("style", STYLES)
+    def test_matches_reference_on_prefix_guidance(self, style):
+        # beyond _FULL_GUIDE_CAP points, halfplane guidance is projection prefixes
+        s = uniform(make_stream(style, 100, seed=5))
+        masks = _guidance_masks(FamilyKind.HALFPLANE, s.points)
+        assert low_discrepancy_coloring(s, masks).signs == _reference_coloring(s, masks)
+
+    @pytest.mark.parametrize("bad", [1 << 10, (1 << 11) - 1, [3, 10], -1])
+    def test_rejects_range_outside_the_points(self, bad):
+        s = WeightedSample.uniform([Point2(i, i * i) for i in range(10)])
+        with pytest.raises(ValueError):
+            low_discrepancy_coloring(s, [1, bad])
 
 
 class TestHalve:
