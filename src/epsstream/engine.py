@@ -41,6 +41,10 @@ _ZETA2_UPPER = Fraction(16449340668482265, 10 ** 16)
 _W_TRUNCATION = 4096
 _ROOT_PRECISION_BITS = 30
 
+# State files record the reduce thresholds the summaries were built under;
+# only the built-in table is accepted back.
+_THRESHOLD_ROWS = tuple(sorted((k.value, v) for k, v in DEFAULT_REDUCE_THRESHOLDS.items()))
+
 
 def _integer_root(n: int, q: int) -> int:
     """floor(n ** (1/q)) for nonnegative integer n."""
@@ -100,7 +104,6 @@ class EngineConfig:
     family: RangeFamily
     c: Fraction = Fraction(1)
     scale: int = DEFAULT_SCALE
-    reduce_thresholds: tuple = tuple(sorted((k.value, v) for k, v in DEFAULT_REDUCE_THRESHOLDS.items()))
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
@@ -108,19 +111,11 @@ class EngineConfig:
         if self.c <= 0:
             raise ValueError("c must be > 0")
 
-    def thresholds_dict(self) -> dict:
-        return {FamilyKind(k): v for k, v in self.reduce_thresholds}
 
-
-def make_config(eps, fam, c=Fraction(1), scale=DEFAULT_SCALE, thresholds=None) -> EngineConfig:
+def make_config(eps, fam, c=Fraction(1), scale=DEFAULT_SCALE) -> EngineConfig:
     if isinstance(fam, (str, FamilyKind)):
         fam = family(fam)
-    kwargs = {}
-    if thresholds:
-        merged = dict(DEFAULT_REDUCE_THRESHOLDS)
-        merged.update(thresholds)
-        kwargs["reduce_thresholds"] = tuple(sorted((k.value, v) for k, v in merged.items()))
-    return EngineConfig(Fraction(eps), fam, Fraction(c), scale, **kwargs)
+    return EngineConfig(Fraction(eps), fam, Fraction(c), scale)
 
 
 def error_budget(k: int, cfg: EngineConfig) -> Fraction:
@@ -205,8 +200,7 @@ class StreamState:
         merged = WeightedSample(ls.points + rs.points, ls.weights + rs.weights,
                                 ls.total_weight + rs.total_weight,
                                 (left.delta + right.delta) / 2)
-        reduced, spent = reduce_with_budget(merged, self.config.family, error_budget(k, self.config),
-                                            self.config.thresholds_dict())
+        reduced, spent = reduce_with_budget(merged, self.config.family, error_budget(k, self.config))
         delta = (left.delta + right.delta) / 2 + spent
         reduced = WeightedSample(reduced.points, reduced.weights, reduced.total_weight, delta)
         return LevelSummary(k, reduced, delta)
@@ -230,8 +224,7 @@ class StreamState:
         merged = WeightedSample(tuple(merged.points[i] for i in ordered),
                                 tuple(merged.weights[i] for i in ordered),
                                 merged.total_weight, merged.eps_bound)
-        reduced, spent = reduce_with_budget(merged, self.config.family, self.config.eps / 2,
-                                            self.config.thresholds_dict())
+        reduced, spent = reduce_with_budget(merged, self.config.family, self.config.eps / 2)
         certified = base_err + spent
         out = WeightedSample(reduced.points, reduced.weights, reduced.total_weight, certified)
         return Snapshot(out, self.n, self.config)
@@ -250,7 +243,7 @@ class StreamState:
                 "c": f"{cfg.c.numerator}/{cfg.c.denominator}",
                 "family": cfg.family.kind.value,
                 "scale": cfg.scale,
-                "reduce_thresholds": list(cfg.reduce_thresholds),
+                "reduce_thresholds": list(_THRESHOLD_ROWS),
             },
             "n": self.n,
             "slots": [
@@ -272,8 +265,8 @@ class StreamState:
 
         A missing or malformed field raises ``StreamParseError``; slots that
         do not spell n, or whose delta differs from their sample's
-        certificate or exceeds the level's budget prefix, raise
-        ``EpsStreamError``.
+        certificate or exceeds the level's budget prefix, and reduce
+        thresholds other than the built-in ones, raise ``EpsStreamError``.
         """
         if not isinstance(obj, dict):
             raise StreamParseError("not a state file (expected a JSON object)")
@@ -282,12 +275,16 @@ class StreamState:
         try:
             c = obj["config"]
             cfg = EngineConfig(Fraction(c["eps"]), family(c["family"]), Fraction(c["c"]),
-                               int(c["scale"]), tuple(tuple(t) for t in c["reduce_thresholds"]))
+                               int(c["scale"]))
+            thresholds = tuple(tuple(t) for t in c["reduce_thresholds"])
             n = int(obj["n"])
             slots = [(int(slot["level"]), Fraction(slot["delta"]), sample_from_json(slot["sample"]))
                      for slot in obj["slots"]]
         except (KeyError, TypeError, AttributeError) as exc:
             raise StreamParseError(f"not a state file (missing or malformed {exc})") from exc
+        if thresholds != _THRESHOLD_ROWS:
+            raise EpsStreamError(f"state was built under reduce thresholds {list(thresholds)}, "
+                                 f"not the built-in {list(_THRESHOLD_ROWS)}")
         state = cls(cfg)
         state.n = n
         for level, delta, sample in slots:

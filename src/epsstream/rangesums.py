@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import FamilyKind, Point2
+from .ranges import FamilyKind, Point2, _slope_candidates
 
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
@@ -35,17 +35,11 @@ _KEY_OFF = np.int64(1) << np.int64(31)
 _KEY_MASK = np.uint64((1 << 32) - 1)
 
 
-def _collapse_by_coordinate(pts: Sequence[Point2], deltas: Sequence[int]):
-    """Merge coincident points; no range can separate them."""
-    agg: dict[tuple, int] = {}
-    for p, d in zip(pts, deltas):
-        key = (p.x, p.y)
-        agg[key] = agg.get(key, 0) + d
-    coords = sorted(agg)
-    return [Point2(x, y) for x, y in coords], [agg[c] for c in coords]
+def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence]):
+    """Merge coincident points, summing each list; no range can separate them.
 
-
-def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]):
+    The merged points come back sorted by coordinates.
+    """
     agg: dict[tuple, list[int]] = {}
     k = len(delta_lists)
     for i, p in enumerate(pts):
@@ -66,7 +60,12 @@ def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]])
 # ---------------------------------------------------------------------------
 
 
-def _primitive(dx: int, dy: int) -> tuple[int, int]:
+def _primitive(dx, dy) -> tuple[int, int]:
+    """The primitive integer direction of an exact vector (int or Fraction parts)."""
+    if isinstance(dx, Fraction) or isinstance(dy, Fraction):
+        fx, fy = Fraction(dx), Fraction(dy)
+        mul = math.lcm(fx.denominator, fy.denominator)
+        dx, dy = int(fx * mul), int(fy * mul)
     g = math.gcd(abs(dx), abs(dy))
     return dx // g, dy // g
 
@@ -112,6 +111,53 @@ def _sorted_directions(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+def _apex_sweep(pts, delta_lists, apex, emit):
+    """Rotate a line about ``apex``; ``emit(values_tuple)`` sees the sums.
+
+    Each emitted tuple is the per-list sum over one closed halfplane whose
+    boundary line passes through ``apex``, and every such halfplane is
+    emitted; points coincident with ``apex`` count in every sum.  ``apex``
+    need not be one of ``pts``.  The values are only added, so they may be
+    ints or Fractions.
+    """
+    k = len(delta_lists)
+    zero = (0,) * k
+    base = [0] * k
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(pts):
+        dx = p.x - apex.x
+        dy = p.y - apex.y
+        if dx == 0 and dy == 0:
+            for j in range(k):
+                base[j] += delta_lists[j][i]
+            continue
+        groups.setdefault(_primitive(dx, dy), []).append(i)
+    if not groups:
+        emit(tuple(base))
+        return
+    gsum: dict[tuple[int, int], list] = {}
+    for d, idxs in groups.items():
+        gsum[d] = [sum(delta_lists[j][i] for i in idxs) for j in range(k)]
+    # a group leaves the open side at its own direction and enters at
+    # the antipode, so both are sweep events
+    events = _sorted_directions(list({d for d in groups}
+                                     | {(-d[0], -d[1]) for d in groups}))
+    d0 = events[0]
+    left = [0] * k
+    for d, s in gsum.items():
+        if d0[0] * d[1] - d0[1] * d[0] > 0 or d == d0:
+            for j in range(k):
+                left[j] += s[j]
+    for d in events:
+        g = gsum.get(d, zero)
+        anti = gsum.get((-d[0], -d[1]), zero)
+        emit(tuple(base[j] + left[j] for j in range(k)))
+        emit(tuple(base[j] + left[j] + anti[j] for j in range(k)))
+        emit(tuple(base[j] + left[j] - g[j] + anti[j] for j in range(k)))
+        for j in range(k):
+            left[j] += anti[j] - g[j]
+
+
 def _halfplane_sweep(pts, delta_lists, emit):
     """Drive the apex sweep; ``emit(values_tuple)`` sees every induced sum.
 
@@ -120,48 +166,10 @@ def _halfplane_sweep(pts, delta_lists, emit):
     each point class and emitting the just-before / on-line-closed /
     just-after positions covers the whole induced family.
     """
-    k = len(delta_lists)
-    zero = (0,) * k
-    totals = tuple(sum(dl) for dl in delta_lists)
-    emit(totals)
-    emit(zero)
-    m = len(pts)
-    for ai in range(m):
-        apex = pts[ai]
-        base = [0] * k
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(pts):
-            dx = p.x - apex.x
-            dy = p.y - apex.y
-            if dx == 0 and dy == 0:
-                for j in range(k):
-                    base[j] += delta_lists[j][i]
-                continue
-            groups.setdefault(_primitive(dx, dy), []).append(i)
-        if not groups:
-            emit(tuple(base))
-            continue
-        gsum: dict[tuple[int, int], list[int]] = {}
-        for d, idxs in groups.items():
-            gsum[d] = [sum(delta_lists[j][i] for i in idxs) for j in range(k)]
-        # a group leaves the open side at its own direction and enters at
-        # the antipode, so both are sweep events
-        events = _sorted_directions(list({d for d in groups}
-                                         | {(-d[0], -d[1]) for d in groups}))
-        d0 = events[0]
-        left = [0] * k
-        for d, s in gsum.items():
-            if d0[0] * d[1] - d0[1] * d[0] > 0 or d == d0:
-                for j in range(k):
-                    left[j] += s[j]
-        for d in events:
-            g = gsum.get(d, zero)
-            anti = gsum.get((-d[0], -d[1]), zero)
-            emit(tuple(base[j] + left[j] for j in range(k)))
-            emit(tuple(base[j] + left[j] + anti[j] for j in range(k)))
-            emit(tuple(base[j] + left[j] - g[j] + anti[j] for j in range(k)))
-            for j in range(k):
-                left[j] += anti[j] - g[j]
+    emit(tuple(sum(dl) for dl in delta_lists))
+    emit((0,) * len(delta_lists))
+    for apex in pts:
+        _apex_sweep(pts, delta_lists, apex, emit)
 
 
 def _max_halfplane_sums_py(pts, delta_lists) -> list[int]:
@@ -270,9 +278,11 @@ def max_halfplane_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int
     pts, delta_lists = _collapse_multi(pts, delta_lists)
     if not pts:
         return [0] * len(delta_lists)
+    # Fraction coordinates would be truncated by the int64 arrays
+    all_int = all(isinstance(p.x, int) and isinstance(p.y, int) for p in pts)
     max_coord = max(max(abs(p.x), abs(p.y)) for p in pts)
     max_abs_sum = max(sum(abs(d) for d in dl) for dl in delta_lists) if delta_lists else 0
-    if max_coord < _NP_COORD_LIMIT and max_abs_sum < _FLOAT_EXACT_LIMIT:
+    if all_int and max_coord < _NP_COORD_LIMIT and max_abs_sum < _FLOAT_EXACT_LIMIT:
         return _max_halfplane_sums_np(pts, delta_lists)
     return _max_halfplane_sums_py(pts, delta_lists)
 
@@ -378,7 +388,7 @@ def max_quadrant_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]
 
 
 def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, deltas = _collapse_by_coordinate(pts, deltas)
+    pts, (deltas,) = _collapse_multi(pts, [deltas])
     n = len(pts)
     best = 0
     for d in deltas:  # radius-0 disks
@@ -453,18 +463,6 @@ def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _measure_slopes(pts: Sequence[Point2]) -> list[tuple[int, int]]:
-    """Pair slopes and separators in between, as (num, den) with den > 0."""
-    slopes = sorted({Fraction(q.y - p.y, q.x - p.x)
-                     for p in pts for q in pts if q.x != p.x})
-    if not slopes:
-        return [(0, 1)]
-    cands = [slopes[0] - 1, slopes[-1] + 1]
-    cands.extend(slopes)
-    cands.extend((a + b) / 2 for a, b in zip(slopes, slopes[1:]))
-    return [(f.numerator, f.denominator) for f in sorted(set(cands))]
-
-
 def _max_window_sum(keyed: list[tuple[object, int]]) -> int:
     """Max |sum| over runs of consecutive equal-key groups."""
     keyed.sort(key=lambda t: t[0])
@@ -485,11 +483,12 @@ def _max_window_sum(keyed: list[tuple[object, int]]) -> int:
 
 
 def max_slab_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, deltas = _collapse_by_coordinate(pts, deltas)
+    pts, (deltas,) = _collapse_multi(pts, [deltas])
     if not pts:
         return 0
     best = 0
-    for num, den in _measure_slopes(pts):
+    for a in _slope_candidates(pts):
+        num, den = a.numerator, a.denominator
         keyed = [(p.y * den - p.x * num, d) for p, d in zip(pts, deltas)]
         best = max(best, _max_window_sum(keyed))
     return best
@@ -501,12 +500,13 @@ def max_slab_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
 
 
 def max_vpar_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, deltas = _collapse_by_coordinate(pts, deltas)
+    pts, (deltas,) = _collapse_multi(pts, [deltas])
     if not pts:
         return 0
     xs = sorted({p.x for p in pts})
     best = 0
-    for num, den in _measure_slopes(pts):
+    for a in _slope_candidates(pts):
+        num, den = a.numerator, a.denominator
         items = sorted(((p.y * den - p.x * num, p.x, d)
                         for p, d in zip(pts, deltas)), key=lambda t: t[0])
         for li in range(len(xs)):
@@ -534,7 +534,7 @@ def _wedge_machinery(pts: Sequence[Point2], deltas: Sequence[int]):
 
 
 def max_wedge_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, deltas = _collapse_by_coordinate(pts, deltas)
+    pts, (deltas,) = _collapse_multi(pts, [deltas])
     if not pts:
         return 0
     rows, sigma = _wedge_machinery(pts, deltas)
@@ -548,7 +548,7 @@ def max_wedge_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
 
 
 def max_dwedge_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, deltas = _collapse_by_coordinate(pts, deltas)
+    pts, (deltas,) = _collapse_multi(pts, [deltas])
     if not pts:
         return 0
     rows, sigma = _wedge_machinery(pts, deltas)

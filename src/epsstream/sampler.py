@@ -439,17 +439,16 @@ def collapse_duplicates(sample: WeightedSample) -> WeightedSample:
                           sample.total_weight, sample.eps_bound)
 
 
-def reduce_with_budget(sample: WeightedSample, fam: RangeFamily, budget: Fraction,
-                       thresholds: dict | None = None) -> tuple[WeightedSample, Fraction]:
+def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
+                       budget: Fraction) -> tuple[WeightedSample, Fraction]:
     """Collapse duplicates, then halve while the measured error fits the budget.
 
     An attempt is skipped, not computed, when its singleton error bound
     already exceeds the remaining budget: it would be rolled back anyway.
     """
-    thresholds = thresholds or DEFAULT_REDUCE_THRESHOLDS
     current = collapse_duplicates(sample)
     spent = Fraction(0)
-    threshold = thresholds.get(fam.kind, 64)
+    threshold = DEFAULT_REDUCE_THRESHOLDS[fam.kind]
     est_ranges = max(4, min(len(current), 64) ** min(fam.oracle_dimension, 3))
     while len(current) >= 2:
         if len(current) > min(threshold, fam.oracle_cap):
@@ -526,19 +525,12 @@ def weighted_eps_approx(sample: WeightedSample, fam: RangeFamily, eps: Fraction)
 def verify_approximation(ground: WeightedSample, candidate: WeightedSample,
                          fam: RangeFamily, eps: Fraction) -> bool:
     """Exact check of the weighted approximation inequality on every induced range."""
-    union: dict[tuple, Fraction] = {}
-    for p, w in zip(ground.points, ground.weights):
-        union[(p.x, p.y)] = union.get((p.x, p.y), Fraction(0)) - w
-    for p, w in zip(candidate.points, candidate.weights):
-        union[(p.x, p.y)] = union.get((p.x, p.y), Fraction(0)) + w
-    coords = sorted(union)
-    if len(coords) > fam.oracle_cap:
-        raise CapExceededError(f"verification on {len(coords)} points exceeds "
+    pts, (net,) = rangesums._collapse_multi(
+        ground.points + candidate.points,
+        [[-w for w in ground.weights] + list(candidate.weights)])
+    if len(pts) > fam.oracle_cap:
+        raise CapExceededError(f"verification on {len(pts)} points exceeds "
                                f"{fam.kind.value} cap {fam.oracle_cap}")
-    pts = [Point2(x, y) for x, y in coords]
-    denom = 1
-    for c in coords:
-        denom = denom * union[c].denominator // math.gcd(denom, union[c].denominator)
-    ints = [int(union[c] * denom) for c in coords]
+    ints, denom = _scaled_weights(net)
     mx = rangesums.max_range_sum(fam.kind, pts, ints)
     return Fraction(mx, denom) <= Fraction(eps) * ground.total_weight

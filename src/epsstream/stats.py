@@ -10,7 +10,6 @@ fits).  All arithmetic is exact; additive bounds quote the snapshot's eps.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,7 @@ from typing import Sequence
 from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
 from .ranges import FamilyKind, Point2
+from .rangesums import _apex_sweep, _collapse_multi, _primitive, _sorted_directions
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -65,31 +65,6 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(math.isqrt(num // x.denominator) + 1, scale)
 
 
-def _prim_dir(vx, vy) -> tuple[int, int]:
-    """Reduce an exact vector (int or Fraction parts) to a primitive int direction."""
-    if isinstance(vx, Fraction) or isinstance(vy, Fraction):
-        fx, fy = Fraction(vx), Fraction(vy)
-        mul = fx.denominator * fy.denominator // math.gcd(fx.denominator, fy.denominator)
-        vx, vy = int(fx * mul), int(fy * mul)
-    g = math.gcd(abs(vx), abs(vy))
-    return vx // g, vy // g
-
-
-def _dir_half(d: tuple[int, int]) -> int:
-    return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-
-def _dir_sort_key_exact(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    def cmp(a, b):
-        ha, hb = _dir_half(a), _dir_half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = a[0] * b[1] - a[1] * b[0]
-        return 0 if cr == 0 else (-1 if cr > 0 else 1)
-
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
-
-
 # ---------------------------------------------------------------------------
 # Tukey depth and median.
 # ---------------------------------------------------------------------------
@@ -97,44 +72,10 @@ def _dir_sort_key_exact(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _depth_of(points: Sequence[Point2], weights: Sequence[Fraction], total: Fraction,
               q: Point2) -> Fraction:
-    """Minimum closed-halfplane mass through q, over total."""
-    coincident = Fraction(0)
-    groups: dict[tuple[int, int], Fraction] = {}
-    for p, w in zip(points, weights):
-        vx = p.x - q.x
-        vy = p.y - q.y
-        if vx == 0 and vy == 0:
-            coincident += w
-            continue
-        d = _prim_dir(vx, vy)
-        groups[d] = groups.get(d, Fraction(0)) + w
-    if not groups:
-        return coincident / total
-    best = None
-    dirs = list(groups)
-    for d in dirs:
-        for u in ((-d[1], d[0]), (d[1], -d[0])):
-            at = coincident
-            plus = coincident
-            minus = coincident
-            rx, ry = -u[1], u[0]
-            for c, w in groups.items():
-                dot = c[0] * u[0] + c[1] * u[1]
-                if dot > 0:
-                    at += w
-                    plus += w
-                    minus += w
-                elif dot == 0:
-                    at += w
-                    side = c[0] * rx + c[1] * ry
-                    if side > 0:
-                        plus += w
-                    else:
-                        minus += w
-            cand = min(at, plus, minus)
-            if best is None or cand < best:
-                best = cand
-    return best / total
+    """Minimum closed-halfplane mass through q, over total (one apex sweep)."""
+    masses: list[tuple] = []
+    _apex_sweep(points, [weights], q, masses.append)
+    return min(masses)[0] / total
 
 
 def tukey_depth(snap: Snapshot, q: Point2) -> DepthValue:
@@ -191,7 +132,7 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     normals: set[tuple[int, int]] = set()
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            d = _prim_dir(q.x - p.x, q.y - p.y)
+            d = _primitive(q.x - p.x, q.y - p.y)
             normals.add((-d[1], d[0]))
             normals.add((d[1], -d[0]))
     # per normal: descending projection values with suffix masses
@@ -289,11 +230,11 @@ def simplicial_depth_estimate(snap: Snapshot, q: Point2,
         vy = p.y - q.y
         if vx == 0 and vy == 0:
             continue  # triples using q-coincident points always contain q
-        d = _prim_dir(vx, vy)
+        d = _primitive(vx, vy)
         groups[d] = groups.get(d, Fraction(0)) + w
     if not groups:
         return DepthValue(Fraction(1), SIMPLICIAL_K * _sqrt_upper(snap.eps))
-    order = _dir_sort_key_exact(list(groups))
+    order = _sorted_directions(list(groups))
     cap = delta_sub * n
     sectors: list[list[tuple[int, int]]] = []
     cur: list[tuple[int, int]] = []
@@ -426,14 +367,6 @@ def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
 # ---------------------------------------------------------------------------
 
 
-def _collapsed_support(snap: Snapshot):
-    agg: dict[tuple, Fraction] = {}
-    for p, w in zip(snap.sample.points, snap.sample.weights):
-        agg[(p.x, p.y)] = agg.get((p.x, p.y), Fraction(0)) + w
-    coords = sorted(agg)
-    return [Point2(x, y) for x, y in coords], [agg[c] for c in coords]
-
-
 def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
     """Normalized position of slope s among weighted support pair slopes.
 
@@ -441,7 +374,7 @@ def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
     """
     _require(snap, FamilyKind.VPARALLELOGRAM, "slope_rank_estimate")
     s = Fraction(s)
-    pts, ws = _collapsed_support(snap)
+    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
     below = Fraction(0)
@@ -471,7 +404,7 @@ def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
 def theil_sen_fit(snap: Snapshot) -> FitLine:
     """Line with the weighted-median pair slope, balancing mass above/below."""
     _require(snap, FamilyKind.VPARALLELOGRAM, "theil_sen_fit")
-    pts, ws = _collapsed_support(snap)
+    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
     if len(pts) < 2:
         raise EpsStreamError("all support points coincident")
     slopes: dict[Fraction, Fraction] = {}
@@ -537,7 +470,7 @@ def lms_location(snap: Snapshot) -> LmsDisk:
     _require(snap, FamilyKind.DISK, "lms_location")
     if snap.eps >= Fraction(1, 2):
         raise ValueError("lms_location needs eps < 1/2")
-    pts, ws = _collapsed_support(snap)
+    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
     n = Fraction(snap.n)
     need = (Fraction(1, 2) + snap.eps) * n
 
@@ -601,7 +534,7 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     _require(snap, FamilyKind.SLAB, "lms_regression")
     if snap.eps >= Fraction(1, 2):
         raise ValueError("lms_regression needs eps < 1/2")
-    pts, ws = _collapsed_support(snap)
+    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
     n = Fraction(snap.n)

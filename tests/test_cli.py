@@ -268,3 +268,11 @@ def test_snapshot_load_reports_missing_field(tmp_path, stream_file, capsys):
     code, out = run_cli(["net", "--snapshot", str(snap)])
     assert code == 2 and out == ""
     assert "certified_error" in capsys.readouterr().err
+
+
+def test_resume_rejects_edited_reduce_thresholds(tmp_path, stream_file, capsys):
+    def edit(data):
+        data["config"]["reduce_thresholds"] = [["disk", 1], ["halfplane", 1]]
+
+    assert _resume_edited_state(tmp_path, stream_file, edit) == 3
+    assert "reduce thresholds" in capsys.readouterr().err

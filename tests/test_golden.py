@@ -24,7 +24,20 @@ from fractions import Fraction
 import pytest
 
 from epsstream import Point2, StreamState, make_config
+from epsstream.engine import snapshot_of_exact
 from epsstream.sampler import sample_to_json
+from epsstream.stats import (
+    FitLine,
+    lms_location,
+    lms_regression,
+    max_regression_depth_fit,
+    regression_depth,
+    simplicial_depth_estimate,
+    slope_rank_estimate,
+    theil_sen_fit,
+    tukey_depth,
+    tukey_median,
+)
 from streams import make_stream
 
 SIZES = {"halfplane": 48, "quadrant": 48, "disk": 32, "slab": 32, "wedge": 32,
@@ -242,3 +255,120 @@ def test_outputs_match_golden_digests(fam, style, eps):
 def test_large_halfplane_outputs_match_golden_digests(name):
     points, state_digest, snapshot_digest = GOLDEN_LARGE[name]
     assert _digests("halfplane", "1/4", points()) == (state_digest, snapshot_digest)
+
+
+# Statistics on fixed snapshots: the nine estimators, each on reduced
+# snapshots of three stream styles (weighted Fraction support) and on one
+# exact snapshot with duplicates and a collinear run; the depth statistics
+# also probe Fraction query points.  The digest is SHA-256 of the outputs' reprs, one
+# per line.  Recorded from an unmodified copy of the code before Tukey depth
+# moved onto the halfplane apex sweep and the statistics' private direction,
+# collapse and depth helpers were replaced by the shared ones.
+
+STATS_STYLES = ("uniform", "clustered", "duplicates")
+STATS_SIZES = {"halfplane": 64, "wedge": 32, "dwedge": 16, "vpar": 12, "disk": 24, "slab": 32}
+
+# exact snapshot: a collinear run, coincident points and a few off-line points
+_EXACT_STATS_POINTS = ([Point2(3 * i, 2 * i - 5) for i in range(-3, 5)]
+                       + [Point2(0, -5), Point2(0, -5), Point2(6, -1), Point2(6, -1)]
+                       + [Point2(-7, 4), Point2(8, -9), Point2(1, 7), Point2(-2, -8)])
+
+
+def _stats_snapshots(fam):
+    for style in STATS_STYLES:
+        points = make_stream(style, STATS_SIZES[fam], seed=SEED)
+        yield style, StreamState(make_config(Fraction(1, 4), fam)).extend(points).snapshot()
+    yield "exact", snapshot_of_exact(_EXACT_STATS_POINTS, make_config(Fraction(1, 8), fam))
+
+
+def _probe_points(snap):
+    pts = snap.sample.points
+    xs = sorted(p.x for p in pts)
+    ys = sorted(p.y for p in pts)
+    mid = Point2(xs[len(xs) // 2], ys[len(ys) // 2])
+    return [mid, pts[0], pts[len(pts) // 2], pts[-1],
+            Point2(Fraction(pts[0].x + pts[-1].x, 2), Fraction(pts[0].y + pts[-1].y, 3)),
+            Point2(xs[-1] + 1, ys[0]), Point2(0, 0)]
+
+
+def _tukey_outputs(snap):
+    median, dv = tukey_median(snap)
+    out = [(median, dv)]
+    out += [tukey_depth(snap, q) for q in _probe_points(snap) + [median]]
+    return out
+
+
+def _simplicial_outputs(snap):
+    return [simplicial_depth_estimate(snap, q, delta)
+            for q in _probe_points(snap) for delta in (None, Fraction(1, 8))]
+
+
+def _regression_outputs(snap):
+    lines = [FitLine(Fraction(0), Fraction(0)), FitLine(Fraction(1, 2), Fraction(-3)),
+             FitLine(Fraction(-2), Fraction(7, 3))]
+    fit, dv = max_regression_depth_fit(snap)
+    return [regression_depth(snap, line) for line in lines] + [(fit, dv)]
+
+
+def _slope_outputs(snap):
+    ranks = [slope_rank_estimate(snap, s) for s in (Fraction(0), Fraction(1, 2), Fraction(-3))]
+    return ranks + [theil_sen_fit(snap)]
+
+
+STATS_OUTPUTS = {
+    "halfplane": _tukey_outputs,
+    "wedge": _simplicial_outputs,
+    "dwedge": _regression_outputs,
+    "vpar": _slope_outputs,
+    "disk": lambda snap: [lms_location(snap)],
+    "slab": lambda snap: [lms_regression(snap)],
+}
+
+GOLDEN_STATS = {
+    "disk": {
+        "uniform": "7101638b145a6940b593e7c7f7c32c0bd40f9dc32282a5ecea7f75fc6226e0b7",
+        "clustered": "dbd37f5b573f7c99a0b3d70a24726595ce9f04a99d970219740906a85024880c",
+        "duplicates": "a480b2e7f1947cba1b4fcd318960c9aad0474c2aff9bfab266bd152c00bdf12f",
+        "exact": "3ef8ec9e6b6906f0bd16e3a68b3f84ec659d7c43b992e8c015ab05a2e446b0ad",
+    },
+    "dwedge": {
+        "uniform": "3fc1b63a48389b7ceb63db05f56634cc5d1c30674118ca44e4503725fedbec32",
+        "clustered": "35e64436692f3d7ff768acafdcf8a39f097f56950a2d1f4ff0772daac1952e5f",
+        "duplicates": "47db4c404b7c52f20e4b5944c71652fab76a5048fd50e89c9e016ec0f3654d5f",
+        "exact": "ed534d94e503e10c3665a7f51ad2d50236ea44c673c61c77dc236a2481b2111d",
+    },
+    "halfplane": {
+        "uniform": "396b45893c8083c70eb6cdecc4f6fce214a78f3ee3883ee7d51fbda65b8d67da",
+        "clustered": "904edea547b0a1ce56b230f94f05d8e0744a12dbce828bda31a8663a04045c16",
+        "duplicates": "80bf18ae939198880178ddff5da9049fc6eb51a289fedc198798d09d2679ddfd",
+        "exact": "f7ff05848be9b0778fff49b23d09b29969cd63b4d6dc95d1ccdcb7ca850e1e98",
+    },
+    "slab": {
+        "uniform": "8b032c738322346192af9c2d488bad5d460fa21f4298c5e90c3073593884ec05",
+        "clustered": "9ec71f0d15a939185c81c3a21eb76afb6ccf8795e7d03c96d76473f59a06e086",
+        "duplicates": "f7289be3a7daf623802d4885d3524370cca6af1badca70a24998278e5a396e6f",
+        "exact": "709d7d414dca51631b3f385a45a1ebb32127952e42a5cb8bd0e992e7da9906fe",
+    },
+    "vpar": {
+        "uniform": "18ea421a57b5b1f8f01da731e2c19d246ac846f05825846ec60d7db275c859cf",
+        "clustered": "b382487c3ba086d18b26376bf97684fcbf58eb126f54fb92dc10d12786bd2f79",
+        "duplicates": "840e9c343e143b309756f751ec3bb53cb9177cced04c7c6addeb0f01d8f8aba4",
+        "exact": "03f3f87d2de7a274d3f438649a3a69c0394fef179e71467414287bf825d551eb",
+    },
+    "wedge": {
+        "uniform": "7bc68337799724039ac6ce90583b7879687d5955f0abb1ffbba278607033e628",
+        "clustered": "31f88e9f5222109504d86319c85bc4649d106e795201c345b3d0a2a73dc02cfd",
+        "duplicates": "f0e170efd4ceac4cf93ccd67d0d2004f943c05218d44552a4b494cc3c0f9752e",
+        "exact": "af3029f22af7ff222d6c78799105ef0edad6c9b0ba7b1924bc0a444d7c2dff6c",
+    },
+}
+
+
+def _stats_digest(fam, snap):
+    return _sha("\n".join(repr(v) for v in STATS_OUTPUTS[fam](snap)))
+
+
+@pytest.mark.parametrize("fam", sorted(STATS_OUTPUTS))
+def test_statistics_match_golden_digests(fam):
+    digests = {style: _stats_digest(fam, snap) for style, snap in _stats_snapshots(fam)}
+    assert digests == GOLDEN_STATS[fam]

@@ -1,9 +1,12 @@
 """The int64 halfplane sweep must agree with the exact Python sweep.
 
-``max_halfplane_sums`` hands inputs with every |coordinate| below 2^30 to
-the vectorized sweep and larger ones to the pure-Python sweep; the two must
-report the same maxima wherever the fast one is allowed to run.
+``max_halfplane_sums`` hands inputs whose coordinates are all integers of
+magnitude below 2^30 to the vectorized sweep, and larger or Fraction ones to
+the pure-Python sweep; the two must report the same maxima wherever the fast
+one is allowed to run.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -80,3 +83,12 @@ def test_python_sweep_from_two_to_the_thirty(monkeypatch, x, y):
     expected = _max_halfplane_sums_py(pts, dls)
     monkeypatch.setattr(rangesums, "_max_halfplane_sums_np", _refuse)
     assert max_halfplane_sums(pts, dls) == expected
+
+
+def test_fraction_coordinates_take_the_exact_sweep():
+    """The int64 arrays would truncate 1/2 and 1/3 to 0; the Python sweep
+    reads Fraction coordinates exactly and agrees with the scaled points."""
+    pts = [Point2(Fraction(1, 2), 0), Point2(Fraction(1, 3), 0), Point2(0, 1)]
+    deltas = [[5, -7, 1]]
+    scaled = [Point2(6 * p.x, 6 * p.y) for p in pts]
+    assert max_halfplane_sums(pts, deltas) == max_halfplane_sums(scaled, deltas) == [7]

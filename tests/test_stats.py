@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epsstream import Point2, StreamState, make_config
-from epsstream.engine import snapshot_of_exact
+from epsstream import Point2, StreamState, WeightedSample, make_config
+from epsstream.engine import Snapshot, snapshot_of_exact
 from epsstream.errors import EpsStreamError, FamilyMismatchError
 from epsstream.oracles import (
     PrefixMirror,
@@ -112,6 +115,98 @@ class TestTukey:
         snap1 = exact_snap(pts, "halfplane")
         snap2 = exact_snap([Point2(7 * p.x, 7 * p.y) for p in pts], "halfplane")
         assert tukey_median(snap1)[1].value == tukey_median(snap2)[1].value
+
+
+def _reference_depth(points, weights, total, q):
+    """Tukey depth by the direct O(m^2) loop over boundary normals, kept here
+    as the reference for the apex-sweep implementation."""
+    def prim(vx, vy):
+        if isinstance(vx, Fraction) or isinstance(vy, Fraction):
+            fx, fy = Fraction(vx), Fraction(vy)
+            mul = fx.denominator * fy.denominator // math.gcd(fx.denominator, fy.denominator)
+            vx, vy = int(fx * mul), int(fy * mul)
+        g = math.gcd(abs(vx), abs(vy))
+        return vx // g, vy // g
+
+    coincident = Fraction(0)
+    groups = {}
+    for p, w in zip(points, weights):
+        vx = p.x - q.x
+        vy = p.y - q.y
+        if vx == 0 and vy == 0:
+            coincident += w
+            continue
+        d = prim(vx, vy)
+        groups[d] = groups.get(d, Fraction(0)) + w
+    if not groups:
+        return coincident / total
+    best = None
+    for d in list(groups):
+        for u in ((-d[1], d[0]), (d[1], -d[0])):
+            at = plus = minus = coincident
+            rx, ry = -u[1], u[0]
+            for c, w in groups.items():
+                dot = c[0] * u[0] + c[1] * u[1]
+                if dot > 0:
+                    at += w
+                    plus += w
+                    minus += w
+                elif dot == 0:
+                    at += w
+                    if c[0] * rx + c[1] * ry > 0:
+                        plus += w
+                    else:
+                        minus += w
+            cand = min(at, plus, minus)
+            if best is None or cand < best:
+                best = cand
+    return best / total
+
+
+_COORD = st.one_of(st.integers(-6, 6),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@st.composite
+def _depth_inputs(draw):
+    """Points with collinear runs, duplicates and Fraction coordinates, and
+    a query point that is a support point, a grid point or a Fraction point."""
+    free = st.builds(lambda x, y: [Point2(x, y)], _COORD, _COORD)
+    line = st.builds(lambda ax, ay, dx, dy, ts: [Point2(ax + t * dx, ay + t * dy) for t in ts],
+                     _COORD, _COORD, st.integers(-3, 3), st.integers(-3, 3),
+                     st.lists(st.integers(-3, 3), min_size=2, max_size=5))
+    groups = draw(st.lists(st.one_of(free, line), min_size=1, max_size=5))
+    pts = [p for g in groups for p in g]
+    pts += [pts[i % len(pts)] for i in draw(st.lists(st.integers(0, 99), max_size=4))]
+    q = draw(st.one_of(st.sampled_from(pts), st.builds(Point2, _COORD, _COORD)))
+    return pts, q
+
+
+def _weighted_snapshot(pts, raw_weights):
+    n = len(pts)
+    scale = Fraction(n) / sum(raw_weights)
+    ws = tuple(w * scale for w in raw_weights)
+    return Snapshot(WeightedSample(tuple(pts), ws, Fraction(n), Fraction(0)), n,
+                    make_config(Fraction(1, 4), "halfplane"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_depth_inputs(), data=st.data())
+def test_depth_matches_direct_loop_on_fraction_weights(inp, data):
+    pts, q = inp
+    raw = data.draw(st.lists(st.fractions(min_value=Fraction(1, 7), max_value=5),
+                             min_size=len(pts), max_size=len(pts)))
+    snap = _weighted_snapshot(pts, raw)
+    want = _reference_depth(snap.sample.points, snap.sample.weights, Fraction(snap.n), q)
+    assert tukey_depth(snap, q).value == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_depth_inputs())
+def test_depth_matches_oracle_on_unit_weights(inp):
+    pts, q = inp
+    snap = exact_snap(pts, "halfplane")
+    assert tukey_depth(snap, q).value == exact_tukey_depth(PrefixMirror(pts), q)
 
 
 class TestSimplicial:
