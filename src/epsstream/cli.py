@@ -63,16 +63,23 @@ def _read_points(path: str, scale: int) -> list[Point2]:
     return pts
 
 
-def _load_snapshot(path: str) -> Snapshot:
+def _load_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise StreamParseError(f"not a {what} file ({exc})") from exc
+
+
+def _load_snapshot(path: str) -> Snapshot:
+    obj = _load_json(path, "snapshot")
     try:
         meta, raw = obj["snapshot"], obj["sample"]
         cfg = make_config(Fraction(meta["eps"]), meta["family"], Fraction(meta["c"]),
                           int(meta["scale"]))
         sample = sample_from_json(raw)
         n, claimed = int(meta["n"]), Fraction(meta["certified_error"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, StreamParseError) as exc:
         raise StreamParseError(f"not a snapshot file (missing or malformed {exc})") from exc
     if raw.get("family") != cfg.family.kind.value:
         raise FamilyMismatchError(f"snapshot sample family {raw.get('family')!r} "
@@ -120,8 +127,7 @@ def _cmd_build(args, out) -> int:
     cfg = make_config(Fraction(args.eps), args.family, Fraction(args.c), scale)
     pts = _read_points(args.input, scale)
     if args.resume:
-        with open(args.resume, "r", encoding="utf-8") as fh:
-            state = StreamState.from_json(json.load(fh))
+        state = StreamState.from_json(_load_json(args.resume, "state"))
         stored = state.config
         mismatched = [f"{name} {have} (flags: {want})" for name, have, want in (
             ("family", stored.family.kind.value, cfg.family.kind.value),

@@ -280,7 +280,7 @@ class StreamState:
             n = int(obj["n"])
             slots = [(int(slot["level"]), Fraction(slot["delta"]), sample_from_json(slot["sample"]))
                      for slot in obj["slots"]]
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, StreamParseError) as exc:
             raise StreamParseError(f"not a state file (missing or malformed {exc})") from exc
         if thresholds != _THRESHOLD_ROWS:
             raise EpsStreamError(f"state was built under reduce thresholds {list(thresholds)}, "

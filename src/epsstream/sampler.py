@@ -26,15 +26,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, CertificationError
+from .errors import CapExceededError, CertificationError, StreamParseError
 from .ranges import FamilyKind, Point2, RangeFamily, family
 from . import rangesums
 
 _COSH_CAP = 700.0
 
 # Reductions are attempted only at or below these sizes; the exact error
-# measurement for the composite families grows too fast beyond them.  The
-# family oracle caps still bound what halve() itself accepts.
+# measurement for the composite families grows too fast beyond them.  Each
+# is at most its family's oracle cap, the most points halve() accepts.
 DEFAULT_REDUCE_THRESHOLDS = {
     FamilyKind.HALFPLANE: 1024,
     FamilyKind.QUADRANT: 2048,
@@ -126,11 +126,23 @@ def sample_to_json(sample: WeightedSample, fam: RangeFamily | None = None) -> di
 
 
 def sample_from_json(obj: dict) -> WeightedSample:
+    """Rebuild a sample written by ``sample_to_json``.
+
+    A missing or malformed field or point row raises ``StreamParseError``; a
+    sample that parses but breaks an invariant (a non-positive weight,
+    weights not summing to the total) raises ``ValueError``.
+    """
+    if not isinstance(obj, dict):
+        raise StreamParseError("sample: expected a JSON object")
     if obj.get("version") != 1:
         raise ValueError(f"unsupported sample version {obj.get('version')!r}")
-    pts = tuple(Point2(_coord_from_json(x), _coord_from_json(y)) for x, y, _ in obj["points"])
-    ws = tuple(Fraction(w) for _, _, w in obj["points"])
-    return WeightedSample(pts, ws, Fraction(obj["total_weight"]), Fraction(obj["eps_bound"]))
+    try:
+        rows = [(Point2(_coord_from_json(x), _coord_from_json(y)), Fraction(w))
+                for x, y, w in obj["points"]]
+        total, bound = Fraction(obj["total_weight"]), Fraction(obj["eps_bound"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise StreamParseError(f"sample: {exc}") from exc
+    return WeightedSample(tuple(p for p, _ in rows), tuple(w for _, w in rows), total, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +350,7 @@ def _class_error_deltas(signs, scaled, keep_sign):
     return deltas, kept_mass, total
 
 
-def halve(sample: WeightedSample, fam: RangeFamily,
-          ranges: Iterable | None = None) -> tuple[WeightedSample, Fraction]:
+def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fraction]:
     """One reduction round: color, keep the better class, rescale weights.
 
     Returns the kept class (total weight preserved exactly) and the exact
@@ -351,11 +362,7 @@ def halve(sample: WeightedSample, fam: RangeFamily,
         raise ValueError("halve needs at least 2 points")
     if m > fam.oracle_cap:
         raise CapExceededError(f"halve on {m} points exceeds {fam.kind.value} cap {fam.oracle_cap}")
-    if ranges is not None:
-        guide = [_as_mask(r, m) for r in ranges]
-    else:
-        guide = _guidance_masks(fam.kind, sample.points)
-    colorings = [low_discrepancy_coloring(sample, guide)]
+    colorings = [low_discrepancy_coloring(sample, _guidance_masks(fam.kind, sample.points))]
     paired = _paired_coloring(sample)
     if paired is not None:
         colorings.append(paired)
@@ -451,7 +458,7 @@ def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
     threshold = DEFAULT_REDUCE_THRESHOLDS[fam.kind]
     est_ranges = max(4, min(len(current), 64) ** min(fam.oracle_dimension, 3))
     while len(current) >= 2:
-        if len(current) > min(threshold, fam.oracle_cap):
+        if len(current) > threshold:
             break
         if singleton_error_bound(current) > budget - spent:
             break

@@ -10,6 +10,7 @@ fits).  All arithmetic is exact; additive bounds quote the snapshot's eps.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
 from .ranges import FamilyKind, Point2
 from .rangesums import _apex_sweep, _collapse_multi, _primitive, _sorted_directions
+from .sampler import _scaled_weights
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -135,26 +137,24 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
             d = _primitive(q.x - p.x, q.y - p.y)
             normals.add((-d[1], d[0]))
             normals.add((d[1], -d[0]))
-    # per normal: descending projection values with suffix masses
+    # per normal: descending projection values with suffix masses, summed
+    # as the integers w * lcm(weight denominators); the level order is the same
+    masses, _ = _scaled_weights(ws)
     tables = {}
-    depth_values: set[Fraction] = set()
+    depth_values: set[int] = set()
     for u in normals:
-        proj: dict[int, Fraction] = {}
-        for p, w in zip(pts, ws):
+        proj: dict = {}
+        for p, g in zip(pts, masses):
             v = u[0] * p.x + u[1] * p.y
-            proj[v] = proj.get(v, Fraction(0)) + w
+            proj[v] = proj.get(v, 0) + g
         vals = sorted(proj, reverse=True)
-        suffix = []
-        run = Fraction(0)
-        for v in vals:
-            run += proj[v]
-            suffix.append(run)
+        suffix = list(itertools.accumulate(proj[v] for v in vals))
         tables[u] = (vals, suffix)
         depth_values.update(suffix)
 
     levels = sorted(depth_values)
 
-    def region(tau: Fraction):
+    def region(tau: int):
         minx = min(p.x for p in pts)
         maxx = max(p.x for p in pts)
         miny = min(p.y for p in pts)
@@ -172,13 +172,11 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
 
     lo, hi = 0, len(levels) - 1
     best_poly = None
-    best_tau = None
     while lo <= hi:
         mid = (lo + hi) // 2
         poly = region(levels[mid])
         if poly:
             best_poly = poly
-            best_tau = levels[mid]
             lo = mid + 1
         else:
             hi = mid - 1
@@ -284,42 +282,31 @@ def regression_depth(snap: Snapshot, line: FitLine) -> DepthValue:
     """Minimum mass swept when rotating the line to vertical about any pivot.
 
     Points on the line (outside the pivot column) always count: the motion
-    starts on them.
+    starts on them.  The support is grouped into x columns of (above, below,
+    on) mass, and each pivot reads prefix sums of the sorted columns.
     """
     _require(snap, FamilyKind.DOUBLE_WEDGE, "regression_depth")
     if line.slope is None:
         raise ValueError("vertical lines are nonfits")
     pts, ws, n = _support(snap)
-    residuals = [p.y - (line.slope * p.x + line.intercept) for p in pts]
-    xs = sorted({p.x for p in pts})
-    best = None
+    columns: dict = {}
+    for p, w in zip(pts, ws):
+        r = p.y - (line.slope * p.x + line.intercept)
+        col = columns.setdefault(p.x, [Fraction(0)] * 3)
+        col[0 if r > 0 else 1 if r < 0 else 2] += w
+    xs = sorted(columns)
+    prefix = [(Fraction(0),) * 3]
+    for x in xs:
+        prefix.append(tuple(a + b for a, b in zip(prefix[-1], columns[x])))
+    up, down, on = prefix[-1]
+    swept = []
     for v in _pivot_candidates(xs):
-        on_off = Fraction(0)
-        up_right = Fraction(0)
-        up_left = Fraction(0)
-        down_right = Fraction(0)
-        down_left = Fraction(0)
-        for p, w, r in zip(pts, ws, residuals):
-            if p.x == v:
-                continue
-            if r == 0:
-                on_off += w
-            elif r > 0:
-                if p.x > v:
-                    up_right += w
-                else:
-                    up_left += w
-            else:
-                if p.x > v:
-                    down_right += w
-                else:
-                    down_left += w
-        ccw = up_right + down_left + on_off
-        cw = up_left + down_right + on_off
-        cand = min(ccw, cw)
-        if best is None or cand < best:
-            best = cand
-    return DepthValue(best / n, snap.eps)
+        up_left, down_left, on_left = prefix[bisect.bisect_left(xs, v)]
+        up_through, down_through, on_through = prefix[bisect.bisect_right(xs, v)]
+        on_off = on_left + on - on_through
+        swept.append(min((up - up_through) + down_left + on_off,
+                         up_left + (down - down_through) + on_off))
+    return DepthValue(min(swept) / n, snap.eps)
 
 
 def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
@@ -367,6 +354,27 @@ def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
 # ---------------------------------------------------------------------------
 
 
+def _pair_slopes(pts: Sequence[Point2], ws: Sequence[Fraction]):
+    """({slope: mass}, vertical mass, total mass) over the pairs of a
+    collapsed support.  A pair weighs the product of its weights, counted as
+    integers in units of 1/lcm(weight denominators)^2."""
+    gs, _ = _scaled_weights(ws)
+    slopes: dict[Fraction, int] = {}
+    vertical = total = 0
+    m = len(pts)
+    for i in range(m):
+        for j in range(i + 1, m):
+            gg = gs[i] * gs[j]
+            total += gg
+            dx = pts[j].x - pts[i].x
+            if dx == 0:
+                vertical += gg
+                continue
+            sl = Fraction(pts[j].y - pts[i].y, dx)
+            slopes[sl] = slopes.get(sl, 0) + gg
+    return slopes, vertical, total
+
+
 def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
     """Normalized position of slope s among weighted support pair slopes.
 
@@ -377,28 +385,9 @@ def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
     pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
-    below = Fraction(0)
-    ties = Fraction(0)
-    denom = Fraction(0)
-    m = len(pts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ww = ws[i] * ws[j]
-            denom += ww
-            dx = pts[j].x - pts[i].x
-            if dx == 0:
-                continue  # vertical: above every finite slope
-            dy = pts[j].y - pts[i].y
-            lhs = dy * s.denominator
-            rhs = s.numerator * dx
-            if dx < 0:
-                lhs, rhs = -lhs, -rhs
-                dx = -dx
-            if lhs < rhs:
-                below += ww
-            elif lhs == rhs:
-                ties += ww
-    return (below + ties / 2) / denom
+    slopes, _, total = _pair_slopes(pts, ws)
+    below = sum(g for sl, g in slopes.items() if sl < s)
+    return Fraction(2 * below + slopes.get(s, 0), 2 * total)
 
 
 def theil_sen_fit(snap: Snapshot) -> FitLine:
@@ -407,23 +396,10 @@ def theil_sen_fit(snap: Snapshot) -> FitLine:
     pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
     if len(pts) < 2:
         raise EpsStreamError("all support points coincident")
-    slopes: dict[Fraction, Fraction] = {}
-    vertical = Fraction(0)
-    total = Fraction(0)
-    m = len(pts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ww = ws[i] * ws[j]
-            total += ww
-            dx = pts[j].x - pts[i].x
-            if dx == 0:
-                vertical += ww
-                continue
-            sl = Fraction(pts[j].y - pts[i].y, dx)
-            slopes[sl] = slopes.get(sl, Fraction(0)) + ww
+    slopes, vertical, total = _pair_slopes(pts, ws)
     if 2 * vertical >= total:
         raise EpsStreamError("median pair slope is vertical")
-    run = Fraction(0)
+    run = 0
     slope = None
     for sl in sorted(slopes):
         run += slopes[sl]
@@ -539,10 +515,8 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
         raise EpsStreamError("need at least 2 distinct support points")
     n = Fraction(snap.n)
     need = (Fraction(1, 2) + snap.eps) * n
-    slopes = sorted({Fraction(q.y - p.y, q.x - p.x)
-                     for p in pts for q in pts if q.x != p.x}) or [Fraction(0)]
     best = None
-    for a in slopes:
+    for a in sorted(_pair_slopes(pts, ws)[0]) or [Fraction(0)]:
         keyed: dict[Fraction, Fraction] = {}
         for p, w in zip(pts, ws):
             k = p.y - a * p.x

@@ -207,9 +207,16 @@ def _raise_slot_certificate(data):
     slot["delta"] = slot["sample"]["eps_bound"] = "1/8"
 
 
+def _negate_first_weight(sample):
+    row = sample["points"][0]
+    row[2] = "-" + row[2]
+
+
 @pytest.mark.parametrize("edit,message", [
     (_set_slot_delta, "but its sample certifies"),
     (_raise_slot_certificate, "exceeds its budget"),
+    pytest.param(lambda data: _negate_first_weight(_top_slot(data)["sample"]),
+                 "weights must be positive", id="negative-weight"),
 ])
 def test_resume_rejects_inconsistent_slot(tmp_path, stream_file, capsys, edit, message):
     assert _resume_edited_state(tmp_path, stream_file, edit) == 3
@@ -244,6 +251,8 @@ def _set_header_n(data):
 
 
 @pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda data: _negate_first_weight(data["sample"]), "weights must be positive",
+                 id="negative-weight"),
     (_set_sample_family, "sample family 'disk'"),
     (_set_header_certificate, "header certifies"),
     (_raise_certificate, "exceeds eps"),
@@ -276,3 +285,57 @@ def test_resume_rejects_edited_reduce_thresholds(tmp_path, stream_file, capsys):
 
     assert _resume_edited_state(tmp_path, stream_file, edit) == 3
     assert "reduce thresholds" in capsys.readouterr().err
+
+
+# A file that does not parse, or a sample row that does not, is a parse error
+# (exit 2) like a missing field; rows that parse but break an invariant are not.
+MALFORMED_ROWS = pytest.mark.parametrize("row", [[1, 2], ["abc", 0, "1/1"], [0, 0, "1/0"], 7],
+                                         ids=["short", "non-numeric", "zero-denominator",
+                                              "not-a-list"])
+
+
+def _snapshot_commands(tmp_path):
+    queries = tmp_path / "q.txt"
+    queries.write_text("net\n")
+    return (["net"], ["stats", "tukey-median"], ["query", "--queries", str(queries)])
+
+
+def test_truncated_snapshot_is_parse_error(tmp_path, stream_file, capsys):
+    snap = _edited_snapshot(tmp_path, stream_file, lambda data: None)
+    snap.write_text(snap.read_text()[:-9])
+    for args in _snapshot_commands(tmp_path):
+        code, out = run_cli(args + ["--snapshot", str(snap)])
+        assert code == 2 and out == ""
+        assert "not a snapshot file" in capsys.readouterr().err
+
+
+@MALFORMED_ROWS
+def test_snapshot_with_malformed_row_is_parse_error(tmp_path, stream_file, capsys, row):
+    snap = _edited_snapshot(tmp_path, stream_file,
+                            lambda data: data["sample"]["points"].__setitem__(0, row))
+    for args in _snapshot_commands(tmp_path):
+        code, out = run_cli(args + ["--snapshot", str(snap)])
+        assert code == 2 and out == ""
+        assert "not a snapshot file" in capsys.readouterr().err
+
+
+def test_truncated_state_is_parse_error(tmp_path, stream_file, capsys):
+    state = tmp_path / "state.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(stream_file), "--family", "halfplane",
+                    "--eps", "1/4", "--state", str(state)])[0] == 0
+    state.write_text(state.read_text()[:-9])
+    before = state.read_text()
+    code, out = run_cli(["--scale", "1", "build", "--input", str(stream_file), "--family",
+                         "halfplane", "--eps", "1/4", "--resume", str(state),
+                         "--state", str(state)])
+    assert code == 2 and out == "" and state.read_text() == before
+    assert "not a state file" in capsys.readouterr().err
+
+
+@MALFORMED_ROWS
+def test_state_with_malformed_row_is_parse_error(tmp_path, stream_file, capsys, row):
+    def edit(data):
+        _top_slot(data)["sample"]["points"][0] = row
+
+    assert _resume_edited_state(tmp_path, stream_file, edit) == 2
+    assert "not a state file" in capsys.readouterr().err

@@ -258,12 +258,15 @@ def test_large_halfplane_outputs_match_golden_digests(name):
 
 
 # Statistics on fixed snapshots: the nine estimators, each on reduced
-# snapshots of three stream styles (weighted Fraction support) and on one
-# exact snapshot with duplicates and a collinear run; the depth statistics
-# also probe Fraction query points.  The digest is SHA-256 of the outputs' reprs, one
-# per line.  Recorded from an unmodified copy of the code before Tukey depth
-# moved onto the halfplane apex sweep and the statistics' private direction,
-# collapse and depth helpers were replaced by the shared ones.
+# snapshots of three stream styles (weighted Fraction support), on one
+# exact snapshot with duplicates and a collinear run, and on an exact
+# lattice snapshot; the depth statistics also probe Fraction query points.
+# The digest is SHA-256 of the outputs' reprs, one per line.  Recorded from
+# an unmodified copy of the code before Tukey depth moved onto the
+# halfplane apex sweep and the statistics' private direction, collapse and
+# depth helpers were replaced by the shared ones; the lattice digests were
+# recorded before regression depth moved onto one column sweep and the
+# slope statistics onto one pair-slope table.
 
 STATS_STYLES = ("uniform", "clustered", "duplicates")
 STATS_SIZES = {"halfplane": 64, "wedge": 32, "dwedge": 16, "vpar": 12, "disk": 24, "slab": 32}
@@ -273,12 +276,18 @@ _EXACT_STATS_POINTS = ([Point2(3 * i, 2 * i - 5) for i in range(-3, 5)]
                        + [Point2(0, -5), Point2(0, -5), Point2(6, -1), Point2(6, -1)]
                        + [Point2(-7, 4), Point2(8, -9), Point2(1, 7), Point2(-2, -8)])
 
+# lattice snapshot: distinct points sharing an x (vertical pairs), tied pair
+# slopes, collinear triples on every row, column and diagonal, two doubled points
+_LATTICE_STATS_POINTS = ([Point2(x, y) for x in range(-2, 3) for y in range(-4, 1)]
+                         + [Point2(0, -2), Point2(2, 0)])
+
 
 def _stats_snapshots(fam):
     for style in STATS_STYLES:
         points = make_stream(style, STATS_SIZES[fam], seed=SEED)
         yield style, StreamState(make_config(Fraction(1, 4), fam)).extend(points).snapshot()
     yield "exact", snapshot_of_exact(_EXACT_STATS_POINTS, make_config(Fraction(1, 8), fam))
+    yield "lattice", snapshot_of_exact(_LATTICE_STATS_POINTS, make_config(Fraction(1, 8), fam))
 
 
 def _probe_points(snap):
@@ -330,36 +339,42 @@ GOLDEN_STATS = {
         "clustered": "dbd37f5b573f7c99a0b3d70a24726595ce9f04a99d970219740906a85024880c",
         "duplicates": "a480b2e7f1947cba1b4fcd318960c9aad0474c2aff9bfab266bd152c00bdf12f",
         "exact": "3ef8ec9e6b6906f0bd16e3a68b3f84ec659d7c43b992e8c015ab05a2e446b0ad",
+        "lattice": "3f02b193ff7922e130cc427d7aedc42b9f2557d1714ced2d5b692084fc4928b6",
     },
     "dwedge": {
         "uniform": "3fc1b63a48389b7ceb63db05f56634cc5d1c30674118ca44e4503725fedbec32",
         "clustered": "35e64436692f3d7ff768acafdcf8a39f097f56950a2d1f4ff0772daac1952e5f",
         "duplicates": "47db4c404b7c52f20e4b5944c71652fab76a5048fd50e89c9e016ec0f3654d5f",
         "exact": "ed534d94e503e10c3665a7f51ad2d50236ea44c673c61c77dc236a2481b2111d",
+        "lattice": "a174933519b9714c4d28784930a40d89f9bbb2dae7ea9033f5ef7152996c5696",
     },
     "halfplane": {
         "uniform": "396b45893c8083c70eb6cdecc4f6fce214a78f3ee3883ee7d51fbda65b8d67da",
         "clustered": "904edea547b0a1ce56b230f94f05d8e0744a12dbce828bda31a8663a04045c16",
         "duplicates": "80bf18ae939198880178ddff5da9049fc6eb51a289fedc198798d09d2679ddfd",
         "exact": "f7ff05848be9b0778fff49b23d09b29969cd63b4d6dc95d1ccdcb7ca850e1e98",
+        "lattice": "106a326b802e28e814311a2833676f5ca14873750802fffc2b097d293043ffc6",
     },
     "slab": {
         "uniform": "8b032c738322346192af9c2d488bad5d460fa21f4298c5e90c3073593884ec05",
         "clustered": "9ec71f0d15a939185c81c3a21eb76afb6ccf8795e7d03c96d76473f59a06e086",
         "duplicates": "f7289be3a7daf623802d4885d3524370cca6af1badca70a24998278e5a396e6f",
         "exact": "709d7d414dca51631b3f385a45a1ebb32127952e42a5cb8bd0e992e7da9906fe",
+        "lattice": "c690d8bcee8fdc7b5cd7be955028145d7df9e6ee41f1cc8bd25d78439a4a7c0d",
     },
     "vpar": {
         "uniform": "18ea421a57b5b1f8f01da731e2c19d246ac846f05825846ec60d7db275c859cf",
         "clustered": "b382487c3ba086d18b26376bf97684fcbf58eb126f54fb92dc10d12786bd2f79",
         "duplicates": "840e9c343e143b309756f751ec3bb53cb9177cced04c7c6addeb0f01d8f8aba4",
         "exact": "03f3f87d2de7a274d3f438649a3a69c0394fef179e71467414287bf825d551eb",
+        "lattice": "3f85500b96ac8912fbce78682f42115bc9c2ca3569193e7c705942b34850d9f0",
     },
     "wedge": {
         "uniform": "7bc68337799724039ac6ce90583b7879687d5955f0abb1ffbba278607033e628",
         "clustered": "31f88e9f5222109504d86319c85bc4649d106e795201c345b3d0a2a73dc02cfd",
         "duplicates": "f0e170efd4ceac4cf93ccd67d0d2004f943c05218d44552a4b494cc3c0f9752e",
         "exact": "af3029f22af7ff222d6c78799105ef0edad6c9b0ba7b1924bc0a444d7c2dff6c",
+        "lattice": "68e1c3765b67a769e5cc60ed45205e51f4f39035269cce3652cb3b5dd2245606",
     },
 }
 

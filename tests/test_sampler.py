@@ -21,6 +21,8 @@ from epsstream import (
 from epsstream.rangesums import halfplane_subset_masks
 from epsstream.sampler import (
     _COSH_CAP,
+    _VERIFY_CAP,
+    DEFAULT_REDUCE_THRESHOLDS,
     _guidance_masks,
     collapse_duplicates,
     potential_bound,
@@ -376,6 +378,14 @@ class TestCaps:
         pts = make_stream("uniform", fam.oracle_cap + 1, seed=24)
         with pytest.raises(CapExceededError):
             subsystem_oracle(fam, pts)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_reduce_and_verify_sizes_fit_oracle_cap(self, kind):
+        # reduce_with_budget stops at the threshold alone: halve() and the
+        # exact verifier reject more points than the family's oracle cap
+        cap = family(kind).oracle_cap
+        assert DEFAULT_REDUCE_THRESHOLDS[kind] <= cap
+        assert _VERIFY_CAP[kind] <= cap
 
 
 def test_weighted_reduction_mixed_weights_certified():

@@ -182,21 +182,24 @@ def _depth_inputs(draw):
     return pts, q
 
 
-def _weighted_snapshot(pts, raw_weights):
+def _weighted_snapshot(pts, raw_weights, fam="halfplane"):
     n = len(pts)
     scale = Fraction(n) / sum(raw_weights)
     ws = tuple(w * scale for w in raw_weights)
     return Snapshot(WeightedSample(tuple(pts), ws, Fraction(n), Fraction(0)), n,
-                    make_config(Fraction(1, 4), "halfplane"))
+                    make_config(Fraction(1, 4), fam))
+
+
+def _draw_weights(data, pts):
+    return data.draw(st.lists(st.fractions(min_value=Fraction(1, 7), max_value=5),
+                              min_size=len(pts), max_size=len(pts)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(inp=_depth_inputs(), data=st.data())
 def test_depth_matches_direct_loop_on_fraction_weights(inp, data):
     pts, q = inp
-    raw = data.draw(st.lists(st.fractions(min_value=Fraction(1, 7), max_value=5),
-                             min_size=len(pts), max_size=len(pts)))
-    snap = _weighted_snapshot(pts, raw)
+    snap = _weighted_snapshot(pts, _draw_weights(data, pts))
     want = _reference_depth(snap.sample.points, snap.sample.weights, Fraction(snap.n), q)
     assert tukey_depth(snap, q).value == want
 
@@ -330,6 +333,124 @@ class TestSlopeStatistics:
         s1 = exact_snap(pts, "vpar")
         s2 = exact_snap([Point2(3 * p.x, 3 * p.y) for p in pts], "vpar")
         assert slope_rank_estimate(s1, Fraction(1, 2)) == slope_rank_estimate(s2, Fraction(1, 2))
+
+
+_SMALL = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+def _with_duplicates(draw, pts):
+    return pts + [pts[i % len(pts)] for i in draw(st.lists(st.integers(0, 99), max_size=3))]
+
+
+@st.composite
+def _regression_inputs(draw):
+    """Columns of points sharing an x, points on the line, duplicates, and a
+    line with Fraction slope and intercept."""
+    slope = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    inter = draw(_SMALL)
+    pts = []
+    for x in draw(st.lists(_SMALL, min_size=1, max_size=5)):
+        pts += [Point2(x, y) for y in draw(st.lists(_SMALL, min_size=1, max_size=4))]
+        if draw(st.booleans()):
+            pts.append(Point2(x, slope * x + inter))
+    return _with_duplicates(draw, pts), FitLine(slope, inter)
+
+
+def _reference_regression_depth(points, weights, total, line):
+    """Regression depth by the direct per-pivot loop over every support
+    point, kept here as the reference for the column sweep."""
+    residuals = [p.y - (line.slope * p.x + line.intercept) for p in points]
+    best = None
+    for v in sorted({v for p in points for v in (p.x - 1, p.x, p.x + 1)}):
+        on_off = up_right = up_left = down_right = down_left = Fraction(0)
+        for p, w, r in zip(points, weights, residuals):
+            if p.x == v:
+                continue
+            if r == 0:
+                on_off += w
+            elif r > 0:
+                if p.x > v:
+                    up_right += w
+                else:
+                    up_left += w
+            elif p.x > v:
+                down_right += w
+            else:
+                down_left += w
+        cand = min(up_right + down_left + on_off, up_left + down_right + on_off)
+        if best is None or cand < best:
+            best = cand
+    return best / total
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_regression_inputs(), data=st.data())
+def test_regression_depth_matches_direct_loop_on_fraction_weights(inp, data):
+    pts, line = inp
+    snap = _weighted_snapshot(pts, _draw_weights(data, pts), "dwedge")
+    want = _reference_regression_depth(snap.sample.points, snap.sample.weights,
+                                       Fraction(snap.n), line)
+    assert regression_depth(snap, line).value == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_regression_inputs())
+def test_regression_depth_matches_oracle_on_unit_weights(inp):
+    pts, line = inp
+    want = exact_regression_depth(PrefixMirror(pts), line.slope, line.intercept)
+    assert regression_depth(exact_snap(pts, "dwedge"), line).value == want
+
+
+@st.composite
+def _slope_inputs(draw):
+    """At least two distinct points on a small grid (vertical pairs and tied
+    slopes are common), duplicates, and a slope that is often a pair slope."""
+    pts = draw(st.lists(st.builds(Point2, _SMALL, _SMALL), min_size=2, max_size=10, unique=True))
+    slopes = [Fraction(q.y - p.y, q.x - p.x) for p, q in combinations(pts, 2) if q.x != p.x]
+    s = draw(st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                       st.sampled_from(slopes or [Fraction(0)])))
+    return _with_duplicates(draw, pts), s
+
+
+def _reference_slope_rank(points, weights, s):
+    """Slope rank by the direct cross-multiplying loop over the pairs of the
+    collapsed support, kept here as the reference for the pair-slope table."""
+    merged = {}
+    for p, w in zip(points, weights):
+        merged[p] = merged.get(p, Fraction(0)) + w
+    pts, ws = list(merged), list(merged.values())
+    below = ties = denom = Fraction(0)
+    for i, j in combinations(range(len(pts)), 2):
+        ww = ws[i] * ws[j]
+        denom += ww
+        dx = pts[j].x - pts[i].x
+        if dx == 0:
+            continue
+        lhs = (pts[j].y - pts[i].y) * s.denominator
+        rhs = s.numerator * dx
+        if dx < 0:
+            lhs, rhs = -lhs, -rhs
+        if lhs < rhs:
+            below += ww
+        elif lhs == rhs:
+            ties += ww
+    return (below + ties / 2) / denom
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_slope_inputs(), data=st.data())
+def test_slope_rank_matches_direct_loop_on_fraction_weights(inp, data):
+    pts, s = inp
+    snap = _weighted_snapshot(pts, _draw_weights(data, pts), "vpar")
+    want = _reference_slope_rank(snap.sample.points, snap.sample.weights, s)
+    assert slope_rank_estimate(snap, s) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_slope_inputs())
+def test_slope_rank_matches_oracle_on_unit_weights(inp):
+    pts, s = inp
+    assert slope_rank_estimate(exact_snap(pts, "vpar"), s) == exact_slope_rank(PrefixMirror(pts), s)
 
 
 class TestLms:
