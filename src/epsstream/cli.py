@@ -73,14 +73,18 @@ def _load_json(path: str, what: str):
 
 def _load_snapshot(path: str) -> Snapshot:
     obj = _load_json(path, "snapshot")
+    # parse every field before checking any, so a bad literal exits 2, not 3
     try:
         meta, raw = obj["snapshot"], obj["sample"]
-        cfg = make_config(Fraction(meta["eps"]), meta["family"], Fraction(meta["c"]),
-                          int(meta["scale"]))
-        sample = sample_from_json(raw)
-        n, claimed = int(meta["n"]), Fraction(meta["certified_error"])
-    except (KeyError, TypeError, StreamParseError) as exc:
+        eps, c, claimed = (Fraction(meta[key]) for key in ("eps", "c", "certified_error"))
+        kind, scale, n = meta["family"], int(meta["scale"]), int(meta["n"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise StreamParseError(f"not a snapshot file (missing or malformed {exc})") from exc
+    try:
+        sample = sample_from_json(raw)
+    except StreamParseError as exc:
+        raise StreamParseError(f"not a snapshot file (malformed {exc})") from exc
+    cfg = make_config(eps, family(kind), c, scale)
     if raw.get("family") != cfg.family.kind.value:
         raise FamilyMismatchError(f"snapshot sample family {raw.get('family')!r} "
                                   f"differs from its header's {cfg.family.kind.value!r}")

@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EpsStreamError, StreamParseError
-from .ranges import DEFAULT_SCALE, FamilyKind, Point2, RangeFamily, family
+from .ranges import ALL_FAMILIES, DEFAULT_SCALE, FamilyKind, Point2, RangeFamily, family
 from .sampler import (
-    DEFAULT_REDUCE_THRESHOLDS,
     WeightedSample,
     collapse_duplicates,
     reduce_with_budget,
@@ -43,7 +42,7 @@ _ROOT_PRECISION_BITS = 30
 
 # State files record the reduce thresholds the summaries were built under;
 # only the built-in table is accepted back.
-_THRESHOLD_ROWS = tuple(sorted((k.value, v) for k, v in DEFAULT_REDUCE_THRESHOLDS.items()))
+_THRESHOLD_ROWS = tuple(sorted((fam.kind.value, fam.reduce_size) for fam in ALL_FAMILIES))
 
 
 def _integer_root(n: int, q: int) -> int:
@@ -263,10 +262,11 @@ class StreamState:
     def from_json(cls, obj: dict) -> "StreamState":
         """Rebuild a state written by ``to_json``, checking what it claims.
 
-        A missing or malformed field raises ``StreamParseError``; slots that
-        do not spell n, or whose delta differs from their sample's
-        certificate or exceeds the level's budget prefix, and reduce
-        thresholds other than the built-in ones, raise ``EpsStreamError``.
+        Every field is parsed before any is checked: a missing or malformed
+        one raises ``StreamParseError``.  Slots that do not spell n, or whose
+        delta differs from their sample's certificate or exceeds the level's
+        budget prefix, and reduce thresholds other than the built-in ones,
+        raise ``EpsStreamError``; an out-of-range config, ``ValueError``.
         """
         if not isinstance(obj, dict):
             raise StreamParseError("not a state file (expected a JSON object)")
@@ -274,14 +274,20 @@ class StreamState:
             raise EpsStreamError(f"unsupported state version {obj.get('version')!r}")
         try:
             c = obj["config"]
-            cfg = EngineConfig(Fraction(c["eps"]), family(c["family"]), Fraction(c["c"]),
-                               int(c["scale"]))
+            eps, cc = Fraction(c["eps"]), Fraction(c["c"])
+            kind, scale = c["family"], int(c["scale"])
             thresholds = tuple(tuple(t) for t in c["reduce_thresholds"])
             n = int(obj["n"])
-            slots = [(int(slot["level"]), Fraction(slot["delta"]), sample_from_json(slot["sample"]))
-                     for slot in obj["slots"]]
-        except (KeyError, TypeError, AttributeError, StreamParseError) as exc:
+            rows = [(int(slot["level"]), Fraction(slot["delta"]), slot["sample"])
+                    for slot in obj["slots"]]
+        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             raise StreamParseError(f"not a state file (missing or malformed {exc})") from exc
+        try:
+            slots = [(level, delta, sample_from_json(raw)) for level, delta, raw in rows]
+        except StreamParseError as exc:
+            raise StreamParseError(f"not a state file (malformed {exc})") from exc
+        cfg = EngineConfig(eps, family(kind), cc, scale)
         if thresholds != _THRESHOLD_ROWS:
             raise EpsStreamError(f"state was built under reduce thresholds {list(thresholds)}, "
                                  f"not the built-in {list(_THRESHOLD_ROWS)}")

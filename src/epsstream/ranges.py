@@ -15,7 +15,7 @@ The canonical lists are polynomial in the input size with the exponent given
 by the family's oracle dimension; the composite families (wedge, double
 wedge, vertical parallelogram) are products of simpler ones and get
 expensive well below their hard caps, so callers should keep those inputs
-small.
+small.  Each family's size limits are one ``RangeFamily`` row.
 """
 
 from __future__ import annotations
@@ -97,40 +97,32 @@ class FamilyKind(str, enum.Enum):
     VPARALLELOGRAM = "vpar"
 
 
-# Growth exponent of the induced-subset count, and the hard size cap for
-# enumeration calls.  Caps bound admissibility, not speed: composite families
-# are only practical far below their cap.
-_ORACLE_DIMENSION = {
-    FamilyKind.HALFPLANE: 2,
-    FamilyKind.QUADRANT: 2,
-    FamilyKind.DISK: 3,
-    FamilyKind.SLAB: 4,
-    FamilyKind.WEDGE: 4,
-    FamilyKind.DOUBLE_WEDGE: 4,
-    FamilyKind.VPARALLELOGRAM: 6,
-}
-
-_ORACLE_CAP = {
-    FamilyKind.HALFPLANE: 4096,
-    FamilyKind.QUADRANT: 4096,
-    FamilyKind.DISK: 1024,
-    FamilyKind.SLAB: 1024,
-    FamilyKind.WEDGE: 256,
-    FamilyKind.DOUBLE_WEDGE: 256,
-    FamilyKind.VPARALLELOGRAM: 128,
-}
-
-
 @dataclass(frozen=True)
 class RangeFamily:
+    """A range family: its subset-count growth exponent and size limits.
+
+    ``oracle_cap`` bounds enumeration, halving and exact verification (it
+    bounds admissibility, not speed); ``reduce_size`` bounds the inputs a
+    reduction halves, and ``verify_size`` those ``weighted_eps_approx``
+    verifies exactly.  Both are at most ``oracle_cap``.
+    """
+
     kind: FamilyKind
     oracle_dimension: int
     oracle_cap: int
+    reduce_size: int
+    verify_size: int
 
 
-_FAMILIES = {
-    kind: RangeFamily(kind, _ORACLE_DIMENSION[kind], _ORACLE_CAP[kind]) for kind in FamilyKind
-}
+_FAMILIES = {fam.kind: fam for fam in (
+    RangeFamily(FamilyKind.HALFPLANE, 2, 4096, 1024, 160),
+    RangeFamily(FamilyKind.QUADRANT, 2, 4096, 2048, 256),
+    RangeFamily(FamilyKind.WEDGE, 4, 256, 64, 48),
+    RangeFamily(FamilyKind.DOUBLE_WEDGE, 4, 256, 64, 48),
+    RangeFamily(FamilyKind.DISK, 3, 1024, 96, 72),
+    RangeFamily(FamilyKind.SLAB, 4, 1024, 64, 56),
+    RangeFamily(FamilyKind.VPARALLELOGRAM, 6, 128, 24, 20),
+)}
 
 
 def family(kind: FamilyKind | str) -> RangeFamily:
@@ -612,6 +604,3 @@ def subsystem_oracle(fam: RangeFamily, pts: Sequence[Point2]) -> list[tuple[int,
     out.sort()
     return out
 
-
-def shatter_count(fam: RangeFamily, pts: Sequence[Point2]) -> int:
-    return len(subsystem_oracle_masks(fam, pts))

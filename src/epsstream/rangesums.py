@@ -111,77 +111,72 @@ def _sorted_directions(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _apex_sweep(pts, delta_lists, apex, emit):
-    """Rotate a line about ``apex``; ``emit(values_tuple)`` sees the sums.
+def _apex_sweep(pts, values, apex, emit):
+    """Rotate a line about ``apex``; ``emit(total)`` sees each halfplane's sum.
 
-    Each emitted tuple is the per-list sum over one closed halfplane whose
+    Each emitted total sums ``values`` over one closed halfplane whose
     boundary line passes through ``apex``, and every such halfplane is
     emitted; points coincident with ``apex`` count in every sum.  ``apex``
     need not be one of ``pts``.  The values are only added, so they may be
-    ints or Fractions.
+    ints, Fractions, or disjoint bitmasks (whose sums are unions).
     """
-    k = len(delta_lists)
-    zero = (0,) * k
-    base = [0] * k
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(pts):
+    base = 0
+    groups: dict[tuple[int, int], object] = {}
+    for p, v in zip(pts, values):
         dx = p.x - apex.x
         dy = p.y - apex.y
         if dx == 0 and dy == 0:
-            for j in range(k):
-                base[j] += delta_lists[j][i]
-            continue
-        groups.setdefault(_primitive(dx, dy), []).append(i)
+            base += v
+        else:
+            d = _primitive(dx, dy)
+            groups[d] = groups.get(d, 0) + v
     if not groups:
-        emit(tuple(base))
+        emit(base)
         return
-    gsum: dict[tuple[int, int], list] = {}
-    for d, idxs in groups.items():
-        gsum[d] = [sum(delta_lists[j][i] for i in idxs) for j in range(k)]
     # a group leaves the open side at its own direction and enters at
     # the antipode, so both are sweep events
-    events = _sorted_directions(list({d for d in groups}
-                                     | {(-d[0], -d[1]) for d in groups}))
+    events = _sorted_directions(list(groups.keys() | {(-d[0], -d[1]) for d in groups}))
     d0 = events[0]
-    left = [0] * k
-    for d, s in gsum.items():
-        if d0[0] * d[1] - d0[1] * d[0] > 0 or d == d0:
-            for j in range(k):
-                left[j] += s[j]
+    # left: the apex, the open side left of the event direction, and its ray
+    left = base + sum(s for d, s in groups.items()
+                      if d0[0] * d[1] - d0[1] * d[0] > 0 or d == d0)
+    # past d, the ray at d leaves and the ray at -d joins; that sum is the
+    # next event's first (cyclically), so it is not emitted twice
     for d in events:
-        g = gsum.get(d, zero)
-        anti = gsum.get((-d[0], -d[1]), zero)
-        emit(tuple(base[j] + left[j] for j in range(k)))
-        emit(tuple(base[j] + left[j] + anti[j] for j in range(k)))
-        emit(tuple(base[j] + left[j] - g[j] + anti[j] for j in range(k)))
-        for j in range(k):
-            left[j] += anti[j] - g[j]
+        anti = groups.get((-d[0], -d[1]), 0)
+        emit(left)
+        emit(left + anti)
+        left += anti - groups.get(d, 0)
 
 
-def _halfplane_sweep(pts, delta_lists, emit):
-    """Drive the apex sweep; ``emit(values_tuple)`` sees every induced sum.
+def _halfplane_sweep(pts, values, emit):
+    """Drive the apex sweep; ``emit(total)`` sees every induced sum.
 
     Every induced halfplane subset has a representation whose boundary
     touches one of its points, so sweeping the boundary direction around
     each point class and emitting the just-before / on-line-closed /
     just-after positions covers the whole induced family.
     """
-    emit(tuple(sum(dl) for dl in delta_lists))
-    emit((0,) * len(delta_lists))
+    emit(sum(values))
+    emit(0)
     for apex in pts:
-        _apex_sweep(pts, delta_lists, apex, emit)
+        _apex_sweep(pts, values, apex, emit)
 
 
 def _max_halfplane_sums_py(pts, delta_lists) -> list[int]:
-    best = [0] * len(delta_lists)
+    best = []
+    for deltas in delta_lists:
+        top = 0
 
-    def emit(vals):
-        for j, v in enumerate(vals):
-            a = -v if v < 0 else v
-            if a > best[j]:
-                best[j] = a
+        def emit(v):
+            nonlocal top
+            if v > top:
+                top = v
+            elif -v > top:
+                top = -v
 
-    _halfplane_sweep(pts, delta_lists, emit)
+        _halfplane_sweep(pts, deltas, emit)
+        best.append(top)
     return best
 
 
@@ -303,44 +298,14 @@ def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
 
 
 def halfplane_subset_masks(pts: Sequence[Point2]) -> list[int]:
-    """All halfplane-induced subsets of ``pts`` as index bitmasks."""
-    m = len(pts)
-    classes: dict[tuple, list[int]] = {}
-    for i, p in enumerate(pts):
-        classes.setdefault((p.x, p.y), []).append(i)
-    coords = sorted(classes)
-    cpts = [Point2(x, y) for x, y in coords]
-    cmask = {c: sum(1 << i for i in classes[c]) for c in coords}
-    masks: set[int] = {0, (1 << m) - 1}
-    n = len(cpts)
-    for ai in range(n):
-        apex = cpts[ai]
-        base = cmask[coords[ai]]
-        groups: dict[tuple[int, int], int] = {}
-        for ci, p in enumerate(cpts):
-            dx = p.x - apex.x
-            dy = p.y - apex.y
-            if dx == 0 and dy == 0:
-                continue
-            d = _primitive(dx, dy)
-            groups[d] = groups.get(d, 0) | cmask[coords[ci]]
-        if not groups:
-            masks.add(base)
-            continue
-        events = _sorted_directions(list({d for d in groups}
-                                         | {(-d[0], -d[1]) for d in groups}))
-        d0 = events[0]
-        left = 0
-        for d, gm in groups.items():
-            if d0[0] * d[1] - d0[1] * d[0] > 0 or d == d0:
-                left |= gm
-        for d in events:
-            g = groups.get(d, 0)
-            anti = groups.get((-d[0], -d[1]), 0)
-            masks.add(base | left)
-            masks.add(base | left | anti)
-            masks.add(base | (left & ~g) | anti)
-            left = (left & ~g) | anti
+    """All halfplane-induced subsets of ``pts`` as index bitmasks.
+
+    Point i carries the value 2^i, so each sum the sweep emits is the
+    bitmask of the subset it sums over.
+    """
+    cpts, (bits,) = _collapse_multi(pts, [[1 << i for i in range(len(pts))]])
+    masks: set[int] = set()
+    _halfplane_sweep(cpts, bits, masks.add)
     return sorted(masks)
 
 

@@ -75,9 +75,9 @@ def _sqrt_upper(x: Fraction) -> Fraction:
 def _depth_of(points: Sequence[Point2], weights: Sequence[Fraction], total: Fraction,
               q: Point2) -> Fraction:
     """Minimum closed-halfplane mass through q, over total (one apex sweep)."""
-    masses: list[tuple] = []
-    _apex_sweep(points, [weights], q, masses.append)
-    return min(masses)[0] / total
+    masses: list[Fraction] = []
+    _apex_sweep(points, weights, q, masses.append)
+    return min(masses) / total
 
 
 def tukey_depth(snap: Snapshot, q: Point2) -> DepthValue:

@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import epsstream
 from epsstream.cli import main
 from streams import make_stream
 
@@ -127,8 +130,11 @@ def test_bad_eps_is_config_error(tmp_path, stream_file):
 
 
 def test_console_entry_point():
+    # the subprocess imports the same package as this test, installed or not
+    src = str(Path(epsstream.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "epsstream.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "eps-stream" in proc.stdout
 
@@ -339,3 +345,30 @@ def test_state_with_malformed_row_is_parse_error(tmp_path, stream_file, capsys, 
 
     assert _resume_edited_state(tmp_path, stream_file, edit) == 2
     assert "not a state file" in capsys.readouterr().err
+
+
+# A scalar field that does not parse is a parse error (exit 2), checked
+# before any value is; an out-of-range value or unknown family is not (exit 3).
+@pytest.mark.parametrize("field,value,code", [
+    ("eps", "1/0", 2), ("eps", "abc", 2), ("certified_error", "1/0", 2), ("n", "x", 2),
+    ("n", float("inf"), 2), ("eps", "2", 3), ("family", 5, 3),
+], ids=["eps-zero-denominator", "eps-non-numeric", "certificate-zero-denominator",
+        "n-non-numeric", "n-infinite", "eps-out-of-range", "family-not-a-name"])
+def test_snapshot_scalar_field(tmp_path, stream_file, capsys, field, value, code):
+    snap = _edited_snapshot(tmp_path, stream_file,
+                            lambda data: data["snapshot"].__setitem__(field, value))
+    for args in _snapshot_commands(tmp_path):
+        assert run_cli(args + ["--snapshot", str(snap)]) == (code, "")
+        assert ("not a snapshot file" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("edit,code", [
+    (lambda data: data["config"].__setitem__("eps", "1/0"), 2),
+    (lambda data: _top_slot(data).__setitem__("delta", "1/0"), 2),
+    (lambda data: _top_slot(data).__setitem__("level", "x"), 2),
+    (lambda data: data["config"].__setitem__("eps", "3/2"), 3),
+], ids=["eps-zero-denominator", "delta-zero-denominator", "level-non-numeric",
+        "eps-out-of-range"])
+def test_state_scalar_field(tmp_path, stream_file, capsys, edit, code):
+    assert _resume_edited_state(tmp_path, stream_file, edit) == code
+    assert ("not a state file" in capsys.readouterr().err) == (code == 2)

@@ -3,7 +3,8 @@
 ``max_halfplane_sums`` hands inputs whose coordinates are all integers of
 magnitude below 2^30 to the vectorized sweep, and larger or Fraction ones to
 the pure-Python sweep; the two must report the same maxima wherever the fast
-one is allowed to run.
+one is allowed to run.  The same Python sweep, fed one bit per point, must
+find exactly the halfplane subsets of the independent oracle.
 """
 
 from fractions import Fraction
@@ -12,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsstream import Point2
+from epsstream import FamilyKind, Point2, family
 from epsstream import rangesums
-from epsstream.rangesums import _max_halfplane_sums_np, _max_halfplane_sums_py, max_halfplane_sums
+from epsstream.ranges import subsystem_oracle_masks
+from epsstream.rangesums import (
+    _max_halfplane_sums_np,
+    _max_halfplane_sums_py,
+    halfplane_subset_masks,
+    max_halfplane_sums,
+)
 
 LIM = (1 << 30) - 1
 _SPREAD = 1 << 20  # largest offset the line and antipode strategies add
@@ -92,3 +99,24 @@ def test_fraction_coordinates_take_the_exact_sweep():
     deltas = [[5, -7, 1]]
     scaled = [Point2(6 * p.x, 6 * p.y) for p in pts]
     assert max_halfplane_sums(pts, deltas) == max_halfplane_sums(scaled, deltas) == [7]
+
+
+@st.composite
+def _grid_points(draw):
+    """At most 12 points on a 7x7 integer grid, with duplicates and
+    collinear runs (a zero step repeats a point)."""
+    c = st.integers(-3, 3)
+    free = st.builds(lambda x, y: [Point2(x, y)], c, c)
+    run = st.builds(lambda x, y, dx, dy, n: [Point2(x + t * dx, y + t * dy) for t in range(n)],
+                    c, c, st.integers(-1, 1), st.integers(-1, 1), st.integers(2, 4))
+    groups = draw(st.lists(st.one_of(free, run), max_size=6))
+    return [p for g in groups for p in g][:12]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=_grid_points())
+def test_subset_masks_match_the_oracle(pts):
+    """The bitmask sweep finds exactly the subsets the independent oracle's
+    canonical halfplanes cut out."""
+    assert set(halfplane_subset_masks(pts)) == subsystem_oracle_masks(
+        family(FamilyKind.HALFPLANE), pts)

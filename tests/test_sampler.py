@@ -21,8 +21,6 @@ from epsstream import (
 from epsstream.rangesums import halfplane_subset_masks
 from epsstream.sampler import (
     _COSH_CAP,
-    _VERIFY_CAP,
-    DEFAULT_REDUCE_THRESHOLDS,
     _guidance_masks,
     collapse_duplicates,
     potential_bound,
@@ -383,9 +381,9 @@ class TestCaps:
     def test_reduce_and_verify_sizes_fit_oracle_cap(self, kind):
         # reduce_with_budget stops at the threshold alone: halve() and the
         # exact verifier reject more points than the family's oracle cap
-        cap = family(kind).oracle_cap
-        assert DEFAULT_REDUCE_THRESHOLDS[kind] <= cap
-        assert _VERIFY_CAP[kind] <= cap
+        fam = family(kind)
+        assert fam.reduce_size <= fam.oracle_cap
+        assert fam.verify_size <= fam.oracle_cap
 
 
 def test_weighted_reduction_mixed_weights_certified():
