@@ -38,10 +38,8 @@ def _check_kind(snap: Snapshot, desc: RangeDescriptor) -> None:
 def approx_count(snap: Snapshot, desc: RangeDescriptor) -> CountEstimate:
     """Weighted mass of the range in the snapshot, clamped to [0, n]."""
     _check_kind(snap, desc)
-    total = Fraction(0)
-    for p, w in zip(snap.sample.points, snap.sample.weights):
-        if desc.contains(p):
-            total += w
+    ints, denom = snap.sample.scaled_weights
+    total = Fraction(sum(g for p, g in zip(snap.sample.points, ints) if desc.contains(p)), denom)
     total = min(max(total, Fraction(0)), Fraction(snap.n))
     return CountEstimate(total, snap.eps * snap.n, snap.n)
 

@@ -11,7 +11,17 @@ apexes for halfplanes, threshold grids for quadrants, bisector sweeps for
 disks, slope-sorted windows for slabs) instead of materializing subsets, so
 they stay polynomial with small constants.  Floating point appears only in
 sort keys and in integer-valued matrix products; every ordering is repaired
-with exact integer comparisons and every reported sum is an exact integer.
+or checked with exact integer comparisons and every reported sum is an
+exact integer.
+
+Halfplanes have two sweeps with one meaning.  ``_apex_sweep`` rotates a
+line about one apex in Python and reads any exact values.  The int64 pass
+``_max_halfplane_sums_np`` runs every apex's sweep at once, in blocks of
+apexes: O(m^2 log m) for m points, a practical form of the topological
+sweep of the line arrangement (Edelsbrunner and Guibas, 1989).  It takes
+integer coordinates below 2^30 in magnitude, so raw offsets and their
+cross products fit int64, and it answers a call with the Python sweep
+whenever its float-hinted event order fails the exact check.
 """
 
 from __future__ import annotations
@@ -27,12 +37,11 @@ from .ranges import FamilyKind, Point2, _slope_candidates
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
 
-# The int64 halfplane sweep takes |coordinates| below this (see its docstring);
-# its direction keys pack two 32-bit offset fields into one uint64.
+# The int64 halfplane sweep takes |coordinates| below this (see its docstring).
 _NP_COORD_LIMIT = 1 << 30
-_KEY_BITS = np.uint64(32)
-_KEY_OFF = np.int64(1) << np.int64(31)
-_KEY_MASK = np.uint64((1 << 32) - 1)
+# Events per block of apexes in that sweep (rows of 2m events each).  Time
+# is flat from 2^13 up; larger blocks only hold more temporaries at once.
+_BLOCK_EVENTS = 1 << 14
 
 
 def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence]):
@@ -181,91 +190,71 @@ def _max_halfplane_sums_py(pts, delta_lists) -> list[int]:
 
 
 def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
-    """Vectorized apex sweep; callers guarantee int64-safe magnitudes.
+    """Every apex sweep at once, in blocks of apexes; int64 throughout.
 
-    With every |coordinate| below 2^30, apex offsets and their primitive
-    directions stay below 2^31, so each cross product of two directions is
-    below 2^62 and their difference below 2^63.
+    Callers guarantee every |coordinate| below 2^30 and every list's sum of
+    |deltas| below 2^52.  Row a of a block holds 2m events around apex a:
+    point j joins the open left side at the negated offset a - p_j and
+    leaves it at the raw offset p_j - a.  Raw offsets stay below 2^31, so
+    the cross product of two of them is below 2^62 and their difference
+    below 2^63.  Points coincident with the apex count in every sum from
+    the start and become zero-valued events at direction (1, 0).
+
+    Each row is sorted once, by a float angle hint with the event index as
+    tie-break, and the order is then checked exactly: the half-plane index
+    never decreases and, within a half, each adjacent pair turns
+    counterclockwise or not at all (cross >= 0).  Equal directions are the
+    adjacent pairs of one half with cross 0, and they get bitwise equal
+    hints.  The left sum starts at the points whose own direction lies in
+    [0, pi), and one cumulative sum per row and delta list then holds the
+    sum just past every direction.  Every apex is a point, so a closed
+    halfplane on a line through two or more points is also read there: at
+    the line's last point in the sweep direction, where every other point
+    of the line joins and none leaves.  If any row of any block fails the
+    check, the whole call is answered by the Python sweep; there is no
+    other path.
     """
     m = len(pts)
-    k = len(delta_lists)
     xs = np.array([p.x for p in pts], dtype=np.int64)
     ys = np.array([p.y for p in pts], dtype=np.int64)
-    ds = np.array(delta_lists, dtype=np.int64)  # k x m
-    totals = ds.sum(axis=1)
-    best = np.abs(totals).astype(np.int64)
-
-    def enc(px, py):
-        # two 32-bit offset fields: keys sort like (px, py) lexicographically
-        return ((px + _KEY_OFF).astype(np.uint64) << _KEY_BITS) | (py + _KEY_OFF).astype(np.uint64)
-
-    def dec(keys):
-        return ((keys >> _KEY_BITS).astype(np.int64) - _KEY_OFF,
-                (keys & _KEY_MASK).astype(np.int64) - _KEY_OFF)
-
-    for ai in range(m):
-        dx = xs - xs[ai]
-        dy = ys - ys[ai]
+    ds = np.array(delta_lists, dtype=np.int64).reshape(len(delta_lists), m)
+    best = np.abs(ds.sum(axis=1))
+    # event e < m is point e joining, m <= e < 2m point e - m leaving; 2m is zero
+    step_of = np.concatenate([ds, -ds, np.zeros((len(ds), 1), dtype=np.int64)], axis=1)
+    rows = max(1, _BLOCK_EVENTS // (2 * m))
+    shift = (2 * m - 1).bit_length()
+    scale = float(1 << (62 - shift))
+    for lo in range(0, m, rows):
+        dx = xs[None, :] - xs[lo:lo + rows, None]
+        dy = ys[None, :] - ys[lo:lo + rows, None]
         at_apex = (dx == 0) & (dy == 0)
-        base = ds[:, at_apex].sum(axis=1)
-        rest = ~at_apex
-        if not rest.any():
-            best = np.maximum(best, np.abs(base))
-            continue
-        rdx = dx[rest]
-        rdy = dy[rest]
-        g = np.gcd(np.abs(rdx), np.abs(rdy))
-        px = rdx // g
-        py = rdy // g
-        keys = enc(px, py)
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        ng = ukeys.shape[0]
-        gsum = np.zeros((k, ng), dtype=np.int64)
-        for j in range(k):
-            gsum[j] = np.bincount(inv, weights=ds[j, rest].astype(np.float64),
-                                  minlength=ng).astype(np.int64)
-        upx, upy = dec(ukeys)
-        # events: group directions and their antipodes
-        evkeys = np.unique(np.concatenate([ukeys, enc(-upx, -upy)]))
-        epx, epy = dec(evkeys)
-        ang = np.arctan2(epy.astype(np.float64), epx.astype(np.float64))
-        ang = np.where(ang < 0, ang + 2 * np.pi, ang)
-        order = np.argsort(ang, kind="stable")
-        opx = epx[order]
-        opy = epy[order]
-        cross_adj = opx[:-1] * opy[1:] - opy[:-1] * opx[1:]
-        bad = cross_adj < 0
-        if bad.any():
-            half = (opy < 0) | ((opy == 0) & (opx < 0))
-            if (bad & (half[:-1] == half[1:])).any():
-                return _max_halfplane_sums_py(pts, delta_lists)
-        okeys = enc(opx, opy)
-        pos = np.searchsorted(ukeys, okeys)
-        has_g = (pos < ng)
-        has_g &= np.where(has_g, ukeys[np.minimum(pos, ng - 1)] == okeys, False)
-        aokeys = enc(-opx, -opy)
-        apos = np.searchsorted(ukeys, aokeys)
-        has_a = (apos < ng)
-        has_a &= np.where(has_a, ukeys[np.minimum(apos, ng - 1)] == aokeys, False)
-        gs = np.zeros((k, order.shape[0]), dtype=np.int64)
-        ans = np.zeros((k, order.shape[0]), dtype=np.int64)
-        gs[:, has_g] = gsum[:, pos[has_g]]
-        ans[:, has_a] = gsum[:, apos[has_a]]
-        d0x, d0y = int(opx[0]), int(opy[0])
-        strictly_left = (d0x * upy - d0y * upx) > 0
-        first = strictly_left | ((upx == d0x) & (upy == d0y))
-        left0 = gsum[:, first].sum(axis=1)
-        steps = ans - gs
-        cum = np.cumsum(steps, axis=1)
-        left_before = np.empty_like(cum)
-        left_before[:, 0] = left0
-        left_before[:, 1:] = left0[:, None] + cum[:, :-1]
-        c1 = base[:, None] + left_before
-        c2 = c1 + ans
-        c3 = c2 - gs
-        cand = np.maximum(np.abs(c1).max(axis=1),
-                          np.maximum(np.abs(c2).max(axis=1), np.abs(c3).max(axis=1)))
-        best = np.maximum(best, cand)
+        dx[at_apex] = 1
+        half = (dy < 0) | ((dy == 0) & (dx < 0))
+        left = ds @ (~half).T.astype(np.int64)
+        # angle hint in [0, 2), fixed point above the event index: 0.5 - q at
+        # (dx, dy) is 1.5 + q at (-dx, -dy), so equal directions tie exactly
+        q = dx / (2 * (np.abs(dx) + np.abs(dy)))
+        key = np.concatenate([np.where(half, 0.5 + q, 1.5 - q),
+                              np.where(half, 1.5 + q, 0.5 - q)], axis=1)
+        key = (key * scale).astype(np.int64) << shift
+        key |= np.arange(2 * m)
+        order = np.sort(key, axis=1) & (1 << shift) - 1
+        flat = order + (2 * m * np.arange(order.shape[0]))[:, None]
+        ex = np.take(np.concatenate([-dx, dx], axis=1), flat)
+        ey = np.take(np.concatenate([-dy, dy], axis=1), flat)
+        eh = np.take(np.concatenate([~half, half], axis=1), flat)
+        cross = ex[:, :-1] * ey[:, 1:] - ey[:, :-1] * ex[:, 1:]
+        same = eh[:, :-1] == eh[:, 1:]
+        if (eh[:, :-1] > eh[:, 1:]).any() or (same & (cross < 0)).any():
+            return _max_halfplane_sums_py(pts, delta_lists)
+        # sums are read past each direction, at the last event of its group
+        read = np.ones(order.shape, dtype=bool)
+        read[:, :-1] = ~(same & (cross == 0))
+        slot = np.where(np.concatenate([at_apex, at_apex], axis=1), 2 * m, np.arange(2 * m))
+        run = np.cumsum(np.take(step_of, np.take(slot, flat), axis=1), axis=2)
+        run = np.where(read, run, 0)
+        best = np.maximum(best, np.maximum(np.abs(left + run.max(axis=2)),
+                                           np.abs(left + run.min(axis=2))).max(axis=1))
     return [int(v) for v in best]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -65,6 +66,11 @@ class WeightedSample:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def scaled_weights(self) -> tuple[list[int], int]:
+        """The weights as integers over their least common denominator."""
+        return _scaled_weights(self.weights)
 
     @classmethod
     def uniform(cls, points: Iterable[Point2], eps_bound: Fraction = Fraction(0)) -> "WeightedSample":
@@ -356,7 +362,7 @@ def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fra
     paired = _paired_coloring(sample)
     if paired is not None:
         colorings.append(paired)
-    scaled, denom = _scaled_weights(sample.weights)
+    scaled, denom = sample.scaled_weights
     size_cap = (m + 1) // 2 + 1
     candidates = []  # (delta list, meta)
     metas = []
@@ -414,7 +420,7 @@ def singleton_error_bound(sample: WeightedSample) -> Fraction:
     top = max(sample.points)
     if sample.points.count(top) > 1:
         return Fraction(0)
-    scaled, _ = _scaled_weights(sample.weights)  # the bound is scale-free
+    scaled, _ = sample.scaled_weights  # the bound is scale-free
     g = scaled[sample.points.index(top)]
     total = sum(scaled)
     heaviest = sum(sorted(scaled, reverse=True)[:(m + 1) // 2 + 1])

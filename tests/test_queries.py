@@ -1,21 +1,33 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsstream import (
+    FamilyKind,
     Point2,
     StreamState,
     Verdict,
+    WeightedSample,
     approx_count,
     eps_net,
     iceberg_query,
     make_config,
     parse_descriptor,
 )
-from epsstream.engine import snapshot_of_exact
+from epsstream.engine import Snapshot, snapshot_of_exact
 from epsstream.errors import FamilyMismatchError
 from epsstream.oracles import PrefixMirror, exact_count
-from epsstream.ranges import Halfplane, Quadrant, Slab
+from epsstream.ranges import (
+    Disk,
+    DoubleWedge,
+    Halfplane,
+    Quadrant,
+    Slab,
+    VParallelogram,
+    Wedge,
+)
 from streams import make_stream
 
 
@@ -113,3 +125,61 @@ def test_descriptor_text_queries_match_api():
     snap = snap_of(pts, eps=Fraction(1, 2))
     desc = parse_descriptor("quadrant:5,0", scale=1)
     assert approx_count(snap, desc).estimate == approx_count(snap, Quadrant(5, 0)).estimate
+
+
+def _fraction_count(snap, desc):
+    """Counting as one Fraction addition per contained point."""
+    total = Fraction(0)
+    for p, w in zip(snap.sample.points, snap.sample.weights):
+        if desc.contains(p):
+            total += w
+    return min(max(total, Fraction(0)), Fraction(snap.n))
+
+
+_q = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_halfplanes = st.builds(lambda normal, t: Halfplane(*normal, t), st.tuples(_q, _q).filter(any), _q)
+
+
+_DESCRIPTORS = {
+    FamilyKind.HALFPLANE: _halfplanes,
+    FamilyKind.QUADRANT: st.builds(Quadrant, _q, _q),
+    FamilyKind.WEDGE: st.builds(Wedge, _halfplanes, _halfplanes),
+    FamilyKind.DOUBLE_WEDGE: st.builds(DoubleWedge, _halfplanes, _halfplanes),
+    FamilyKind.DISK: st.builds(Disk, _q, _q, st.fractions(min_value=0, max_value=60,
+                                                           max_denominator=6)),
+    FamilyKind.SLAB: st.builds(lambda a, b: Slab(a, *sorted(b)), _q, st.tuples(_q, _q)),
+    FamilyKind.VPARALLELOGRAM: st.builds(lambda x, a, b: VParallelogram(*sorted(x), a, *sorted(b)),
+                                         st.tuples(_q, _q), _q, st.tuples(_q, _q)),
+}
+
+
+@st.composite
+def _weighted_queries(draw):
+    kind = draw(st.sampled_from(list(_DESCRIPTORS)))
+    c = st.integers(-6, 6)
+    pts = draw(st.lists(st.builds(Point2, c, c), min_size=1, max_size=24))
+    ws = draw(st.lists(st.fractions(min_value=Fraction(1, 30), max_value=12, max_denominator=30),
+                       min_size=len(pts), max_size=len(pts)))
+    total = sum(ws, Fraction(0))
+    # n below, at and above the represented mass, so the clamp is exercised
+    n = draw(st.integers(1, int(total) + 3))
+    eps = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))))
+    snap = Snapshot(WeightedSample(tuple(pts), tuple(ws), total, Fraction(0)), n,
+                    make_config(eps, kind))
+    theta = draw(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                              max_denominator=100))
+    return snap, draw(_DESCRIPTORS[kind]), theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_weighted_queries())
+def test_integer_weight_counts_match_fraction_sums(query):
+    """Counts summed as integers over one denominator, and the iceberg
+    verdicts read off them, equal the per-point Fraction sums."""
+    snap, desc, theta = query
+    expected = _fraction_count(snap, desc)
+    assert approx_count(snap, desc).estimate == expected
+    frac = expected / snap.n
+    verdict = (Verdict.ABOVE if frac >= theta + snap.eps
+               else Verdict.BELOW if frac <= theta - snap.eps else Verdict.UNCERTAIN)
+    assert iceberg_query(snap, desc, theta) is verdict

@@ -3,10 +3,14 @@
 ``max_halfplane_sums`` hands inputs whose coordinates are all integers of
 magnitude below 2^30 to the vectorized sweep, and larger or Fraction ones to
 the pure-Python sweep; the two must report the same maxima wherever the fast
-one is allowed to run.  The same Python sweep, fed one bit per point, must
-find exactly the halfplane subsets of the independent oracle.
+one is allowed to run.  The fast one sorts each apex's events by a float
+hint and checks the order exactly; where the check fails, the Python sweep
+answers, and the tests pin which one did.  The same Python sweep, fed one
+bit per point, must find exactly the halfplane subsets of the independent
+oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,6 +103,65 @@ def test_fraction_coordinates_take_the_exact_sweep():
     deltas = [[5, -7, 1]]
     scaled = [Point2(6 * p.x, 6 * p.y) for p in pts]
     assert max_halfplane_sums(pts, deltas) == max_halfplane_sums(scaled, deltas) == [7]
+
+
+def _blocked_case():
+    """About 200 points: free points near the 2^30 limit, collinear runs,
+    points in antipodal pairs about a shared middle point, and duplicates."""
+    rng = random.Random(2024)
+    pts = [Point2(rng.randrange(-LIM, LIM + 1), rng.randrange(-LIM, LIM + 1)) for _ in range(80)]
+    for _ in range(10):  # 9 collinear points each, spread through a wide square
+        ax, ay = (rng.randrange(-LIM + _SPREAD, LIM - _SPREAD) for _ in "xy")
+        dx, dy = (rng.randrange(-(1 << 16), 1 << 16) for _ in "xy")
+        pts += [Point2(ax + t * dx, ay + t * dy) for t in range(-4, 5)]
+    for _ in range(10):  # each middle point sees the other two in opposite directions
+        ax, ay = (rng.randrange(-LIM + _SPREAD, LIM - _SPREAD) for _ in "xy")
+        dx, dy = (rng.randrange(-(1 << 16), 1 << 16) for _ in "xy")
+        pts += [Point2(ax - dx, ay - dy), Point2(ax, ay), Point2(ax + dx, ay + dy)]
+    pts += [pts[rng.randrange(len(pts))] for _ in range(12)]
+    dls = [[rng.randrange(-(1 << 20), 1 << 20) for _ in pts] for _ in range(3)]
+    return pts, dls
+
+
+def test_blocked_sweep_across_blocks_matches_python_sweep(monkeypatch):
+    pts, dls = _blocked_case()
+    m = len(pts)
+    rows = max(1, rangesums._BLOCK_EVENTS // (2 * m))
+    assert m >= 3 * rows, "the case should span at least 3 blocks of apexes"
+    expected = _max_halfplane_sums_py(pts, dls)
+    # the int64 pass itself must answer: its order check may not reject any row
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+    assert _max_halfplane_sums_np(pts, dls) == expected
+    assert max_halfplane_sums(pts, dls) == expected
+
+
+# From (0, 0) the middle two points lie in directions less than 2^-60 apart,
+# which one float (atan2 or the pass's own angle hint) cannot tell apart.
+_COLLIDING = [Point2(0, 0), Point2(LIM, LIM - 1), Point2(LIM - 1, LIM - 2), Point2(-5, 7)]
+_COLLIDING_DELTAS = [[3, -5, 4, 1], [-2, 7, -6, 2]]
+
+
+def test_float_collision_in_input_order_falls_back_to_python_sweep(monkeypatch):
+    """Tied hints keep input order, which puts (2^30-1, 2^30-2) before the
+    direction clockwise of it; the exact check rejects that row."""
+    expected = _max_halfplane_sums_py(_COLLIDING, _COLLIDING_DELTAS)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _max_halfplane_sums_py(*args)
+
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", spy)
+    assert _max_halfplane_sums_np(_COLLIDING, _COLLIDING_DELTAS) == expected
+    assert len(calls) == 1
+
+
+def test_float_collision_in_sorted_order_stays_on_the_int64_pass(monkeypatch):
+    """Merged points come back sorted by coordinates, so tied hints keep the
+    true angular order, the check passes, and the int64 pass answers."""
+    expected = _max_halfplane_sums_py(_COLLIDING, _COLLIDING_DELTAS)
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+    assert max_halfplane_sums(_COLLIDING, _COLLIDING_DELTAS) == expected
 
 
 @st.composite
