@@ -10,9 +10,9 @@ The enumerations follow each family's geometry (rotating sweeps around
 apexes for halfplanes, threshold grids for quadrants, bisector sweeps for
 disks, slope-sorted windows for slabs) instead of materializing subsets, so
 they stay polynomial with small constants.  Floating point appears only in
-sort keys and in integer-valued matrix products; every ordering is repaired
-or checked with exact integer comparisons and every reported sum is an
-exact integer.
+sort keys and in integer-valued matrix products; every ordering is checked
+with exact integer comparisons (and re-sorted on them when a float key
+misorders it) and every reported sum is an exact integer.
 
 Halfplanes have two sweeps with one meaning.  ``_apex_sweep`` rotates a
 line about one apex in Python and reads any exact values.  The int64 pass
@@ -26,6 +26,7 @@ whenever its float-hinted event order fails the exact check.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -42,6 +43,10 @@ _NP_COORD_LIMIT = 1 << 30
 # Events per block of apexes in that sweep (rows of 2m events each).  Time
 # is flat from 2^13 up; larger blocks only hold more temporaries at once.
 _BLOCK_EVENTS = 1 << 14
+# Masks per block of a membership matrix.  Each block is transposed while
+# it is small: one transposing copy of the whole m x R matrix took 3-4x as
+# long at m = 1024-2048.
+_UNPACK_MASKS = 256
 
 
 def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence]):
@@ -91,27 +96,17 @@ def _dir_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] - a[1] * b[0] > 0
 
 
+def _exact_resort(items: list, less) -> None:
+    """Re-sort float-keyed ``items`` in place on the exact ``less`` if it
+    finds them out of order; the sort is stable, so ties keep their order."""
+    if any(less(b, a) for a, b in zip(items, items[1:])):
+        items.sort(key=functools.cmp_to_key(lambda a, b: -1 if less(a, b) else int(less(b, a))))
+
+
 def _sorted_directions(dirs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Angle-sort exact direction vectors: float keys, exact repair."""
-    keyed = []
-    for d in dirs:
-        ang = math.atan2(d[1], d[0])
-        if ang < 0:
-            ang += 2 * math.pi
-        keyed.append((ang, d))
-    keyed.sort(key=lambda t: t[0])
-    out = [d for _, d in keyed]
-    for i in range(len(out) - 1):
-        if _dir_less(out[i + 1], out[i]):
-            # rare float collision; fall back to exact insertion sort
-            for j in range(1, len(out)):
-                cur = out[j]
-                k = j - 1
-                while k >= 0 and _dir_less(cur, out[k]):
-                    out[k + 1] = out[k]
-                    k -= 1
-                out[k + 1] = cur
-            break
+    """Angle-sort exact direction vectors: float keys, exact fallback."""
+    out = sorted(dirs, key=lambda d: math.atan2(d[1], d[0]) % (2 * math.pi))
+    _exact_resort(out, _dir_less)
     return out
 
 
@@ -272,7 +267,7 @@ def max_halfplane_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int
 
 
 def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
-    """The m x R 0/1 uint8 matrix of R index bitmasks over m points.
+    """The C-contiguous m x R 0/1 uint8 matrix of R index bitmasks over m points.
 
     Row i marks, in increasing order, the masks that hold point i.
     """
@@ -283,7 +278,11 @@ def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
                              f"{mask.bit_length()}{', negative' if mask < 0 else ''})")
     packed = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks),
                            dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed.T, axis=0, count=m, bitorder="little")
+    member = np.empty((m, len(masks)), dtype=np.uint8)
+    for lo in range(0, len(masks), _UNPACK_MASKS):
+        member[:, lo:lo + _UNPACK_MASKS] = np.unpackbits(
+            packed[lo:lo + _UNPACK_MASKS], axis=1, count=m, bitorder="little").T
+    return member
 
 
 def halfplane_subset_masks(pts: Sequence[Point2]) -> list[int]:
@@ -341,6 +340,13 @@ def max_quadrant_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]
 # ---------------------------------------------------------------------------
 
 
+def _t_less(e, f) -> bool:
+    """alpha/beta < alpha'/beta' for events (alpha, beta, idx), beta of either sign."""
+    lhs = e[0] * f[1]
+    rhs = f[0] * e[1]
+    return lhs < rhs if (e[1] > 0) == (f[1] > 0) else lhs > rhs
+
+
 def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
     pts, (deltas,) = _collapse_multi(pts, [deltas])
     n = len(pts)
@@ -375,27 +381,12 @@ def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
                 best = max(best, abs(state))
                 continue
             events.sort(key=lambda e: e[0] / e[1])
-            # exact repair of the float ordering, then group equal times
-            def t_less(e, f):
-                # alpha/beta < alpha'/beta' with beta of either sign
-                lhs = e[0] * f[1]
-                rhs = f[0] * e[1]
-                return lhs < rhs if (e[1] > 0) == (f[1] > 0) else lhs > rhs
-            for a in range(len(events) - 1):
-                if t_less(events[a + 1], events[a]):
-                    for b in range(1, len(events)):
-                        cur = events[b]
-                        c = b - 1
-                        while c >= 0 and t_less(cur, events[c]):
-                            events[c + 1] = events[c]
-                            c -= 1
-                        events[c + 1] = cur
-                    break
+            _exact_resort(events, _t_less)
             idx = 0
             while idx < len(events):
                 stop = idx + 1
                 e0 = events[idx]
-                while stop < len(events) and not t_less(e0, events[stop]):
+                while stop < len(events) and not _t_less(e0, events[stop]):
                     stop += 1
                 enter = leave = 0
                 for a in range(idx, stop):

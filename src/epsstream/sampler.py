@@ -4,17 +4,20 @@ The reduction primitive is a halving step: color the points +1/-1, keep one
 sign class, and rescale its weights so the represented mass is preserved
 exactly.  Unlike the textbook construction we never trust an a-priori
 discrepancy bound; after every halving the worst-case error of the kept
-class is measured exactly over all induced ranges, and a halving that would
-overspend the error budget is rolled back -- or skipped outright when an
-exact lower bound on its error, read off one induced singleton range,
-already exceeds the remaining budget.  The certificate attached to a
-sample is therefore a sum of exactly measured quantities.
+class is measured exactly over all induced ranges.  A reduction halves
+until one of three things stops it: the support exceeds the family's
+reduce size, an exact lower bound on the next halving's error, read off
+one induced singleton range, already exceeds the remaining budget, or a
+measured halving overspends the budget and is rolled back.  The
+certificate attached to a sample is therefore a sum of exactly measured
+quantities.
 
 Colorings are guided by a hyperbolic-cosine potential (method of
-conditional expectations) over a collection of induced ranges, plus a
-cheap locality pairing as an alternative candidate; the measured error picks
-the winner.  Floats appear only inside the guidance potential, never in a
-certificate.
+conditional expectations) over projection prefixes, the subsets that lines
+of a few fixed normals per family cut off, not over every induced subset.
+A cheap locality pairing is the alternative candidate, and the measured
+error picks the winner.  Floats appear only inside the guidance potential, never
+in a certificate.
 """
 
 from __future__ import annotations
@@ -32,14 +35,6 @@ from .ranges import FamilyKind, Point2, RangeFamily, family
 from . import rangesums
 
 _COSH_CAP = 700.0
-
-# Skip a halving attempt when the potential-method guarantee is more than
-# this factor above the remaining budget (tiny inputs are always tried).
-# Deleting this float heuristic changed no output where tried, but the
-# halfplane-wide benchmark then tried 9 snapshot halvings per pass, not 6
-# (3 rolled back), and took 5-30 % longer per snapshot on 2-vCPU hosts.
-_PRECHECK_MARGIN = 8.0
-_ALWAYS_TRY = 16
 
 
 @dataclass(frozen=True)
@@ -155,12 +150,6 @@ def _as_mask(range_like, n: int) -> int:
     return mask
 
 
-def potential_bound(sample: WeightedSample, n_ranges: int) -> float:
-    """The conditional-expectations guarantee sqrt(2 * W2 * ln(2R))."""
-    w2 = float(sum(w * w for w in sample.weights))
-    return math.sqrt(2.0 * w2 * math.log(2.0 * max(2, n_ranges)))
-
-
 def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Coloring:
     """Color points +1/-1 keeping every given range's weighted signed sum
     within sqrt(2*W2*ln(2R)) and the class totals within max-weight of each
@@ -266,7 +255,6 @@ def _paired_coloring(sample: WeightedSample) -> Coloring | None:
 
 _GUIDE_DIRS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2),
                (2, -1), (1, -2), (3, 1), (1, 3), (3, -1), (1, -3))
-_FULL_GUIDE_CAP = 72
 
 
 def _prefix_masks(pts: Sequence[Point2], dirs) -> list[int]:
@@ -286,26 +274,15 @@ def _prefix_masks(pts: Sequence[Point2], dirs) -> list[int]:
     return sorted(masks)
 
 
-def _quadrant_masks(pts: Sequence[Point2]) -> list[int]:
-    masks: set[int] = set()
-    order = sorted(range(len(pts)), key=lambda i: -pts[i].x)
-    ys = sorted({p.y for p in pts})
-    for cut in range(len(order) + 1):
-        active = order[:cut]
-        for y in ys:
-            mask = 0
-            for i in active:
-                if pts[i].y >= y:
-                    mask |= 1 << i
-            masks.add(mask)
-    return sorted(masks)
-
-
 def _guidance_masks(kind: FamilyKind, pts: Sequence[Point2]) -> list[int]:
-    m = len(pts)
+    """The coloring's guidance ranges: projection prefixes, at every size.
+
+    Quadrants take axis prefixes; slabs and vertical parallelograms take
+    prefixes along normals of pairs of extreme points (and, for the
+    latter, along x); every other family takes the 24 ``_GUIDE_DIRS``
+    normals and their negations.
+    """
     if kind is FamilyKind.QUADRANT:
-        if m <= _FULL_GUIDE_CAP:
-            return _quadrant_masks(pts)
         return _prefix_masks(pts, ((1, 0), (0, 1), (-1, 0), (0, -1)))
     if kind in (FamilyKind.SLAB, FamilyKind.VPARALLELOGRAM):
         dirs = [(0, 1), (0, -1)]
@@ -316,10 +293,7 @@ def _guidance_masks(kind: FamilyKind, pts: Sequence[Point2]) -> list[int]:
         if kind is FamilyKind.VPARALLELOGRAM:
             dirs.extend(((1, 0), (-1, 0)))
         return _prefix_masks(pts, dirs)
-    if m <= _FULL_GUIDE_CAP:
-        return rangesums.halfplane_subset_masks(pts)
-    dirs = list(_GUIDE_DIRS) + [(-a, -b) for a, b in _GUIDE_DIRS]
-    return _prefix_masks(pts, dirs)
+    return _prefix_masks(pts, _GUIDE_DIRS + tuple((-a, -b) for a, b in _GUIDE_DIRS))
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +420,16 @@ def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
                        budget: Fraction) -> tuple[WeightedSample, Fraction]:
     """Collapse duplicates, then halve while the measured error fits the budget.
 
-    An attempt is skipped, not computed, when its singleton error bound
-    already exceeds the remaining budget: it would be rolled back anyway.
+    The reduction stops at the family's reduce size, at the first halving
+    whose measured error overspends the budget (rolled back), or before
+    computing an attempt whose singleton error bound already exceeds the
+    remaining budget: it would be rolled back anyway.
     """
     current = collapse_duplicates(sample)
     spent = Fraction(0)
-    est_ranges = max(4, min(len(current), 64) ** min(fam.oracle_dimension, 3))
     while 2 <= len(current) <= fam.reduce_size:
         if singleton_error_bound(current) > budget - spent:
             break
-        if len(current) > _ALWAYS_TRY:
-            bound = potential_bound(current, est_ranges) / float(current.total_weight)
-            if float(budget - spent) * _PRECHECK_MARGIN < bound:
-                break
         reduced, err = halve(current, fam)
         if spent + err > budget:
             break

@@ -4,17 +4,25 @@ The digests below are SHA-256 of ``StreamState.to_json_str()`` and of the
 compact, key-sorted JSON of the snapshot's ``sample_to_json``, for each
 test stream style, each family at a small n, and eps 1/4 and 1/2.  They
 were recorded before halvings started being skipped by the singleton error
-bound, so a pass here shows that skipping changes no output.  A change that
+bound, so a pass showed that skipping changes no output.  A change that
 alters outputs on purpose must re-record them, and say so.
 
+22 snapshot digests were re-recorded when every halving's coloring came to
+be guided by projection prefixes, where halvings of at most 72 points had
+been guided by every induced halfplane or quadrant subset, and when the
+float precheck that skipped some halving attempts was deleted.  No state
+digest changed.  ``SNAPSHOT_SIZES`` holds each case's snapshot size from
+the code before that change, and a snapshot may not grow past it.
+
 Two larger halfplane streams at eps 1/4 reach paths the small ones do not:
-256 uniform points, whose snapshot halvings are guided by projection
-prefixes (more than 72 points), and the same stream mapped by
+256 uniform points, whose snapshot halvings of more than 72 points were
+guided by projection prefixes already, and the same stream mapped by
 v -> 128*v + 3*2^27 into [2^27, 5*2^27], whose range sums ran on the exact
 Python sweep while the int64 sweep stopped at |coordinate| 2^25.  Their
 digests were recorded from an unmodified copy of the code before range
 masks were decoded with numpy and before the int64 sweep was extended to
-|coordinate| < 2^30, so a pass here shows both changes keep every output.
+|coordinate| < 2^30, so a pass here shows both changes keep every output;
+the guidance and precheck change kept them too.
 """
 
 import hashlib
@@ -23,9 +31,9 @@ from fractions import Fraction
 
 import pytest
 
-from epsstream import Point2, StreamState, make_config
+from epsstream import Point2, StreamState, engine, make_config, sampler
 from epsstream.engine import snapshot_of_exact
-from epsstream.sampler import sample_to_json
+from epsstream.sampler import sample_to_json, singleton_error_bound
 from epsstream.stats import (
     FitLine,
     lms_location,
@@ -38,7 +46,7 @@ from epsstream.stats import (
     tukey_depth,
     tukey_median,
 )
-from streams import make_stream
+from streams import STYLES, make_stream
 
 SIZES = {"halfplane": 48, "quadrant": 48, "disk": 32, "slab": 32, "wedge": 32,
          "dwedge": 32, "vpar": 12}
@@ -47,70 +55,70 @@ SEED = 31
 GOLDEN = {
     ("halfplane", "uniform", "1/4"): (
         "ab58940ac00df03ab1c4f6293f505303889b2b7738d8cb7def2743ba4c32c22c",
-        "a83809acd6d4d3f98d96d4e459f0fc22301b7e7faf1207d552f743a2c8b77bff"),
+        "186940e22804b2654c1ed6b13e607884502df2cd79f65d06d99a9382e3bad6b3"),
     ("halfplane", "uniform", "1/2"): (
         "771c9055ce9922e69a6925dae179bc08038122e5b5f556ed658c681957447d51",
-        "930cb1e61659da972759c4f4ca128bbed44321a8c5ff6ef0ba453888be5b0444"),
+        "86ab67293795dc33b90ef7ddc7ee343a84446da9d9105aa755dfaf8db705b9ed"),
     ("halfplane", "sorted", "1/4"): (
         "56bcabb97385833af88e08fb57dff8f51b777d2dbbde237841c59cc74e887a81",
-        "74e7aa26cf15153f5add63c9aebbace95f44b99e1f820f4983116ea7b9ca242d"),
+        "eed94ac0b6ea3e44d73b3b8ea51a8950a666a6ccfa1dbf8072c0a10fbe21ceb5"),
     ("halfplane", "sorted", "1/2"): (
         "53fb1eeda44198ea4ab08ca8db3031a4916740afb9b4cebf0d806b9b6546ce3b",
-        "7b6f5fe3b6d7ae786cbc27ce26ffe172a991005c4b95ee1c0b077bbe91eae355"),
+        "2fbc768547e1cee9b56df0dbacbafb5d03a025baae972cb5d5c08dd85436252f"),
     ("halfplane", "clustered", "1/4"): (
         "f4fb7bd79eb9c1acc766eacdeb7e8c629990f0e006751f70a4d51cfbcdc96ef4",
         "39a38ee7ab700553f9a95cf82ef91d8292524921948bb81afe08478248cba675"),
     ("halfplane", "clustered", "1/2"): (
         "a62da1368aa6f60b1fdc78f1fc0739aca5deda9cc63eb20f76cb0d53ab26f2f3",
-        "71c682a68a8a875c433c3d33f31498200a9247a22224a5c444c122814c857339"),
+        "7c2af12b2eb6604698928dda7661b464d32f6751feaa92ede73e64db6fab1a10"),
     ("halfplane", "duplicates", "1/4"): (
         "1e5af5937e96b40e82bc707311893fc31cdaabeb9d6b946eee07a8ed877c0657",
-        "e8bbf1fc281434eb4ffaf8d8a9b36ff0ad5abe2b3b9a7b02793791047d0d32ea"),
+        "65746f2cc3db7ef8cfd541dc7f8464a0e1f076a943fcf939edb36d612fb79b45"),
     ("halfplane", "duplicates", "1/2"): (
         "b23d3fe9b62e0782b424644f4b3d208f887575a944146d54306558e85caf9fc8",
-        "592a2273381700a6f271021dd68ef34c1366d4c07e881622767ebef16ab53242"),
+        "65746f2cc3db7ef8cfd541dc7f8464a0e1f076a943fcf939edb36d612fb79b45"),
     ("quadrant", "uniform", "1/4"): (
         "0b316bf81d778a180ce9521ce156acd991bd46c269991f58305ce73c6ae91113",
-        "e120cf8135a870fcdba6683a462fd605fe68c16c8520b2fe45e8eec8596a7eb0"),
+        "ebeae70031a7d8cc1062b652ac3656d25afcc5e6679062d61140deba5e15c67a"),
     ("quadrant", "uniform", "1/2"): (
         "311d01b5fab8dcfdda4a34db7b01f94af5ae9b47f057e7cb5a92f73c1c15eda1",
-        "3faa0de866470f31b871b74acf9da44ee64c75cbdba806baf8e50daf91a86822"),
+        "a9fb35ff6cee53a124c2ed5a4c2c94f39163b348f0405271831a8769886207d0"),
     ("quadrant", "sorted", "1/4"): (
         "621890079f0f9a1b230f7a0d01e18caf9ba70a388eee1b04dbc62b1b8eaf5b57",
-        "a3c2987c9a319bac4c4021743ee075cc0c8d6ccac397eef7b31148dd8ff8cbe6"),
+        "dfc9f12155be6f76e4f2acb8d5bb904e580f2707faff2a90a7444b94145c317c"),
     ("quadrant", "sorted", "1/2"): (
         "8041cacb6c3fc40e8cf088783b3a09167809f2e8a7eb69a6b7bc6eeaad8b6a62",
-        "165e508684bf0b6135c11b22ba38185bfb23eb59e544f1ff9218f7b41c66f784"),
+        "7a00ab236d11250964763cbdfdf129071a409d6c3878feb2d1611c83f641e6f4"),
     ("quadrant", "clustered", "1/4"): (
         "a26ddf0f8f888d0701d62a122f1e6c294f756ec24aff8c6ac572859b31880b28",
-        "c12c08250029057564680ad5ea95dee6db67c282f236d7f198967b12e66ded7a"),
+        "cf23fa525d2f85b8c6bdf86c60cedef375d078f10c59abac0441cc3be435fff7"),
     ("quadrant", "clustered", "1/2"): (
         "0db8dc7825b65faa41b41b376e7e10a9635f81e27b4375c57b8c9ab6990075e7",
-        "34f3c70bc6fbf9e1d2c006732fc88c20bd94e8b83b2f1d0e1aaf42772199f2e2"),
+        "cc377da3add53e1214b0ad76c80d52f06b96f9d68eb700d6c02f183145b73f42"),
     ("quadrant", "duplicates", "1/4"): (
         "f2803be80d50dc454a5781034425e598d6426ea677cda6be52297af7c04e0aaa",
-        "b52a3d598b7f4126c47066a7a21920d6783a8e6c69f23e93d08a3b539cd561cf"),
+        "3d7c633970b3f7419ff95bd1101950304ca54f39067fab0113f964f7b1e3bab6"),
     ("quadrant", "duplicates", "1/2"): (
         "05eb787d61c3e3c12592b996cc6d20798290943f9a46d167d14a3826ef190ca7",
-        "3e50bb390ffa37ab8a11f022e039bd1200517949b36a24d7de20a0de0043908e"),
+        "3d7c633970b3f7419ff95bd1101950304ca54f39067fab0113f964f7b1e3bab6"),
     ("disk", "uniform", "1/4"): (
         "ba4e61a3809dd40e717f614a8960d55b704f2d9dfbfd2e11e0d496b14f9aa76f",
         "589dd9b65e5ebe2d5092877de73534f43659339d865c1e755e129565804ca2cc"),
     ("disk", "uniform", "1/2"): (
         "badf32807a0e138169a407779e9d9f1914ee69dfd46b91db0c9069dff37feae2",
-        "f4a11db1bc556848c654d4d3b6da09aa7d5bbb10009816c13e996268a46925f9"),
+        "4e2d8ca2608bfd7c3694ddcf5e79b2f502598599545821678659de9fc8815eb8"),
     ("disk", "sorted", "1/4"): (
         "d5c97a06ba90a900fe73342ba38eb2654c5155617d280de777333c74213315de",
         "fda51817641f1822dd1c554d6ff11e4e2237487bcbb12750479e1f0b7852ff64"),
     ("disk", "sorted", "1/2"): (
         "08497ecae4a53015508c95115acb328f87fa45bc3dd8e451ac1460bc5c015a3e",
-        "d5f7dff10c62e9f9bfd3195a6bbe45e9f93767aa34ef02ab7a9b60fcbd1b8395"),
+        "577498486e6cef5e4717e4be6b6ec264889b35673092138c69015138e435bff7"),
     ("disk", "clustered", "1/4"): (
         "a476af9c29ba967780fdfa495d04c4429285f49231b8d1c6f2d9ea86bc86c83b",
         "679c32fc7545f36ab58eb2c0dea087ba3038c82c027d58d668e7aabc95d7431c"),
     ("disk", "clustered", "1/2"): (
         "d78bb1909b101adc1dd5c79c8f1e1775ca872603e8b489a814d498a2f7f4feae",
-        "a388bf2f6e9987a0f6552041d1ad8bfad4fa4ca2480f59b8dffad1a0e6490414"),
+        "07ca32a235319052b4bbf368d3d3a39de80952380737e898bac50c372161fb24"),
     ("disk", "duplicates", "1/4"): (
         "a2e94cdfb6ca816b59335a5e4bfc66df023ed7c1505aa125c9af106886eb0b77",
         "f22ca021d3d4d59431b8d6e2223559b803beff25c2176d916a43f56c50fb60c7"),
@@ -152,13 +160,13 @@ GOLDEN = {
         "e4729e0000fa849cc979b86ab94bdcc5a945eb79ec037bdca9417b8b217cd12e"),
     ("wedge", "sorted", "1/2"): (
         "6e00b52d423e56ffe26f7a09be44a17368cf8e2de67d68d70cbf186279382549",
-        "d075385e5def7ecdc9cfad913d09f5a693f44e9244da5224bbffb6ca6876b0c0"),
+        "975c7633bc054e7b7090d82ef96d21da55b0ca708245fe4a353795ba72246be2"),
     ("wedge", "clustered", "1/4"): (
         "99236b3c8f5573f84a2dad1165fe329f0a423a53a92311ac34245e287df9fddc",
         "102125600016ff37363e1815410d33e0a09fac56c0eb5b27a9020ce79bcc09e6"),
     ("wedge", "clustered", "1/2"): (
         "1e6db4afc68a37c6d7ef715f51258debc06ae352263cabdb0ba806c720c59a94",
-        "d417e8492b8c3bd799a9f8e6d55ac9fba7321736e2751ab60ffcb77a2a7b9ce1"),
+        "caf82d3dfe9df0c945ed8e05c44dfd59e99b77ae09ba515f2fc8b1ab9f2d85a8"),
     ("wedge", "duplicates", "1/4"): (
         "322e3711aa4b197e2478dd650b027c141d1a9a0d9913c0f0bbfaeb1df695126d",
         "b81584d9af0a02790a4c7c9b6a9336d1690169547e4b0c343bc43f8100349122"),
@@ -176,13 +184,13 @@ GOLDEN = {
         "705e4afe7e63a99871e5c52c1d1493595147d0e0e358b7d96c2c8bdaadfd9747"),
     ("dwedge", "sorted", "1/2"): (
         "5ca09ad69702ab5b7890d28f73d0e33ad91ad01b3765f7fd61951248900e699a",
-        "8f34fc2c79e18f7860d94f9f564f2b06101ba843a1a2fd3d40d7479d4b84ab1e"),
+        "f68936aa584b0b252491cbd5c42872f34b9230df1c18b77f515ac03714a44bf9"),
     ("dwedge", "clustered", "1/4"): (
         "90ef0cd7d88f60b906ad952243f46a6aacaad03d6bfc67ec4d6dc31f1477f8a8",
         "747b681a99b5caa7707698d327828f27088df7680d3ac688b2a27a05c20e0a16"),
     ("dwedge", "clustered", "1/2"): (
         "915ecb2321b10384a8bacced044e375043007423e305a3a2a8c7edad43e4b04c",
-        "bcae12313b45151210cfe20936c9cfe72578d0d439e1352e239f0188a5b737cc"),
+        "44808661dc6565221291f10735a1f850ca7246edb4088bf9ae71e6c9ac4fd8f6"),
     ("dwedge", "duplicates", "1/4"): (
         "1c729caf60597e603d23d884c75ee997c60a96a9224e8910f9dc2fdf86b59d0c",
         "3dcc33d1b6a917e78aac7e5980a8f2c6620feb34e5ba9262ce04e7e2995e6840"),
@@ -215,6 +223,21 @@ GOLDEN = {
         "80b614c5e6c1db107b0156cb4aeb74af94d34f5ed9c7982fcb40db4ea0183f06"),
 }
 
+# Snapshot sizes before projection prefixes guided every halving, per
+# family and style at eps 1/4 and 1/2; a re-recorded digest may not grow them.
+SNAPSHOT_SIZES = {
+    "halfplane": {"uniform": (24, 12), "sorted": (24, 12), "clustered": (24, 12),
+                  "duplicates": (24, 12)},
+    "quadrant": {"uniform": (24, 12), "sorted": (24, 12), "clustered": (24, 12),
+                 "duplicates": (24, 12)},
+    "disk": {"uniform": (32, 16), "sorted": (32, 16), "clustered": (32, 16), "duplicates": (16, 8)},
+    "slab": {"uniform": (32, 16), "sorted": (32, 16), "clustered": (32, 16), "duplicates": (16, 8)},
+    "wedge": {"uniform": (32, 16), "sorted": (32, 16), "clustered": (32, 16),
+              "duplicates": (16, 16)},
+    "dwedge": {"uniform": (32, 16), "sorted": (32, 16), "clustered": (32, 16),
+               "duplicates": (16, 16)},
+    "vpar": {"uniform": (12, 6), "sorted": (12, 12), "clustered": (12, 12), "duplicates": (6, 6)},
+}
 
 
 def _wide(points):
@@ -231,6 +254,7 @@ GOLDEN_LARGE = {
         "d3f217d7545085c5d80305f546903035865471337dc527c075b8e7e75e02ed3c",
         "737147c448c0a9e444601a767db1dc2b28999b3ccccefd16d3921cd29c4acf69"),
 }
+LARGE_SNAPSHOT_SIZES = {"uniform-256": 64, "wide-256": 64}
 
 
 def _sha(text: str) -> str:
@@ -238,23 +262,61 @@ def _sha(text: str) -> str:
 
 
 def _digests(fam, eps, points):
+    """The snapshot's size, then the state and snapshot digests."""
     state = StreamState(make_config(Fraction(eps), fam)).extend(points)
     snap = state.snapshot()
     blob = json.dumps(sample_to_json(snap.sample, snap.family), sort_keys=True,
                       separators=(",", ":"))
-    return _sha(state.to_json_str()), _sha(blob)
+    return len(snap.sample), _sha(state.to_json_str()), _sha(blob)
 
 
 @pytest.mark.parametrize("fam,style,eps", sorted(GOLDEN))
 def test_outputs_match_golden_digests(fam, style, eps):
     points = make_stream(style, SIZES[fam], seed=SEED)
-    assert _digests(fam, eps, points) == GOLDEN[(fam, style, eps)]
+    size, *digests = _digests(fam, eps, points)
+    assert size <= SNAPSHOT_SIZES[fam][style][("1/4", "1/2").index(eps)]
+    assert tuple(digests) == GOLDEN[(fam, style, eps)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_LARGE))
 def test_large_halfplane_outputs_match_golden_digests(name):
     points, state_digest, snapshot_digest = GOLDEN_LARGE[name]
-    assert _digests("halfplane", "1/4", points()) == (state_digest, snapshot_digest)
+    size, *digests = _digests("halfplane", "1/4", points())
+    assert size <= LARGE_SNAPSHOT_SIZES[name]
+    assert tuple(digests) == (state_digest, snapshot_digest)
+
+
+@pytest.mark.parametrize("fam", sorted(SIZES))
+def test_reductions_roll_back_at_most_one_halving(fam, monkeypatch):
+    """A reduction stops at the reduce size, at the singleton bound, or at
+    its first rolled-back halving; no other rule skips an attempt."""
+    real_reduce, real_halve = engine.reduce_with_budget, sampler.halve
+    calls = []
+
+    def halve(sample, fam_):
+        out = real_halve(sample, fam_)
+        calls[-1].append(out[1])
+        return out
+
+    def reduce_with_budget(sample, fam_, budget):
+        calls.append([])
+        current, spent = real_reduce(sample, fam_, budget)
+        errors = calls[-1]
+        if sum(errors) > budget:  # the last halving was rolled back
+            assert spent == sum(errors[:-1])
+        else:
+            assert spent == sum(errors)
+            assert (not 2 <= len(current) <= fam_.reduce_size
+                    or singleton_error_bound(current) > budget - spent)
+        return current, spent
+
+    monkeypatch.setattr(sampler, "halve", halve)
+    monkeypatch.setattr(engine, "reduce_with_budget", reduce_with_budget)
+    for style in STYLES:
+        for eps in ("1/4", "1/2"):
+            StreamState(make_config(Fraction(eps), fam)).extend(
+                make_stream(style, SIZES[fam], seed=SEED)).snapshot()
+    assert any(calls), "no reduction halved anything"
 
 
 # Statistics on fixed snapshots: the nine estimators, each on reduced
@@ -266,10 +328,20 @@ def test_large_halfplane_outputs_match_golden_digests(name):
 # halfplane apex sweep and the statistics' private direction, collapse and
 # depth helpers were replaced by the shared ones; the lattice digests were
 # recorded before regression depth moved onto one column sweep and the
-# slope statistics onto one pair-slope table.
+# slope statistics onto one pair-slope table.  The halfplane uniform and
+# duplicates digests were re-recorded with the snapshot digests above, and
+# ``STATS_SNAPSHOT_SIZES`` holds the reduced snapshots' sizes from before.
 
 STATS_STYLES = ("uniform", "clustered", "duplicates")
 STATS_SIZES = {"halfplane": 64, "wedge": 32, "dwedge": 16, "vpar": 12, "disk": 24, "slab": 32}
+STATS_SNAPSHOT_SIZES = {  # one size per style of STATS_STYLES
+    "disk": (24, 24, 12),
+    "dwedge": (16, 16, 8),
+    "halfplane": (32, 32, 16),
+    "slab": (32, 32, 16),
+    "vpar": (12, 12, 6),
+    "wedge": (32, 32, 16),
+}
 
 # exact snapshot: a collinear run, coincident points and a few off-line points
 _EXACT_STATS_POINTS = ([Point2(3 * i, 2 * i - 5) for i in range(-3, 5)]
@@ -349,9 +421,9 @@ GOLDEN_STATS = {
         "lattice": "a174933519b9714c4d28784930a40d89f9bbb2dae7ea9033f5ef7152996c5696",
     },
     "halfplane": {
-        "uniform": "396b45893c8083c70eb6cdecc4f6fce214a78f3ee3883ee7d51fbda65b8d67da",
+        "uniform": "ee9f01614d26702ed6ba8c587f0d6f34a794979e3c512c1e8bb50cfa3e0915a4",
         "clustered": "904edea547b0a1ce56b230f94f05d8e0744a12dbce828bda31a8663a04045c16",
-        "duplicates": "80bf18ae939198880178ddff5da9049fc6eb51a289fedc198798d09d2679ddfd",
+        "duplicates": "4d17755fef41bb47c471c0b64fb5e473e4e146c724175bbf595c54e24868fe70",
         "exact": "f7ff05848be9b0778fff49b23d09b29969cd63b4d6dc95d1ccdcb7ca850e1e98",
         "lattice": "106a326b802e28e814311a2833676f5ca14873750802fffc2b097d293043ffc6",
     },
@@ -385,5 +457,8 @@ def _stats_digest(fam, snap):
 
 @pytest.mark.parametrize("fam", sorted(STATS_OUTPUTS))
 def test_statistics_match_golden_digests(fam):
-    digests = {style: _stats_digest(fam, snap) for style, snap in _stats_snapshots(fam)}
+    snaps = dict(_stats_snapshots(fam))
+    for style, cap in zip(STATS_STYLES, STATS_SNAPSHOT_SIZES[fam]):
+        assert len(snaps[style].sample) <= cap
+    digests = {style: _stats_digest(fam, snap) for style, snap in snaps.items()}
     assert digests == GOLDEN_STATS[fam]

@@ -21,8 +21,12 @@ from epsstream import FamilyKind, Point2, family
 from epsstream import rangesums
 from epsstream.ranges import subsystem_oracle_masks
 from epsstream.rangesums import (
+    _dir_less,
+    _exact_resort,
     _max_halfplane_sums_np,
     _max_halfplane_sums_py,
+    _sorted_directions,
+    _t_less,
     halfplane_subset_masks,
     max_halfplane_sums,
 )
@@ -162,6 +166,30 @@ def test_float_collision_in_sorted_order_stays_on_the_int64_pass(monkeypatch):
     expected = _max_halfplane_sums_py(_COLLIDING, _COLLIDING_DELTAS)
     monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
     assert max_halfplane_sums(_COLLIDING, _COLLIDING_DELTAS) == expected
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_float_colliding_directions_sort_exactly(flip):
+    """atan2 ties (2^30-1, 2^30-2) and (2^30-2, 2^30-3), so one input order
+    leaves them misordered; the exact re-sort gives one order for both."""
+    dirs = [(1, 0), (LIM, LIM - 1), (LIM - 1, LIM - 2), (-5, 7), (0, -1)]
+    if flip:
+        dirs[1], dirs[2] = dirs[2], dirs[1]
+    out = _sorted_directions(dirs)
+    assert out == [(1, 0), (LIM - 1, LIM - 2), (LIM, LIM - 1), (-5, 7), (0, -1)]
+    assert all(_dir_less(a, b) for a, b in zip(out, out[1:]))
+    # three points in general position: every subset is a halfplane's
+    assert len(halfplane_subset_masks(_COLLIDING[:3])) == 8
+
+
+def test_exact_resort_keeps_ties_in_order():
+    """Disk sweep events (alpha, beta, idx) at times alpha/beta: the first
+    two tie as floats and are misordered; the last ties the second exactly."""
+    big = 10 ** 18
+    events = [(big + 3, 3, 0), (big, 3, 1), (2 * big, 6, 2)]
+    assert (big + 3) / 3 == big / 3
+    _exact_resort(events, _t_less)
+    assert events == [(big, 3, 1), (2 * big, 6, 2), (big + 3, 3, 0)]
 
 
 @st.composite

@@ -18,12 +18,11 @@ from epsstream import (
     verify_approximation,
     weighted_eps_approx,
 )
-from epsstream.rangesums import halfplane_subset_masks
+from epsstream.rangesums import halfplane_subset_masks, membership_matrix
 from epsstream.sampler import (
     _COSH_CAP,
     _guidance_masks,
     collapse_duplicates,
-    potential_bound,
     sample_from_json,
     sample_to_json,
     singleton_error_bound,
@@ -36,6 +35,13 @@ QUAD = family(FamilyKind.QUADRANT)
 
 def uniform(points):
     return WeightedSample.uniform(sorted(points))
+
+
+def _potential_bound(sample, n_ranges):
+    """The conditional-expectations guarantee sqrt(2 * W2 * ln(2R)) that
+    ``low_discrepancy_coloring`` documents."""
+    w2 = float(sum(w * w for w in sample.weights))
+    return math.sqrt(2.0 * w2 * math.log(2.0 * max(2, n_ranges)))
 
 
 class TestColoring:
@@ -68,7 +74,7 @@ class TestColoring:
             s = WeightedSample(tuple(pts), ws, sum(ws, Fraction(0)), Fraction(0))
             masks = halfplane_subset_masks(pts)
             col = low_discrepancy_coloring(s, masks)
-            bound = potential_bound(s, len(masks))
+            bound = _potential_bound(s, len(masks))
             for mask in masks:
                 signed = sum(col.signs[i] * ws[i] for i in range(m) if mask >> i & 1)
                 assert abs(float(signed)) <= bound + 1e-9
@@ -151,10 +157,16 @@ class TestColoringDecode:
 
     @pytest.mark.parametrize("style", STYLES)
     def test_matches_reference_on_prefix_guidance(self, style):
-        # beyond _FULL_GUIDE_CAP points, halfplane guidance is projection prefixes
         s = uniform(make_stream(style, 100, seed=5))
-        masks = _guidance_masks(FamilyKind.HALFPLANE, s.points)
-        assert low_discrepancy_coloring(s, masks).signs == _reference_coloring(s, masks)
+        for kind in FamilyKind:
+            masks = _guidance_masks(kind, s.points)
+            assert low_discrepancy_coloring(s, masks).signs == _reference_coloring(s, masks)
+
+    def test_membership_rows_are_contiguous(self):
+        # each coloring step reads one row; a strided row would be copied
+        member = membership_matrix([0b1011, 0b0110, 0b1111], 4)
+        assert member.shape == (4, 3) and member.flags.c_contiguous
+        assert member.tolist() == [[1, 0, 1], [1, 1, 1], [0, 1, 1], [1, 0, 1]]
 
     @pytest.mark.parametrize("bad", [1 << 10, (1 << 11) - 1, [3, 10], -1])
     def test_rejects_range_outside_the_points(self, bad):
