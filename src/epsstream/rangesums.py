@@ -22,6 +22,26 @@ sweep of the line arrangement (Edelsbrunner and Guibas, 1989).  It takes
 integer coordinates below 2^30 in magnitude, so raw offsets and their
 cross products fit int64, and it answers a call with the Python sweep
 whenever its float-hinted event order fails the exact check.
+
+The other six families measure all k delta lists of a call at once: the
+geometry, which does not depend on the deltas, is enumerated once per call,
+and the lists are read off one k x m delta matrix.  That matrix is int64
+while every list's sum of |deltas| is below 2^62, and holds Python ints
+(dtype object) above, in the same code.
+- Quadrants {x >= X, y >= Y}: one 2-D suffix sum of the k x X x Y grid of
+  deltas over rank-compressed coordinates, in blocks of x-ranks.
+- Disks: per point pair, the bisector events are built and exactly sorted
+  once, and every list is read off cumulative sums along them.
+- Slabs: per canonical slope (``ranges._slope_candidates``) at which no
+  two points tie, one exact sort by y - a*x gives the order; a slab's sum
+  is the difference of two prefix sums along it, taken for all slopes of a
+  block at once.
+- Vertical parallelograms: the same orders, with prefix sums split by
+  x-rank, so every x-strip's prefix sums are one difference of two tables.
+- Wedges and double wedges: the halfplane subsets' membership rows are
+  built once, and each pair of subsets is one entry of a float matrix
+  product, chunked, over the upper triangle of the pairs.  Sums stay exact
+  integers below 2^52; larger lists raise ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -43,6 +63,13 @@ _NP_COORD_LIMIT = 1 << 30
 # Events per block of apexes in that sweep (rows of 2m events each).  Time
 # is flat from 2^13 up; larger blocks only hold more temporaries at once.
 _BLOCK_EVENTS = 1 << 14
+# Integer delta matrices are int64 while every list's sum of |deltas| is
+# below this, and hold Python ints from it on.
+_INT64_SUM_LIMIT = 1 << 62
+# Entries per block of the quadrant grid and of the slab and vpar prefix
+# tables, and per float product chunk of the wedge measures.
+_BLOCK_CELLS = 1 << 20
+_CHUNK_CELLS = 1 << 22
 # Masks per block of a membership matrix.  Each block is transposed while
 # it is small: one transposing copy of the whole m x R matrix took 3-4x as
 # long at m = 1024-2048.
@@ -298,41 +325,63 @@ def halfplane_subset_masks(pts: Sequence[Point2]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# The other families measure every delta list of a call at once, on one
+# k x m delta matrix.
+# ---------------------------------------------------------------------------
+
+
+def _delta_matrix(delta_lists, m: int) -> np.ndarray:
+    """The k x m matrix of the lists: int64 while every list's sum of |deltas|
+    is below 2^62, so every partial sum and the difference of two fit, and
+    Python ints (dtype object) above, in the same arithmetic."""
+    big = any(sum(abs(d) for d in dl) >= _INT64_SUM_LIMIT for dl in delta_lists)
+    return np.array(delta_lists, dtype=object if big else np.int64).reshape(len(delta_lists), m)
+
+
+def _window(prefix: np.ndarray, axis) -> np.ndarray:
+    """Max |sum| over runs between two of the ``prefix`` sums, with 0 among them."""
+    return np.maximum(prefix.max(axis=axis), 0) - np.minimum(prefix.min(axis=axis), 0)
+
+
+def _ranks(values: list, reverse: bool = False) -> np.ndarray:
+    """Dense rank of each value among the distinct ones (0 is the smallest,
+    or with ``reverse`` the largest)."""
+    rank = {v: i for i, v in enumerate(sorted(set(values), reverse=reverse))}
+    return np.array([rank[v] for v in values], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # Quadrants: dominance suffix sums over the compressed grid.
 # ---------------------------------------------------------------------------
 
 
 def max_quadrant_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """Every quadrant {x >= X, y >= Y} at point coordinates X and Y: a 2-D
+    suffix sum of the k x X x Y grid of deltas, built in blocks of x-ranks
+    (one row carried between blocks) so at most ``_BLOCK_CELLS`` cells are
+    held at once."""
     pts, delta_lists = _collapse_multi(pts, delta_lists)
     k = len(delta_lists)
-    best = [0] * k
-    if not pts:
-        return best
-    ys = sorted({p.y for p in pts})
-    yidx = {y: i for i, y in enumerate(ys)}
-    ny = len(ys)
-    order = sorted(range(len(pts)), key=lambda i: -pts[i].x)
-    for j in range(k):
-        suff = [0] * ny
-        deltas = delta_lists[j]
-        i = 0
-        bj = 0
-        while i < len(order):
-            x = pts[order[i]].x
-            while i < len(order) and pts[order[i]].x == x:
-                pi = order[i]
-                d = deltas[pi]
-                if d:
-                    t = yidx[pts[pi].y]
-                    for r in range(t + 1):
-                        suff[r] += d
-                i += 1
-            for v in suff:
-                a = -v if v < 0 else v
-                if a > bj:
-                    bj = a
-        best[j] = bj
-    return best
+    if not pts or not k:
+        return [0] * k
+    deltas = _delta_matrix(delta_lists, len(pts))
+    # rank 0 is the largest coordinate, so suffix sums are prefix sums of ranks
+    xr = _ranks([p.x for p in pts], reverse=True)
+    yr = _ranks([p.y for p in pts], reverse=True)
+    nx, ny = int(xr.max()) + 1, int(yr.max()) + 1
+    rows = max(1, _BLOCK_CELLS // (k * ny))
+    carry = np.zeros((k, 1, ny), dtype=deltas.dtype)
+    best = np.zeros(k, dtype=deltas.dtype)
+    for lo in range(0, nx, rows):
+        grid = np.zeros((k, min(rows, nx - lo), ny), dtype=deltas.dtype)
+        sel = (xr >= lo) & (xr < lo + rows)
+        grid[:, xr[sel] - lo, yr[sel]] = deltas[:, sel]  # merged points have distinct cells
+        grid[:, :1] += carry
+        np.cumsum(grid, axis=1, out=grid)
+        carry = grid[:, -1:].copy()
+        np.cumsum(grid, axis=2, out=grid)
+        best = np.maximum(best, np.maximum(grid.max(axis=(1, 2)), -grid.min(axis=(1, 2))))
+    return [int(v) for v in best]
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +396,24 @@ def _t_less(e, f) -> bool:
     return lhs < rhs if (e[1] > 0) == (f[1] > 0) else lhs > rhs
 
 
-def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, (deltas,) = _collapse_multi(pts, [deltas])
+def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """Radius-0 disks, the whole set, and the disks through each pair A, B.
+
+    The center of a disk through A and B moves along their bisector; point C
+    is inside while the center's parameter t is at least (beta > 0) or at
+    most (beta < 0) alpha/beta, and on the line AB (beta = 0) C is inside
+    for all t or none.  Each pair's events are built and exactly sorted
+    once; every list then reads the sum before each group of equal times,
+    after the group's entering points, and after the whole group, off two
+    cumulative sums along the sorted events.
+    """
+    pts, delta_lists = _collapse_multi(pts, delta_lists)
+    k = len(delta_lists)
+    if not pts or not k:
+        return [0] * k
     n = len(pts)
-    best = 0
-    for d in deltas:  # radius-0 disks
-        best = max(best, abs(d))
-    best = max(best, abs(sum(deltas)))
+    deltas = _delta_matrix(delta_lists, n)
+    best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
     for i in range(n):
         A = pts[i]
         for j in range(i + 1, n):
@@ -362,7 +422,7 @@ def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
             dy = B.y - A.y
             ux, uy = -dy, dx
             events: list[tuple[int, int, int]] = []  # (alpha, beta, idx)
-            state = 0  # sum at t = -inf
+            start = []  # inside at t = -inf
             for ci, C in enumerate(pts):
                 bx = C.x - A.x
                 by = C.y - A.y
@@ -371,96 +431,103 @@ def max_disk_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
                          - bx * (A.x + B.x) - by * (A.y + B.y))
                 if beta == 0:
                     if alpha <= 0:
-                        state += deltas[ci]
-                elif beta < 0:
-                    state += deltas[ci]
-                    events.append((alpha, beta, ci))
+                        start.append(ci)
                 else:
+                    if beta < 0:
+                        start.append(ci)
                     events.append((alpha, beta, ci))
+            state = deltas[:, start].sum(axis=1, keepdims=True)
             if not events:
-                best = max(best, abs(state))
+                best = np.maximum(best, np.abs(state[:, 0]))
                 continue
             events.sort(key=lambda e: e[0] / e[1])
             _exact_resort(events, _t_less)
-            idx = 0
-            while idx < len(events):
-                stop = idx + 1
-                e0 = events[idx]
-                while stop < len(events) and not _t_less(e0, events[stop]):
-                    stop += 1
-                enter = leave = 0
-                for a in range(idx, stop):
-                    al, be, ci = events[a]
-                    if be > 0:
-                        enter += deltas[ci]
-                    else:
-                        leave += deltas[ci]
-                best = max(best, abs(state))
-                best = max(best, abs(state + enter))
-                state += enter - leave
-                best = max(best, abs(state))
-                idx = stop
-    return best
+            ends = [a for a in range(len(events) - 1) if _t_less(events[a], events[a + 1])]
+            ends.append(len(events) - 1)
+            cols = deltas[:, [e[2] for e in events]]
+            enters = np.array([e[1] > 0 for e in events])
+            entered = np.cumsum(np.where(enters, cols, 0), axis=1)[:, ends]
+            run = np.cumsum(np.where(enters, cols, -cols), axis=1)[:, ends]
+            zero = np.zeros((k, 1), dtype=deltas.dtype)
+            before = np.concatenate([zero, run[:, :-1]], axis=1)
+            entering = entered - np.concatenate([zero, entered[:, :-1]], axis=1)
+            sums = state + np.concatenate([zero, run, before + entering], axis=1)
+            best = np.maximum(best, np.abs(sums).max(axis=1))
+    return [int(v) for v in best]
 
 
 # ---------------------------------------------------------------------------
-# Slabs: per canonical slope, windows over the projection order.
+# Slabs and vertical parallelograms: per canonical slope, windows over the
+# projection order.
 # ---------------------------------------------------------------------------
 
 
-def _max_window_sum(keyed: list[tuple[object, int]]) -> int:
-    """Max |sum| over runs of consecutive equal-key groups."""
-    keyed.sort(key=lambda t: t[0])
-    prefix = 0
-    lo = hi = 0
-    i = 0
-    n = len(keyed)
-    while i < n:
-        key = keyed[i][0]
-        s = 0
-        while i < n and keyed[i][0] == key:
-            s += keyed[i][1]
-            i += 1
-        prefix += s
-        lo = min(lo, prefix)
-        hi = max(hi, prefix)
-    return hi - lo
+def _slope_orders(pts: Sequence[Point2]) -> np.ndarray:
+    """The S x m exact orders of the points by y - a*x, one per canonical
+    slope a at which no two keys tie.
 
-
-def max_slab_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, (deltas,) = _collapse_multi(pts, [deltas])
-    if not pts:
-        return 0
-    best = 0
+    The canonical slopes are the pair slopes and one separator on either
+    side of each (``ranges._slope_candidates``).  Two keys tie only at a
+    pair slope, and every run of key groups there is a run of the order
+    just below it, which the separator below has; so each order read here
+    is strict, and every slab subset is a run of one of them.
+    """
+    orders = []
+    coords = [(p.x, p.y) for p in pts]
     for a in _slope_candidates(pts):
         num, den = a.numerator, a.denominator
-        keyed = [(p.y * den - p.x * num, d) for p, d in zip(pts, deltas)]
-        best = max(best, _max_window_sum(keyed))
-    return best
+        keys = [y * den - x * num for x, y in coords]
+        if len(set(keys)) == len(keys):
+            orders.append(sorted(range(len(keys)), key=keys.__getitem__))
+    return np.array(orders, dtype=np.intp)
 
 
-# ---------------------------------------------------------------------------
-# Vertical parallelograms: slab windows restricted to x-strips.
-# ---------------------------------------------------------------------------
+def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """A slab's points are a run of one slope order, so its sum is the
+    difference of two prefix sums along that order."""
+    pts, delta_lists = _collapse_multi(pts, delta_lists)
+    k = len(delta_lists)
+    if not pts or not k:
+        return [0] * k
+    m = len(pts)
+    deltas = _delta_matrix(delta_lists, m)
+    orders = _slope_orders(pts)
+    best = np.zeros(k, dtype=deltas.dtype)
+    step = max(1, _BLOCK_CELLS // (k * m))
+    for lo in range(0, len(orders), step):
+        prefix = np.cumsum(deltas[:, orders[lo:lo + step]], axis=2)
+        best = np.maximum(best, _window(prefix, 2).max(axis=1))
+    return [int(v) for v in best]
 
 
-def max_vpar_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, (deltas,) = _collapse_multi(pts, [deltas])
-    if not pts:
-        return 0
-    xs = sorted({p.x for p in pts})
-    best = 0
-    for a in _slope_candidates(pts):
-        num, den = a.numerator, a.denominator
-        items = sorted(((p.y * den - p.x * num, p.x, d)
-                        for p, d in zip(pts, deltas)), key=lambda t: t[0])
-        for li in range(len(xs)):
-            for hi in range(li, len(xs)):
-                xlo, xhi = xs[li], xs[hi]
-                keyed = [(key, d) for key, x, d in items if xlo <= x <= xhi]
-                if keyed:
-                    best = max(best, _max_window_sum(keyed))
-    return best
+def max_vpar_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """Slab windows restricted to x-strips.
+
+    C[list, slope, g, j] sums the deltas of the first g + 1 points in the
+    slope's order whose x-rank is below j, so strip [lo, hi] of x-ranks has
+    prefix sums C[..., hi + 1] - C[..., lo] along the order; a point outside
+    the strip repeats the prefix before it.
+    """
+    pts, delta_lists = _collapse_multi(pts, delta_lists)
+    k = len(delta_lists)
+    if not pts or not k:
+        return [0] * k
+    m = len(pts)
+    deltas = _delta_matrix(delta_lists, m)
+    xr = _ranks([p.x for p in pts])
+    nx = int(xr.max()) + 1
+    below = xr[:, None] < np.arange(nx + 1)  # m x (X + 1)
+    orders = _slope_orders(pts)
+    best = np.zeros(k, dtype=deltas.dtype)
+    step = max(1, _BLOCK_CELLS // (k * m * (nx + 1)))
+    for s in range(0, len(orders), step):
+        order = orders[s:s + step]
+        table = deltas[:, order, None] * below[order]
+        np.cumsum(table, axis=2, out=table)
+        for lo in range(nx):
+            strips = table[..., lo + 1:] - table[..., lo:lo + 1]
+            best = np.maximum(best, _window(strips, 2).max(axis=(1, 2)))
+    return [int(v) for v in best]
 
 
 # ---------------------------------------------------------------------------
@@ -469,43 +536,55 @@ def max_vpar_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_machinery(pts: Sequence[Point2], deltas: Sequence[int]):
-    masks = halfplane_subset_masks(pts)
-    sigma = np.array(deltas, dtype=np.float64)
-    if sum(abs(d) for d in deltas) >= _FLOAT_EXACT_LIMIT:
+def _pair_extremes(pts: Sequence[Point2], delta_lists, signed: bool) -> list[tuple[int, int]]:
+    """Per delta list d, the least and greatest sum_i d_i r_a(i) r_b(i) over
+    every pair a, b of halfplane subsets, where r_a(i) is 1 for i in a and
+    0 (or -1 if ``signed``) outside it.
+
+    The sums are float matrix products over the R x m rows, chunked so a
+    product holds at most ``_CHUNK_CELLS`` entries.  Both sums are symmetric
+    in a and b, so each chunk of rows meets only the subsets from its first
+    one on.  Every partial sum is bounded by the list's sum of |deltas|,
+    which must be below 2^52, so every float is an exact integer.
+    """
+    if any(sum(abs(d) for d in dl) >= _FLOAT_EXACT_LIMIT for dl in delta_lists):
         raise OverflowError("wedge measure: deltas too large for exact float sums")
-    rows = membership_matrix(masks, len(pts)).T.astype(np.float64, order="C")
-    return rows, sigma
+    m = len(pts)
+    rows = membership_matrix(halfplane_subset_masks(pts), m).T.astype(np.float64, order="C")
+    if signed:
+        rows = 2 * rows - 1
+    sigma = np.array(delta_lists, dtype=np.float64).reshape(len(delta_lists), 1, m)
+    k = len(sigma)
+    least = np.full(k, np.inf)
+    most = np.full(k, -np.inf)
+    chunk = max(1, _CHUNK_CELLS // (k * len(rows)))
+    for lo in range(0, len(rows), chunk):
+        prod = ((rows[lo:lo + chunk] * sigma).reshape(-1, m) @ rows[lo:].T).reshape(k, -1)
+        least = np.minimum(least, prod.min(axis=1))
+        most = np.maximum(most, prod.max(axis=1))
+        del prod
+    return [(int(a), int(b)) for a, b in zip(least, most)]
 
 
-def max_wedge_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, (deltas,) = _collapse_multi(pts, [deltas])
-    if not pts:
-        return 0
-    rows, sigma = _wedge_machinery(pts, deltas)
-    weighted = rows * sigma
-    best = 0.0
-    chunk = max(1, (1 << 22) // max(1, rows.shape[0]))
-    for lo in range(0, rows.shape[0], chunk):
-        prod = weighted[lo:lo + chunk] @ rows.T
-        best = max(best, float(np.abs(prod).max()))
-    return int(round(best))
+def max_wedge_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """A wedge's points are the intersection a & b of two halfplane subsets."""
+    pts, delta_lists = _collapse_multi(pts, delta_lists)
+    if not pts or not delta_lists:
+        return [0] * len(delta_lists)
+    return [max(-least, most) for least, most in _pair_extremes(pts, delta_lists, False)]
 
 
-def max_dwedge_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
-    pts, (deltas,) = _collapse_multi(pts, [deltas])
-    if not pts:
-        return 0
-    rows, sigma = _wedge_machinery(pts, deltas)
-    weighted = rows * sigma
-    sums = weighted.sum(axis=1)
-    best = 0.0
-    chunk = max(1, (1 << 22) // max(1, rows.shape[0]))
-    for lo in range(0, rows.shape[0], chunk):
-        inter = weighted[lo:lo + chunk] @ rows.T
-        vals = sums[lo:lo + chunk, None] + sums[None, :] - 2.0 * inter
-        best = max(best, float(np.abs(vals).max()))
-    return int(round(best))
+def max_dwedge_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """A double wedge's points are the symmetric difference of two halfplane
+    subsets a and b.  With r = +-1 membership, 1 - r_a(i) r_b(i) is 2 for i
+    in exactly one of them and 0 otherwise, so its sum is (S - P) / 2 for the
+    list's total S and P = sum_i d_i r_a(i) r_b(i)."""
+    pts, delta_lists = _collapse_multi(pts, delta_lists)
+    if not pts or not delta_lists:
+        return [0] * len(delta_lists)
+    extremes = _pair_extremes(pts, delta_lists, True)
+    return [max(abs(sum(dl) - least), abs(sum(dl) - most)) // 2
+            for dl, (least, most) in zip(delta_lists, extremes)]
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +595,16 @@ def max_dwedge_sum(pts: Sequence[Point2], deltas: Sequence[int]) -> int:
 def max_range_sums(kind: FamilyKind, pts: Sequence[Point2],
                    delta_lists: Sequence[Sequence[int]]) -> list[int]:
     """Exact max |signed range sum| for each delta assignment."""
-    if kind is FamilyKind.HALFPLANE:
-        return max_halfplane_sums(pts, delta_lists)
-    if kind is FamilyKind.QUADRANT:
-        return max_quadrant_sums(pts, delta_lists)
-    single = {
+    measure = {  # looked up per call, so a wrapped module global is the one called
+        FamilyKind.HALFPLANE: max_halfplane_sums,
+        FamilyKind.QUADRANT: max_quadrant_sums,
         FamilyKind.DISK: max_disk_sum,
         FamilyKind.SLAB: max_slab_sum,
         FamilyKind.WEDGE: max_wedge_sum,
         FamilyKind.DOUBLE_WEDGE: max_dwedge_sum,
         FamilyKind.VPARALLELOGRAM: max_vpar_sum,
     }[kind]
-    return [single(pts, dl) for dl in delta_lists]
+    return measure(pts, delta_lists)
 
 
 def max_range_sum(kind: FamilyKind, pts: Sequence[Point2], deltas: Sequence[int]) -> int:

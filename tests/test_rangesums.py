@@ -1,4 +1,4 @@
-"""The int64 halfplane sweep must agree with the exact Python sweep.
+"""Exact range-sum measurement must agree with independent references.
 
 ``max_halfplane_sums`` hands inputs whose coordinates are all integers of
 magnitude below 2^30 to the vectorized sweep, and larger or Fraction ones to
@@ -8,10 +8,17 @@ hint and checks the order exactly; where the check fails, the Python sweep
 answers, and the tests pin which one did.  The same Python sweep, fed one
 bit per point, must find exactly the halfplane subsets of the independent
 oracle.
+
+The other six families measure every delta list of a call at once.  Their
+maxima must equal brute force over the oracle's induced subsets on small
+tie-rich grids, and the single-list measures they replaced (restated below)
+at up to each family's ``verify_size``; past 2^62 they must stay exact on
+Python ints, and the float wedge measures must refuse sums from 2^52 on.
 """
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +26,7 @@ from hypothesis import strategies as st
 
 from epsstream import FamilyKind, Point2, family
 from epsstream import rangesums
-from epsstream.ranges import subsystem_oracle_masks
+from epsstream.ranges import _slope_candidates, subsystem_oracle_masks
 from epsstream.rangesums import (
     _dir_less,
     _exact_resort,
@@ -29,6 +36,8 @@ from epsstream.rangesums import (
     _t_less,
     halfplane_subset_masks,
     max_halfplane_sums,
+    max_range_sums,
+    membership_matrix,
 )
 
 LIM = (1 << 30) - 1
@@ -211,3 +220,253 @@ def test_subset_masks_match_the_oracle(pts):
     canonical halfplanes cut out."""
     assert set(halfplane_subset_masks(pts)) == subsystem_oracle_masks(
         family(FamilyKind.HALFPLANE), pts)
+
+
+# ---------------------------------------------------------------------------
+# The six families measured on all delta lists at once.
+# ---------------------------------------------------------------------------
+
+_MULTI = (FamilyKind.QUADRANT, FamilyKind.DISK, FamilyKind.SLAB, FamilyKind.WEDGE,
+          FamilyKind.DOUBLE_WEDGE, FamilyKind.VPARALLELOGRAM)
+_FLOAT_MEASURED = (FamilyKind.WEDGE, FamilyKind.DOUBLE_WEDGE)
+# Largest oracle inputs: the slab and vpar oracles take about 1 s at 10 points.
+_ORACLE_SIZE = {FamilyKind.QUADRANT: 12, FamilyKind.DISK: 10, FamilyKind.SLAB: 8,
+                FamilyKind.WEDGE: 12, FamilyKind.DOUBLE_WEDGE: 12, FamilyKind.VPARALLELOGRAM: 8}
+
+
+def _brute(kind, pts, dls):
+    masks = subsystem_oracle_masks(family(kind), pts)
+    return [max(abs(sum(d for i, d in enumerate(dl) if mask >> i & 1)) for mask in masks)
+            for dl in dls]
+
+
+@st.composite
+def _tie_rich(draw, max_size):
+    """Small integer points: free ones, collinear runs, shared-x columns and
+    duplicates of earlier points, with 1-4 delta lists."""
+    c = st.integers(-3, 3)
+    free = st.builds(lambda x, y: [Point2(x, y)], c, c)
+    run = st.builds(lambda x, y, dx, dy, n: [Point2(x + t * dx, y + t * dy) for t in range(n)],
+                    c, c, st.integers(-1, 1), st.integers(-1, 1), st.integers(2, 4))
+    column = st.builds(lambda x, ys: [Point2(x, y) for y in ys], c, st.lists(c, min_size=2, max_size=4))
+    groups = draw(st.lists(st.one_of(free, run, column), min_size=1, max_size=5))
+    pts = [p for g in groups for p in g]
+    pts += [pts[i % len(pts)] for i in draw(st.lists(st.integers(0, 99), max_size=3))]
+    pts = pts[:max_size]
+    k = draw(st.integers(1, 4))
+    dls = [draw(st.lists(st.integers(-6, 6), min_size=len(pts), max_size=len(pts)))
+           for _ in range(k)]
+    return pts, dls
+
+
+@pytest.mark.parametrize("kind", _MULTI, ids=lambda k: k.value)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_all_lists_match_the_oracle(kind, data):
+    """Also with one x-rank, slope or subset row per block, so results
+    carried from block to block count."""
+    pts, dls = data.draw(_tie_rich(_ORACLE_SIZE[kind]))
+    expected = _brute(kind, pts, dls)
+    assert max_range_sums(kind, pts, dls) == expected
+    with mock.patch.multiple(rangesums, _BLOCK_CELLS=1, _CHUNK_CELLS=1):
+        assert max_range_sums(kind, pts, dls) == expected
+
+
+def test_disk_reads_whole_groups_of_equal_times():
+    """Sweeping the center up the bisector of (-1, 0) and (1, 0), (0, -1)
+    leaves as (0, 1) enters, both at the unit circle; a disk holding both
+    x-axis points holds one of them, so the pair alone (sum 10) is no
+    disk's."""
+    pts = [Point2(-1, 0), Point2(1, 0), Point2(0, -1), Point2(0, 1)]
+    dls = [[5, 5, -5, -5]]
+    assert max_range_sums(FamilyKind.DISK, pts, dls) == _brute(FamilyKind.DISK, pts, dls) == [5]
+
+
+# -- the single-list measures the shared ones replaced ----------------------
+
+
+def _ref_quadrant(pts, deltas):
+    ys = sorted({p.y for p in pts})
+    yidx = {y: i for i, y in enumerate(ys)}
+    order = sorted(range(len(pts)), key=lambda i: -pts[i].x)
+    suff = [0] * len(ys)
+    best = i = 0
+    while i < len(order):
+        x = pts[order[i]].x
+        while i < len(order) and pts[order[i]].x == x:
+            for r in range(yidx[pts[order[i]].y] + 1):
+                suff[r] += deltas[order[i]]
+            i += 1
+        best = max([best] + [abs(v) for v in suff])
+    return best
+
+
+def _ref_disk(pts, deltas):
+    best = max([abs(d) for d in deltas] + [abs(sum(deltas))])
+    for i, A in enumerate(pts):
+        for B in pts[i + 1:]:
+            ux, uy = A.y - B.y, B.x - A.x
+            events, state = [], 0
+            for C, d in zip(pts, deltas):
+                bx, by = C.x - A.x, C.y - A.y
+                beta = 2 * (bx * ux + by * uy)
+                alpha = (C.x * C.x + C.y * C.y - A.x * A.x - A.y * A.y
+                         - bx * (A.x + B.x) - by * (A.y + B.y))
+                if beta == 0:
+                    state += d if alpha <= 0 else 0
+                    continue
+                if beta < 0:
+                    state += d
+                events.append((Fraction(alpha, beta), beta, d))
+            best = max(best, abs(state))
+            events.sort(key=lambda e: e[0])
+            idx = 0
+            while idx < len(events):
+                stop = idx
+                while stop < len(events) and events[stop][0] == events[idx][0]:
+                    stop += 1
+                enter = sum(d for _, be, d in events[idx:stop] if be > 0)
+                leave = sum(d for _, be, d in events[idx:stop] if be < 0)
+                best = max(best, abs(state), abs(state + enter))
+                state += enter - leave
+                best = max(best, abs(state))
+                idx = stop
+    return best
+
+
+def _ref_window(keyed):
+    keyed.sort(key=lambda t: t[0])
+    prefix = lo = hi = 0
+    for i, (key, d) in enumerate(keyed):
+        prefix += d
+        if i + 1 == len(keyed) or keyed[i + 1][0] != key:
+            lo, hi = min(lo, prefix), max(hi, prefix)
+    return hi - lo
+
+
+def _ref_slab(pts, deltas):
+    return max(_ref_window([(p.y * a.denominator - p.x * a.numerator, d)
+                            for p, d in zip(pts, deltas)])
+               for a in _slope_candidates(pts))
+
+
+def _ref_vpar(pts, deltas):
+    xs = sorted({p.x for p in pts})
+    return max(_ref_window([(p.y * a.denominator - p.x * a.numerator, d)
+                            for p, d in zip(pts, deltas) if lo <= p.x <= hi])
+               for a in _slope_candidates(pts)
+               for i, lo in enumerate(xs) for hi in xs[i:])
+
+
+def _ref_wedges(pts, deltas, double):
+    rows = membership_matrix(halfplane_subset_masks(pts), len(pts)).T.astype(float)
+    weighted = rows * [float(d) for d in deltas]
+    inter = weighted @ rows.T
+    if double:
+        sums = weighted.sum(axis=1)
+        inter = sums[:, None] + sums[None, :] - 2 * inter
+    return int(round(abs(inter).max()))
+
+
+_REFERENCE = {
+    FamilyKind.QUADRANT: _ref_quadrant,
+    FamilyKind.DISK: _ref_disk,
+    FamilyKind.SLAB: _ref_slab,
+    FamilyKind.VPARALLELOGRAM: _ref_vpar,
+    FamilyKind.WEDGE: lambda pts, deltas: _ref_wedges(pts, deltas, False),
+    FamilyKind.DOUBLE_WEDGE: lambda pts, deltas: _ref_wedges(pts, deltas, True),
+}
+
+
+def _reference(kind, pts, dls):
+    cpts, cdls = rangesums._collapse_multi(pts, dls)
+    return [_REFERENCE[kind](cpts, dl) for dl in cdls]
+
+
+def _verify_case(kind, m, seed):
+    """m points with ties: half on a coarse grid (shared x, collinear runs,
+    duplicates), half spread wide; k delta lists of mixed scale."""
+    rng = random.Random(seed)
+    coarse = [Point2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(m // 2)]
+    wide = [Point2(rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6))
+            for _ in range(m - m // 2)]
+    pts = coarse + wide
+    rng.shuffle(pts)
+    dls = [[rng.randint(-2, 2) for _ in pts], [rng.randint(-10 ** 9, 10 ** 9) for _ in pts]]
+    return pts, dls
+
+
+@pytest.mark.parametrize("kind", _MULTI, ids=lambda k: k.value)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_all_lists_match_single_list_measures_up_to_verify_size(kind, seed):
+    m = family(kind).verify_size if seed == 1 else family(kind).verify_size // 2 + 1
+    pts, dls = _verify_case(kind, m, seed)
+    assert max_range_sums(kind, pts, dls) == _reference(kind, pts, dls)
+
+
+# -- exactness past int64 and the float limit ----------------------------------
+
+
+_HUGE = [Point2(0, 0), Point2(1, 2), Point2(2, 1), Point2(1, 1), Point2(3, 3), Point2(0, 3),
+         Point2(1, 2)]
+
+
+@pytest.mark.parametrize("kind", _MULTI, ids=lambda k: k.value)
+def test_sums_past_two_to_the_sixty_three(kind, monkeypatch):
+    """Lists whose partial sums pass 2^63 would wrap in int64; the delta
+    matrix holds Python ints instead and every maximum stays exact.  The
+    float wedge measures refuse them."""
+    big = 1 << 62
+    dls = [[big + 5, big - 3, big, -7, big + 1, 2, big], [3, -1, 2, -5, 1, 1, 4]]
+    assert sum(abs(d) for d in dls[0]) > 1 << 64
+    if kind in _FLOAT_MEASURED:
+        with pytest.raises(OverflowError):
+            max_range_sums(kind, _HUGE, dls)
+        return
+    dtypes = []
+    real = rangesums._delta_matrix
+
+    def spy(*args):
+        out = real(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(rangesums, "_delta_matrix", spy)
+    assert max_range_sums(kind, _HUGE, dls) == _brute(kind, _HUGE, dls)
+    assert dtypes == [object]
+
+
+@pytest.mark.parametrize("kind", _FLOAT_MEASURED, ids=lambda k: k.value)
+def test_wedge_measures_refuse_sums_from_two_to_the_fifty_two(kind):
+    half = 1 << 51
+    below = [[half, 2 - half, -1, 0, 0, 0, 0]]
+    assert sum(abs(d) for d in below[0]) == (1 << 52) - 1
+    assert max_range_sums(kind, _HUGE, below) == _brute(kind, _HUGE, below)
+    with pytest.raises(OverflowError):
+        max_range_sums(kind, _HUGE, [[half, -half, 0, 0, 0, 0, 0]])
+
+
+# -- one geometry per call -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,name", [
+    (FamilyKind.WEDGE, "halfplane_subset_masks"),
+    (FamilyKind.DOUBLE_WEDGE, "halfplane_subset_masks"),
+    (FamilyKind.SLAB, "_slope_candidates"),
+    (FamilyKind.VPARALLELOGRAM, "_slope_candidates"),
+], ids=lambda v: getattr(v, "value", v))
+def test_four_lists_share_one_geometry(kind, name, monkeypatch):
+    """The delta-independent enumeration runs once per call, not per list."""
+    calls = []
+    real = getattr(rangesums, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rangesums, name, counted)
+    pts, dls = _verify_case(kind, 12, 3)
+    dls += [[-d for d in dls[0]], [1] * len(pts)]
+    assert len(dls) == 4
+    assert max_range_sums(kind, pts, dls) == _reference(kind, pts, dls)
+    assert len(calls) == 1
