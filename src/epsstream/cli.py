@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .engine import Snapshot, StreamState, make_config
+from .engine import Snapshot, StreamState, config_json, make_config
 from .errors import CertificationError, EpsStreamError, FamilyMismatchError, StreamParseError
 from .oracles import (
     PrefixMirror,
@@ -28,8 +28,8 @@ from .oracles import (
     exact_tukey_depth,
 )
 from .queries import approx_count, eps_net, iceberg_query
-from .ranges import DEFAULT_SCALE, FamilyKind, Point2, family, format_point, parse_descriptor, parse_point
-from .sampler import WeightedSample, sample_from_json, sample_to_json
+from .ranges import DEFAULT_SCALE, FamilyKind, Point2, format_point, parse_descriptor, parse_point
+from .sampler import WeightedSample, _frac_str
 from . import stats as stats_mod
 
 EXIT_OK = 0
@@ -38,23 +38,20 @@ EXIT_CONFIG = 3
 EXIT_CERT = 4
 
 
-def _frac(f: Fraction) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _emit(out, obj) -> None:
     out.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _read_points(path: str, scale: int) -> list[Point2]:
+def _read_lines(path: str) -> list[str]:
     if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        return sys.stdin.read().splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _read_points(path: str, scale: int) -> list[Point2]:
     pts = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         pts.append(parse_point(line, scale, line_no=i))
@@ -69,49 +66,6 @@ def _load_json(path: str, what: str):
             return json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise StreamParseError(f"not a {what} file ({exc})") from exc
-
-
-def _load_snapshot(path: str) -> Snapshot:
-    obj = _load_json(path, "snapshot")
-    # parse every field before checking any, so a bad literal exits 2, not 3
-    try:
-        meta, raw = obj["snapshot"], obj["sample"]
-        eps, c, claimed = (Fraction(meta[key]) for key in ("eps", "c", "certified_error"))
-        kind, scale, n = meta["family"], int(meta["scale"]), int(meta["n"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise StreamParseError(f"not a snapshot file (missing or malformed {exc})") from exc
-    try:
-        sample = sample_from_json(raw)
-    except StreamParseError as exc:
-        raise StreamParseError(f"not a snapshot file (malformed {exc})") from exc
-    cfg = make_config(eps, family(kind), c, scale)
-    if raw.get("family") != cfg.family.kind.value:
-        raise FamilyMismatchError(f"snapshot sample family {raw.get('family')!r} "
-                                  f"differs from its header's {cfg.family.kind.value!r}")
-    if sample.total_weight != n:
-        raise EpsStreamError(f"snapshot header has n={n} but its sample weighs "
-                             f"{_frac(sample.total_weight)}")
-    if claimed != sample.eps_bound:
-        raise EpsStreamError(f"snapshot header certifies {_frac(claimed)} but its "
-                             f"sample carries {_frac(sample.eps_bound)}")
-    if sample.eps_bound > cfg.eps:
-        raise EpsStreamError(f"snapshot certificate {_frac(sample.eps_bound)} exceeds "
-                             f"eps {_frac(cfg.eps)}")
-    return Snapshot(sample, n, cfg)
-
-
-def _snapshot_json(snap: Snapshot) -> dict:
-    return {
-        "snapshot": {
-            "eps": _frac(snap.eps),
-            "c": _frac(snap.config.c),
-            "family": snap.family.kind.value,
-            "scale": snap.config.scale,
-            "n": snap.n,
-            "certified_error": _frac(snap.certified_error),
-        },
-        "sample": sample_to_json(snap.sample, snap.family),
-    }
 
 
 def _scale_of(args) -> int:
@@ -132,11 +86,9 @@ def _cmd_build(args, out) -> int:
     pts = _read_points(args.input, scale)
     if args.resume:
         state = StreamState.from_json(_load_json(args.resume, "state"))
-        stored = state.config
-        mismatched = [f"{name} {have} (flags: {want})" for name, have, want in (
-            ("family", stored.family.kind.value, cfg.family.kind.value),
-            ("eps", _frac(stored.eps), _frac(cfg.eps)), ("c", _frac(stored.c), _frac(cfg.c)),
-            ("scale", stored.scale, cfg.scale)) if have != want]
+        have, want = config_json(state.config), config_json(cfg)
+        mismatched = [f"{key} {have[key]} (flags: {want[key]})"
+                      for key in ("family", "eps", "c", "scale") if have[key] != want[key]]
         if mismatched:
             raise EpsStreamError("resumed state has " + ", ".join(mismatched))
     else:
@@ -146,14 +98,13 @@ def _cmd_build(args, out) -> int:
         with open(args.state, "w", encoding="utf-8") as fh:
             fh.write(state.to_json_str())
     snap = state.snapshot()
-    blob = json.dumps(_snapshot_json(snap), sort_keys=True)
     if args.snapshot:
         with open(args.snapshot, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+            fh.write(snap.to_json_str())
     _emit(out, {"n": state.n, "points_stored": state.memory_footprint().points_stored,
                 "levels": state.memory_footprint().levels_occupied,
                 "snapshot_size": len(snap.sample),
-                "certified_error": _frac(snap.certified_error)})
+                "certified_error": _frac_str(snap.certified_error)})
     return EXIT_OK
 
 
@@ -169,8 +120,8 @@ def _run_query_line(snap: Snapshot, line: str, scale: int) -> dict:
             raise StreamParseError("count needs a range descriptor")
         desc = parse_descriptor(parts[1], scale)
         est = approx_count(snap, desc)
-        return {"estimate": _frac(est.estimate), "estimate_float": float(est.estimate),
-                "bound": _frac(est.additive_bound)}
+        return {"estimate": _frac_str(est.estimate), "estimate_float": float(est.estimate),
+                "bound": _frac_str(est.additive_bound)}
     if verb == "iceberg":
         rest = parts[1].split(None, 1) if len(parts) > 1 else []
         if len(rest) != 2:
@@ -181,72 +132,64 @@ def _run_query_line(snap: Snapshot, line: str, scale: int) -> dict:
 
 
 def _cmd_query(args, out) -> int:
-    snap = _load_snapshot(args.snapshot)
+    snap = Snapshot.from_json(_load_json(args.snapshot, "snapshot"))
     scale = snap.config.scale
-    if args.queries == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.queries, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for line in lines:
+    for line in _read_lines(args.queries):
         if line.strip():
             _emit(out, _run_query_line(snap, line, scale))
     return EXIT_OK
 
 
 def _cmd_net(args, out) -> int:
-    snap = _load_snapshot(args.snapshot)
+    snap = Snapshot.from_json(_load_json(args.snapshot, "snapshot"))
     _emit(out, {"points": [format_point(p, snap.config.scale) for p in eps_net(snap)]})
     return EXIT_OK
 
 
-def _parse_xy(text: str, scale: int) -> Point2:
-    return parse_point(text, scale)
-
-
 def _cmd_stats(args, out) -> int:
-    snap = _load_snapshot(args.snapshot)
+    snap = Snapshot.from_json(_load_json(args.snapshot, "snapshot"))
     scale = snap.config.scale
     op = args.stat
     if op == "tukey-depth":
-        dv = stats_mod.tukey_depth(snap, _parse_xy(args.point, scale))
-        _emit(out, {"value": _frac(dv.value), "value_float": float(dv.value),
-                    "additive_bound": _frac(dv.additive_bound)})
+        dv = stats_mod.tukey_depth(snap, parse_point(args.point, scale))
+        _emit(out, {"value": _frac_str(dv.value), "value_float": float(dv.value),
+                    "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "tukey-median":
         pt, dv = stats_mod.tukey_median(snap)
-        _emit(out, {"point": format_point(pt, scale), "value": _frac(dv.value),
-                    "value_float": float(dv.value), "additive_bound": _frac(dv.additive_bound)})
+        _emit(out, {"point": format_point(pt, scale), "value": _frac_str(dv.value),
+                    "value_float": float(dv.value), "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "simplicial":
         delta = Fraction(args.delta) if args.delta else None
-        dv = stats_mod.simplicial_depth_estimate(snap, _parse_xy(args.point, scale), delta)
-        _emit(out, {"value": _frac(dv.value), "value_float": float(dv.value),
-                    "additive_bound": _frac(dv.additive_bound)})
+        dv = stats_mod.simplicial_depth_estimate(snap, parse_point(args.point, scale), delta)
+        _emit(out, {"value": _frac_str(dv.value), "value_float": float(dv.value),
+                    "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "regdepth":
         a, b = args.line.split(",")
         line = stats_mod.FitLine(Fraction(a), Fraction(b) * scale)
         dv = stats_mod.regression_depth(snap, line)
-        _emit(out, {"value": _frac(dv.value), "value_float": float(dv.value),
-                    "additive_bound": _frac(dv.additive_bound)})
+        _emit(out, {"value": _frac_str(dv.value), "value_float": float(dv.value),
+                    "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "regfit":
         fit, dv = stats_mod.max_regression_depth_fit(snap)
-        _emit(out, {"slope": _frac(fit.slope), "intercept": _frac(fit.intercept / scale),
-                    "value": _frac(dv.value), "additive_bound": _frac(dv.additive_bound)})
+        _emit(out, {"slope": _frac_str(fit.slope), "intercept": _frac_str(fit.intercept / scale),
+                    "value": _frac_str(dv.value), "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "slope-rank":
         rank = stats_mod.slope_rank_estimate(snap, Fraction(args.slope))
-        _emit(out, {"value": _frac(rank), "value_float": float(rank)})
+        _emit(out, {"value": _frac_str(rank), "value_float": float(rank)})
     elif op == "theil-sen":
         fit = stats_mod.theil_sen_fit(snap)
-        _emit(out, {"slope": _frac(fit.slope), "slope_float": float(fit.slope),
-                    "intercept": _frac(fit.intercept / scale)})
+        _emit(out, {"slope": _frac_str(fit.slope), "slope_float": float(fit.slope),
+                    "intercept": _frac_str(fit.intercept / scale)})
     elif op == "lms-loc":
         disk = stats_mod.lms_location(snap)
-        _emit(out, {"center": f"{_frac(disk.center[0] / scale)},{_frac(disk.center[1] / scale)}",
-                    "radius2": _frac(disk.radius2 / scale / scale),
+        cx, cy = (_frac_str(v / scale) for v in disk.center)
+        _emit(out, {"center": f"{cx},{cy}",
+                    "radius2": _frac_str(disk.radius2 / scale / scale),
                     "radius_float": float(disk.radius2) ** 0.5 / scale})
     elif op == "lms-reg":
         fit, width = stats_mod.lms_regression(snap)
-        _emit(out, {"slope": _frac(fit.slope), "intercept": _frac(fit.intercept / scale),
-                    "vertical_width": _frac(width / scale)})
+        _emit(out, {"slope": _frac_str(fit.slope), "intercept": _frac_str(fit.intercept / scale),
+                    "vertical_width": _frac_str(width / scale)})
     else:
         raise StreamParseError(f"unknown stats subcommand {op!r}")
     return EXIT_OK
@@ -260,31 +203,31 @@ def _cmd_oracle(args, out) -> int:
         desc = parse_descriptor(args.range, scale)
         _emit(out, {"count": exact_count(mirror, desc)})
     elif op == "tukey-depth":
-        v = exact_tukey_depth(mirror, _parse_xy(args.point, scale))
-        _emit(out, {"value": _frac(v), "value_float": float(v)})
+        v = exact_tukey_depth(mirror, parse_point(args.point, scale))
+        _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "simplicial":
-        v = exact_simplicial_depth(mirror, _parse_xy(args.point, scale))
-        _emit(out, {"value": _frac(v), "value_float": float(v)})
+        v = exact_simplicial_depth(mirror, parse_point(args.point, scale))
+        _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "regdepth":
         a, b = args.line.split(",")
         v = exact_regression_depth(mirror, Fraction(a), Fraction(b) * scale)
-        _emit(out, {"value": _frac(v), "value_float": float(v)})
+        _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "slope-rank":
         v = exact_slope_rank(mirror, Fraction(args.slope))
-        _emit(out, {"value": _frac(v), "value_float": float(v)})
+        _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "lms-loc":
         (cx, cy), r2 = exact_lms_disk(mirror, Fraction(args.fraction))
-        _emit(out, {"center": f"{_frac(cx / scale)},{_frac(cy / scale)}",
-                    "radius2": _frac(r2 / scale / scale)})
+        _emit(out, {"center": f"{_frac_str(cx / scale)},{_frac_str(cy / scale)}",
+                    "radius2": _frac_str(r2 / scale / scale)})
     elif op == "lms-reg":
         a, b1, b2 = exact_lms_slab(mirror, Fraction(args.fraction))
-        _emit(out, {"slope": _frac(a), "b1": _frac(b1 / scale), "b2": _frac(b2 / scale),
-                    "vertical_width": _frac((b2 - b1) / scale)})
+        _emit(out, {"slope": _frac_str(a), "b1": _frac_str(b1 / scale), "b2": _frac_str(b2 / scale),
+                    "vertical_width": _frac_str((b2 - b1) / scale)})
     elif op == "discrepancy":
-        snap = _load_snapshot(args.snapshot)
+        snap = Snapshot.from_json(_load_json(args.snapshot, "snapshot"))
         ground = WeightedSample.uniform(sorted(mirror.points))
         v = exact_discrepancy(ground, snap.sample, snap.family)
-        _emit(out, {"value": _frac(v), "value_float": float(v), "eps": _frac(snap.eps)})
+        _emit(out, {"value": _frac_str(v), "value_float": float(v), "eps": _frac_str(snap.eps)})
     else:
         raise StreamParseError(f"unknown oracle subcommand {op!r}")
     return EXIT_OK

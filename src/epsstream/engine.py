@@ -24,14 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EpsStreamError, StreamParseError
-from .ranges import ALL_FAMILIES, DEFAULT_SCALE, FamilyKind, Point2, RangeFamily, family
+from .errors import EpsStreamError, FamilyMismatchError, StreamParseError
+from .ranges import ALL_FAMILIES, DEFAULT_SCALE, Point2, RangeFamily, family
 from .sampler import (
+    _MALFORMED,
     WeightedSample,
+    _frac_str,
+    canonical,
     collapse_duplicates,
     reduce_with_budget,
     sample_from_json,
     sample_to_json,
+    union,
 )
 
 # pi^2/6 = 1.6449340668482264... ; any rational above it is a safe W for c=1
@@ -112,7 +116,7 @@ class EngineConfig:
 
 
 def make_config(eps, fam, c=Fraction(1), scale=DEFAULT_SCALE) -> EngineConfig:
-    if isinstance(fam, (str, FamilyKind)):
+    if not isinstance(fam, RangeFamily):
         fam = family(fam)
     return EngineConfig(Fraction(eps), fam, Fraction(c), scale)
 
@@ -128,17 +132,50 @@ def budget_prefix(k: int, cfg: EngineConfig) -> Fraction:
     return sum((error_budget(u, cfg) for u in range(1, k + 1)), Fraction(0))
 
 
+def _parse_fields(what: str, read):
+    """``read()``, which parses every field of a file before the caller checks
+    any, with a missing or malformed field raised as ``StreamParseError``."""
+    try:
+        return read()
+    except StreamParseError as exc:  # a sample, as sample_from_json reports it
+        raise StreamParseError(f"not a {what} file (malformed {exc})") from exc
+    except _MALFORMED as exc:
+        raise StreamParseError(f"not a {what} file (missing or malformed {exc})") from exc
+
+
+def config_json(cfg: EngineConfig) -> dict:
+    """The config fields that state and snapshot headers share."""
+    return {"eps": _frac_str(cfg.eps), "c": _frac_str(cfg.c),
+            "family": cfg.family.kind.value, "scale": cfg.scale}
+
+
+def _config_fields(meta) -> tuple:
+    """Parse ``config_json``'s fields into ``make_config``'s arguments, checking none."""
+    return Fraction(meta["eps"]), meta["family"], Fraction(meta["c"]), int(meta["scale"])
+
+
+def _check_family(owner: str, raw: dict, fam: RangeFamily) -> None:
+    """A stored sample names its family, which must be its header's."""
+    if raw.get("family") != fam.kind.value:
+        raise FamilyMismatchError(f"{owner} sample family {raw.get('family')!r} "
+                                  f"differs from its header's {fam.kind.value!r}")
+
+
 @dataclass
 class LevelSummary:
     """Summary of one canonical block of 2^level stream elements."""
 
     level: int
     sample: WeightedSample
-    delta: Fraction
 
     def __post_init__(self):
         if self.sample.total_weight != Fraction(2 ** self.level):
             raise ValueError("level summary must represent 2^level mass")
+
+    @property
+    def delta(self) -> Fraction:
+        """The level's certificate, which its sample carries."""
+        return self.sample.eps_bound
 
 
 @dataclass(frozen=True)
@@ -167,6 +204,39 @@ class Snapshot:
     def family(self) -> RangeFamily:
         return self.config.family
 
+    def to_json(self) -> dict:
+        return {
+            "snapshot": {**config_json(self.config), "n": self.n,
+                         "certified_error": _frac_str(self.certified_error)},
+            "sample": sample_to_json(self.sample, self.family),
+        }
+
+    def to_json_str(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, obj) -> "Snapshot":
+        """``StreamState.from_json``'s checks, and a header n or certificate
+        its sample does not carry, or one above eps, raises EpsStreamError."""
+        def read():
+            meta, raw = obj["snapshot"], obj["sample"]
+            return (_config_fields(meta), int(meta["n"]), Fraction(meta["certified_error"]),
+                    raw, sample_from_json(raw))
+
+        config, n, claimed, raw, sample = _parse_fields("snapshot", read)
+        cfg = make_config(*config)
+        _check_family("snapshot", raw, cfg.family)
+        if sample.total_weight != n:
+            raise EpsStreamError(f"snapshot header has n={n} but its sample weighs "
+                                 f"{_frac_str(sample.total_weight)}")
+        if claimed != sample.eps_bound:
+            raise EpsStreamError(f"snapshot header certifies {_frac_str(claimed)} but its "
+                                 f"sample carries {_frac_str(sample.eps_bound)}")
+        if sample.eps_bound > cfg.eps:
+            raise EpsStreamError(f"snapshot certificate {_frac_str(sample.eps_bound)} exceeds "
+                                 f"eps {_frac_str(cfg.eps)}")
+        return cls(sample, n, cfg)
+
 
 class StreamState:
     """Single-writer stream engine; snapshots are immutable values."""
@@ -178,8 +248,7 @@ class StreamState:
 
     def insert(self, p: Point2) -> "StreamState":
         """Consume one stream element, restoring the binary slot invariant."""
-        pending = LevelSummary(0, WeightedSample((p,), (Fraction(1),), Fraction(1), Fraction(0)),
-                               Fraction(0))
+        pending = LevelSummary(0, WeightedSample((p,), (Fraction(1),), Fraction(1), Fraction(0)))
         level = 0
         while level in self.slots:
             left = self.slots.pop(level)
@@ -195,38 +264,20 @@ class StreamState:
         return self
 
     def _merge_reduce(self, left: LevelSummary, right: LevelSummary, k: int) -> LevelSummary:
-        ls, rs = left.sample, right.sample
-        merged = WeightedSample(ls.points + rs.points, ls.weights + rs.weights,
-                                ls.total_weight + rs.total_weight,
-                                (left.delta + right.delta) / 2)
-        reduced, spent = reduce_with_budget(merged, self.config.family, error_budget(k, self.config))
-        delta = (left.delta + right.delta) / 2 + spent
-        reduced = WeightedSample(reduced.points, reduced.weights, reduced.total_weight, delta)
-        return LevelSummary(k, reduced, delta)
+        # halve adds each accepted error to the sample's certificate
+        merged = union((left.sample, right.sample), (left.delta + right.delta) / 2)
+        reduced, _ = reduce_with_budget(merged, self.config.family, error_budget(k, self.config))
+        return LevelSummary(k, reduced)
 
     def snapshot(self) -> Snapshot:
         """Union the live summaries and apply the final eps/2 reduction."""
         if self.n < 1:
             raise EpsStreamError("empty stream has no snapshot")
-        pts: list[Point2] = []
-        ws: list[Fraction] = []
-        base_err = Fraction(0)
-        for level in sorted(self.slots, reverse=True):
-            summ = self.slots[level]
-            pts.extend(summ.sample.points)
-            ws.extend(summ.sample.weights)
-            base_err += summ.delta * summ.sample.total_weight
-        base_err /= self.n
-        merged = WeightedSample(tuple(pts), tuple(ws), Fraction(self.n), base_err)
-        merged = collapse_duplicates(merged)
-        ordered = sorted(range(len(merged)), key=lambda i: (merged.points[i], i))
-        merged = WeightedSample(tuple(merged.points[i] for i in ordered),
-                                tuple(merged.weights[i] for i in ordered),
-                                merged.total_weight, merged.eps_bound)
-        reduced, spent = reduce_with_budget(merged, self.config.family, self.config.eps / 2)
-        certified = base_err + spent
-        out = WeightedSample(reduced.points, reduced.weights, reduced.total_weight, certified)
-        return Snapshot(out, self.n, self.config)
+        levels = [self.slots[level] for level in sorted(self.slots, reverse=True)]
+        base_err = sum((s.delta * s.sample.total_weight for s in levels), Fraction(0)) / self.n
+        merged = canonical(union([s.sample for s in levels], base_err))
+        reduced, _ = reduce_with_budget(merged, self.config.family, self.config.eps / 2)
+        return Snapshot(reduced, self.n, self.config)
 
     def memory_footprint(self) -> MemoryFootprint:
         return MemoryFootprint(sum(len(s.sample) for s in self.slots.values()), len(self.slots))
@@ -237,18 +288,12 @@ class StreamState:
         cfg = self.config
         return {
             "version": 1,
-            "config": {
-                "eps": f"{cfg.eps.numerator}/{cfg.eps.denominator}",
-                "c": f"{cfg.c.numerator}/{cfg.c.denominator}",
-                "family": cfg.family.kind.value,
-                "scale": cfg.scale,
-                "reduce_thresholds": list(_THRESHOLD_ROWS),
-            },
+            "config": {**config_json(cfg), "reduce_thresholds": list(_THRESHOLD_ROWS)},
             "n": self.n,
             "slots": [
                 {
                     "level": lvl,
-                    "delta": f"{s.delta.numerator}/{s.delta.denominator}",
+                    "delta": _frac_str(s.delta),
                     "sample": sample_to_json(s.sample, cfg.family),
                 }
                 for lvl, s in sorted(self.slots.items())
@@ -259,11 +304,12 @@ class StreamState:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, obj: dict) -> "StreamState":
+    def from_json(cls, obj) -> "StreamState":
         """Rebuild a state written by ``to_json``, checking what it claims.
 
         Every field is parsed before any is checked: a missing or malformed
-        one raises ``StreamParseError``.  Slots that do not spell n, or whose
+        one raises ``StreamParseError``.  A slot sample of another family
+        raises ``FamilyMismatchError``.  Slots that do not spell n, or whose
         delta differs from their sample's certificate or exceeds the level's
         budget prefix, and reduce thresholds other than the built-in ones,
         raise ``EpsStreamError``; an out-of-range config, ``ValueError``.
@@ -272,41 +318,35 @@ class StreamState:
             raise StreamParseError("not a state file (expected a JSON object)")
         if obj.get("version") != 1:
             raise EpsStreamError(f"unsupported state version {obj.get('version')!r}")
-        try:
-            c = obj["config"]
-            eps, cc = Fraction(c["eps"]), Fraction(c["c"])
-            kind, scale = c["family"], int(c["scale"])
-            thresholds = tuple(tuple(t) for t in c["reduce_thresholds"])
-            n = int(obj["n"])
+
+        def read():
+            meta = obj["config"]
+            head = (_config_fields(meta), tuple(tuple(t) for t in meta["reduce_thresholds"]),
+                    int(obj["n"]))
             rows = [(int(slot["level"]), Fraction(slot["delta"]), slot["sample"])
                     for slot in obj["slots"]]
-        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,
-                OverflowError) as exc:
-            raise StreamParseError(f"not a state file (missing or malformed {exc})") from exc
-        try:
-            slots = [(level, delta, sample_from_json(raw)) for level, delta, raw in rows]
-        except StreamParseError as exc:
-            raise StreamParseError(f"not a state file (malformed {exc})") from exc
-        cfg = EngineConfig(eps, family(kind), cc, scale)
+            return (*head, [(*row, sample_from_json(row[2])) for row in rows])
+
+        config, thresholds, n, slots = _parse_fields("state", read)
+        cfg = make_config(*config)
         if thresholds != _THRESHOLD_ROWS:
             raise EpsStreamError(f"state was built under reduce thresholds {list(thresholds)}, "
                                  f"not the built-in {list(_THRESHOLD_ROWS)}")
         state = cls(cfg)
         state.n = n
-        for level, delta, sample in slots:
+        for level, delta, raw, sample in slots:
             if level in state.slots:
                 raise EpsStreamError(f"two slots at level {level}")
-            state.slots[level] = LevelSummary(level, sample, delta)
-        occupied = sorted(state.slots)
-        if sorted(k for k in range(state.n.bit_length()) if state.n >> k & 1) != occupied:
-            raise EpsStreamError("slot levels do not match n")
-        for level, summ in sorted(state.slots.items()):
-            if summ.delta != summ.sample.eps_bound:
-                raise EpsStreamError(f"slot {level} has delta {summ.delta} but its sample "
-                                     f"certifies {summ.sample.eps_bound}")
+            _check_family(f"slot {level}", raw, cfg.family)
+            if delta != sample.eps_bound:
+                raise EpsStreamError(f"slot {level} has delta {delta} but its sample "
+                                     f"certifies {sample.eps_bound}")
             budget = budget_prefix(level, cfg)
-            if summ.delta > budget:
-                raise EpsStreamError(f"slot {level} delta {summ.delta} exceeds its budget {budget}")
+            if delta > budget:
+                raise EpsStreamError(f"slot {level} delta {delta} exceeds its budget {budget}")
+            state.slots[level] = LevelSummary(level, sample)
+        if sorted(state.slots) != [k for k in range(n.bit_length()) if n >> k & 1]:
+            raise EpsStreamError("slot levels do not match n")
         return state
 
 

@@ -334,14 +334,6 @@ def exact_lms_slab(mirror: PrefixMirror, fraction: Fraction):
     return a, blo, blo + width
 
 
-def exact_lms(mirror: PrefixMirror, fraction: Fraction, kind: FamilyKind):
-    if kind is FamilyKind.DISK:
-        return exact_lms_disk(mirror, fraction)
-    if kind is FamilyKind.SLAB:
-        return exact_lms_slab(mirror, fraction)
-    raise ValueError("exact_lms supports disk or slab families")
-
-
 # ---------------------------------------------------------------------------
 # Discrepancy between a weighted sample and a ground multiset.
 # ---------------------------------------------------------------------------

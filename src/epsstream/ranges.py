@@ -452,17 +452,24 @@ def _canonical_disks(pts: Sequence[Point2]) -> list[Disk]:
     return out
 
 
-def _slope_candidates(pts: Sequence[Point2]) -> list[Fraction]:
-    """Pair slopes plus separators between them (ties need the exact slopes,
-    distinct orders need slopes strictly between)."""
-    slopes = sorted({Fraction(q.y - p.y, q.x - p.x)
-                     for p in pts for q in pts if q.x != p.x})
+def _pair_slopes(pts: Sequence[Point2]) -> list[Fraction]:
+    return sorted({Fraction(q.y - p.y, q.x - p.x) for p in pts for q in pts if q.x != p.x})
+
+
+def _slope_separators(pts: Sequence[Point2]) -> list[Fraction]:
+    """One slope inside each gap between consecutive pair slopes and one
+    beyond each end, in order ([0] if there is none): two distinct points
+    tie in y - a*x only at their own pair slope, so never at a separator."""
+    slopes = _pair_slopes(pts)
     if not slopes:
         return [Fraction(0)]
-    cands = [slopes[0] - 1, slopes[-1] + 1]
-    cands.extend(slopes)
-    cands.extend((a + b) / 2 for a, b in zip(slopes, slopes[1:]))
-    return sorted(set(cands))
+    return [slopes[0] - 1, *((a + b) / 2 for a, b in zip(slopes, slopes[1:])), slopes[-1] + 1]
+
+
+def _slope_candidates(pts: Sequence[Point2]) -> list[Fraction]:
+    """Pair slopes plus the separators between them (ties need the exact
+    slopes, distinct orders need slopes strictly between)."""
+    return sorted(set(_pair_slopes(pts)).union(_slope_separators(pts)))
 
 
 def _canonical_slabs(pts: Sequence[Point2]) -> list[Slab]:

@@ -20,8 +20,9 @@ line about one apex in Python and reads any exact values.  The int64 pass
 apexes: O(m^2 log m) for m points, a practical form of the topological
 sweep of the line arrangement (Edelsbrunner and Guibas, 1989).  It takes
 integer coordinates below 2^30 in magnitude, so raw offsets and their
-cross products fit int64, and it answers a call with the Python sweep
-whenever its float-hinted event order fails the exact check.
+cross products fit int64, and lists whose sum of |deltas| is below 2^62,
+the int64 rule every family shares.  It answers a call with the Python
+sweep whenever its float-hinted event order fails the exact check.
 
 The other six families measure all k delta lists of a call at once: the
 geometry, which does not depend on the deltas, is enumerated once per call,
@@ -32,7 +33,7 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
   deltas over rank-compressed coordinates, in blocks of x-ranks.
 - Disks: per point pair, the bisector events are built and exactly sorted
   once, and every list is read off cumulative sums along them.
-- Slabs: per canonical slope (``ranges._slope_candidates``) at which no
+- Slabs: per slope separator (``ranges._slope_separators``), at which no
   two points tie, one exact sort by y - a*x gives the order; a slab's sum
   is the difference of two prefix sums along it, taken for all slopes of a
   block at once.
@@ -53,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import FamilyKind, Point2, _slope_candidates
+from .ranges import FamilyKind, Point2, _slope_separators
 
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
@@ -63,8 +64,8 @@ _NP_COORD_LIMIT = 1 << 30
 # Events per block of apexes in that sweep (rows of 2m events each).  Time
 # is flat from 2^13 up; larger blocks only hold more temporaries at once.
 _BLOCK_EVENTS = 1 << 14
-# Integer delta matrices are int64 while every list's sum of |deltas| is
-# below this, and hold Python ints from it on.
+# Integer delta matrices, and the int64 halfplane sweep's, are int64 while
+# every list's sum of |deltas| is below this; Python ints from it on.
 _INT64_SUM_LIMIT = 1 << 62
 # Entries per block of the quadrant grid and of the slab and vpar prefix
 # tables, and per float product chunk of the wedge measures.
@@ -215,9 +216,10 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
     """Every apex sweep at once, in blocks of apexes; int64 throughout.
 
     Callers guarantee every |coordinate| below 2^30 and every list's sum of
-    |deltas| below 2^52.  Row a of a block holds 2m events around apex a:
-    point j joins the open left side at the negated offset a - p_j and
-    leaves it at the raw offset p_j - a.  Raw offsets stay below 2^31, so
+    |deltas| below 2^62, so every partial sum, and the sum of two, fits
+    int64.  Row a of a block holds 2m events around apex a: point j joins
+    the open left side at the negated offset a - p_j and leaves it at the
+    raw offset p_j - a.  Raw offsets stay below 2^31, so
     the cross product of two of them is below 2^62 and their difference
     below 2^63.  Points coincident with the apex count in every sum from
     the start and become zero-valued events at direction (1, 0).
@@ -288,7 +290,7 @@ def max_halfplane_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int
     all_int = all(isinstance(p.x, int) and isinstance(p.y, int) for p in pts)
     max_coord = max(max(abs(p.x), abs(p.y)) for p in pts)
     max_abs_sum = max(sum(abs(d) for d in dl) for dl in delta_lists) if delta_lists else 0
-    if all_int and max_coord < _NP_COORD_LIMIT and max_abs_sum < _FLOAT_EXACT_LIMIT:
+    if all_int and max_coord < _NP_COORD_LIMIT and max_abs_sum < _INT64_SUM_LIMIT:
         return _max_halfplane_sums_np(pts, delta_lists)
     return _max_halfplane_sums_py(pts, delta_lists)
 
@@ -463,22 +465,17 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
 
 
 def _slope_orders(pts: Sequence[Point2]) -> np.ndarray:
-    """The S x m exact orders of the points by y - a*x, one per canonical
-    slope a at which no two keys tie.
-
-    The canonical slopes are the pair slopes and one separator on either
-    side of each (``ranges._slope_candidates``).  Two keys tie only at a
-    pair slope, and every run of key groups there is a run of the order
-    just below it, which the separator below has; so each order read here
-    is strict, and every slab subset is a run of one of them.
-    """
+    """The S x m exact orders of distinct points by y - a*x, one per slope
+    separator a (``ranges._slope_separators``), where no two keys tie.
+    Keys tie only at a pair slope, and every run of key groups there is a
+    run of the order at the separator just below it; so every slab subset
+    is a run of one of these orders."""
     orders = []
     coords = [(p.x, p.y) for p in pts]
-    for a in _slope_candidates(pts):
+    for a in _slope_separators(pts):
         num, den = a.numerator, a.denominator
         keys = [y * den - x * num for x, y in coords]
-        if len(set(keys)) == len(keys):
-            orders.append(sorted(range(len(keys)), key=keys.__getitem__))
+        orders.append(sorted(range(len(keys)), key=keys.__getitem__))
     return np.array(orders, dtype=np.intp)
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, CertificationError, StreamParseError
+from .errors import CapExceededError, CertificationError, EpsStreamError, StreamParseError
 from .ranges import FamilyKind, Point2, RangeFamily, family
 from . import rangesums
 
@@ -54,9 +54,10 @@ class WeightedSample:
     def __post_init__(self):
         if len(self.points) != len(self.weights):
             raise ValueError("points/weights length mismatch")
-        if any(w <= 0 for w in self.weights):
+        ints, denom = self.scaled_weights
+        if any(g <= 0 for g in ints):
             raise ValueError("weights must be positive")
-        if sum(self.weights, Fraction(0)) != self.total_weight:
+        if Fraction(sum(ints), denom) != self.total_weight:
             raise ValueError("weights must sum to total_weight exactly")
 
     def __len__(self) -> int:
@@ -88,7 +89,12 @@ class Coloring:
             raise ValueError("both sign classes must be nonempty")
 
 
-def _frac_str(f: Fraction) -> str:
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _frac_str(f) -> str:
+    """The one text form of an exact number in every file and output: "p/q"."""
+    f = Fraction(f)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -119,21 +125,25 @@ def sample_to_json(sample: WeightedSample, fam: RangeFamily | None = None) -> di
 def sample_from_json(obj: dict) -> WeightedSample:
     """Rebuild a sample written by ``sample_to_json``.
 
-    A missing or malformed field or point row raises ``StreamParseError``; a
-    sample that parses but breaks an invariant (a non-positive weight,
-    weights not summing to the total) raises ``ValueError``.
+    A missing or malformed field or point row raises ``StreamParseError``;
+    another version, or a sample that parses but breaks an invariant (a
+    non-positive weight, weights not summing to the total), raises
+    ``EpsStreamError``: the file is inconsistent, not malformed.
     """
     if not isinstance(obj, dict):
         raise StreamParseError("sample: expected a JSON object")
     if obj.get("version") != 1:
-        raise ValueError(f"unsupported sample version {obj.get('version')!r}")
+        raise EpsStreamError(f"unsupported sample version {obj.get('version')!r}")
     try:
         rows = [(Point2(_coord_from_json(x), _coord_from_json(y)), Fraction(w))
                 for x, y, w in obj["points"]]
         total, bound = Fraction(obj["total_weight"]), Fraction(obj["eps_bound"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except _MALFORMED as exc:
         raise StreamParseError(f"sample: {exc}") from exc
-    return WeightedSample(tuple(p for p, _ in rows), tuple(w for _, w in rows), total, bound)
+    try:
+        return WeightedSample(tuple(p for p, _ in rows), tuple(w for _, w in rows), total, bound)
+    except ValueError as exc:
+        raise EpsStreamError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +414,32 @@ def singleton_error_bound(sample: WeightedSample) -> Fraction:
 
 def collapse_duplicates(sample: WeightedSample) -> WeightedSample:
     """Merge coincident points (a zero-error reduction for any family)."""
+    if len(set(sample.points)) == len(sample.points):
+        return sample
     agg: dict[tuple, Fraction] = {}
     for p, w in zip(sample.points, sample.weights):
         key = (p.x, p.y)
         agg[key] = agg.get(key, Fraction(0)) + w
-    if len(agg) == len(sample.points):
-        return sample
     coords = sorted(agg)
     return WeightedSample(tuple(Point2(x, y) for x, y in coords),
                           tuple(agg[c] for c in coords),
                           sample.total_weight, sample.eps_bound)
+
+
+def union(samples: Sequence[WeightedSample], eps_bound: Fraction) -> WeightedSample:
+    """The weighted union of samples, in order; weights travel unchanged."""
+    return WeightedSample(tuple(p for s in samples for p in s.points),
+                          tuple(w for s in samples for w in s.weights),
+                          sum((s.total_weight for s in samples), Fraction(0)), eps_bound)
+
+
+def canonical(sample: WeightedSample) -> WeightedSample:
+    """Coincident points merged and the rest in point order: a form that
+    depends only on the weighted multiset, not on the arrival order."""
+    order = sorted(range(len(sample)), key=sample.points.__getitem__)
+    return collapse_duplicates(WeightedSample(tuple(sample.points[i] for i in order),
+                                              tuple(sample.weights[i] for i in order),
+                                              sample.total_weight, sample.eps_bound))
 
 
 def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
@@ -445,19 +471,11 @@ def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
 def static_eps_approx(points: Sequence[Point2], fam: RangeFamily, eps: Fraction) -> WeightedSample:
     """Deterministic eps-approximation of an unweighted point sequence.
 
-    The input is canonicalized by sorting, so the result depends only on the
-    multiset of points.  The output's eps_bound is the exact measured error,
-    which never exceeds eps.
+    The input is reduced in ``canonical`` form, so the result depends only
+    on the multiset of points.  The output's eps_bound is the exact measured
+    error, which never exceeds eps.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must be in (0, 1]")
-    pts = sorted(points)
-    if not pts:
-        raise ValueError("empty input")
-    base = WeightedSample(tuple(pts), tuple(Fraction(1) for _ in pts),
-                          Fraction(len(pts)), Fraction(0))
-    return weighted_eps_approx(base, fam, eps)
+    return weighted_eps_approx(WeightedSample.uniform(points), fam, eps)
 
 
 def weighted_eps_approx(sample: WeightedSample, fam: RangeFamily, eps: Fraction) -> WeightedSample:
@@ -470,12 +488,9 @@ def weighted_eps_approx(sample: WeightedSample, fam: RangeFamily, eps: Fraction)
         out = WeightedSample((p,), (sample.total_weight,), sample.total_weight,
                              sample.eps_bound + 1)
         return out
-    ordered = sorted(range(len(sample)), key=lambda i: (sample.points[i], sample.weights[i]))
-    canon = WeightedSample(tuple(sample.points[i] for i in ordered),
-                           tuple(sample.weights[i] for i in ordered),
-                           sample.total_weight, sample.eps_bound)
+    canon = canonical(sample)
     reduced, spent = reduce_with_budget(canon, fam, eps)
-    if len(canon) <= fam.verify_size:
+    if len(sample) <= fam.verify_size:
         if not verify_approximation(canon, reduced, fam, spent):
             raise CertificationError(
                 f"certified error {spent} failed exact verification ({fam.kind.value})")

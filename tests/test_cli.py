@@ -223,6 +223,8 @@ def _negate_first_weight(sample):
     (_raise_slot_certificate, "exceeds its budget"),
     pytest.param(lambda data: _negate_first_weight(_top_slot(data)["sample"]),
                  "weights must be positive", id="negative-weight"),
+    pytest.param(lambda data: _top_slot(data)["sample"].update(family="disk"),
+                 "sample family 'disk'", id="slot-family"),
 ])
 def test_resume_rejects_inconsistent_slot(tmp_path, stream_file, capsys, edit, message):
     assert _resume_edited_state(tmp_path, stream_file, edit) == 3

@@ -15,7 +15,7 @@ from epsstream import (
     verify_approximation,
 )
 from epsstream import sampler
-from epsstream.engine import budget_prefix, snapshot_of_exact
+from epsstream.engine import Snapshot, budget_prefix, snapshot_of_exact
 from epsstream.errors import EpsStreamError
 from streams import STYLES, make_stream
 
@@ -124,6 +124,8 @@ def test_state_round_trip_and_resume():
     resumed = StreamState.from_json(json.loads(blob)).extend(pts[33:])
     assert resumed.to_json_str() == full.to_json_str()
     assert resumed.snapshot().sample == full.snapshot().sample
+    snap = full.snapshot()
+    assert Snapshot.from_json(json.loads(snap.to_json_str())) == snap
 
 
 def test_footprint_counts_slots():

@@ -100,6 +100,19 @@ def test_int64_sweep_up_to_two_to_the_thirty_minus_one(monkeypatch, x, y):
     assert max_halfplane_sums(pts, dls) == expected
 
 
+def test_int64_sweep_takes_sums_up_to_two_to_the_sixty_two(monkeypatch):
+    """A halfplane sum, and the sum of two partial sums, stays within twice
+    a list's sum of |deltas|, so lists from 2^52 to 2^62 - 1 fit int64."""
+    big, top = (1 << 60) + 5, (1 << 61) - 1
+    pts = _BOUNDARY + [Point2(LIM, 0)]
+    dls = [[big, -3, -big, big // 2, 7], [top, -top, 0, 0, 1], [-top, 0, 3, -top + 4, 0]]
+    for dl in dls:
+        assert 1 << 52 < sum(abs(d) for d in dl) < 1 << 62
+    expected = _max_halfplane_sums_py(pts, dls)
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+    assert max_halfplane_sums(pts, dls) == expected
+
+
 @pytest.mark.parametrize("x,y", [(1 << 30, 0), (0, -(1 << 30)), (-(1 << 30), 1)])
 def test_python_sweep_from_two_to_the_thirty(monkeypatch, x, y):
     pts = _BOUNDARY + [Point2(x, y)]
@@ -452,8 +465,8 @@ def test_wedge_measures_refuse_sums_from_two_to_the_fifty_two(kind):
 @pytest.mark.parametrize("kind,name", [
     (FamilyKind.WEDGE, "halfplane_subset_masks"),
     (FamilyKind.DOUBLE_WEDGE, "halfplane_subset_masks"),
-    (FamilyKind.SLAB, "_slope_candidates"),
-    (FamilyKind.VPARALLELOGRAM, "_slope_candidates"),
+    (FamilyKind.SLAB, "_slope_separators"),
+    (FamilyKind.VPARALLELOGRAM, "_slope_separators"),
 ], ids=lambda v: getattr(v, "value", v))
 def test_four_lists_share_one_geometry(kind, name, monkeypatch):
     """The delta-independent enumeration runs once per call, not per list."""

@@ -343,6 +343,18 @@ def test_collapse_duplicates_merges_mass():
     assert dict(zip(out.points, out.weights))[Point2(1, 1)] == 3
 
 
+@pytest.mark.parametrize("weights,total,message", [
+    ((Fraction(1, 3),), Fraction(1, 3), "length mismatch"),
+    ((Fraction(1, 3), Fraction(0)), Fraction(1, 3), "must be positive"),
+    ((Fraction(2, 3), Fraction(-1, 6)), Fraction(1, 2), "must be positive"),
+    ((Fraction(1, 3), Fraction(1, 6)), Fraction(1, 3), "sum to total_weight"),
+], ids=["length", "zero-weight", "negative-weight", "wrong-total"])
+def test_sample_rejects_broken_invariants(weights, total, message):
+    pts = (Point2(0, 0), Point2(1, 1))
+    with pytest.raises(ValueError, match=message):
+        WeightedSample(pts, weights, total, Fraction(0))
+
+
 def test_sample_json_round_trip():
     s = WeightedSample((Point2(1, 2), Point2(-3, 4)), (Fraction(1, 3), Fraction(8, 3)),
                        Fraction(3), Fraction(1, 7))
