@@ -32,7 +32,8 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
 - Quadrants {x >= X, y >= Y}: one 2-D suffix sum of the k x X x Y grid of
   deltas over rank-compressed coordinates, in blocks of x-ranks.
 - Disks: per point pair, the bisector events are built and exactly sorted
-  once, and every list is read off cumulative sums along them.
+  once (``_disk_pair_events``, which LMS location reads too), and every
+  list is read off cumulative sums along them.
 - Slabs: per slope separator (``ranges._slope_separators``), at which no
   two points tie, one exact sort by y - a*x gives the order; a slab's sum
   is the difference of two prefix sums along it, taken for all slopes of a
@@ -398,13 +399,43 @@ def _t_less(e, f) -> bool:
     return lhs < rhs if (e[1] > 0) == (f[1] > 0) else lhs > rhs
 
 
+def _disk_pair_events(pts: Sequence[Point2], i: int, j: int):
+    """The bisector sweep of the disks through A = pts[i] and B = pts[j].
+
+    With center M + t*u, M the midpoint and u = (A.y - B.y, B.x - A.x), the
+    squared radius is |AB|^2 * (1/4 + t^2), and point C is inside while
+    beta*t >= alpha (on the line AB, beta = 0, for all t or none).  Returns
+    the indices inside at t = -inf, the events (alpha, beta, index) off the
+    line, exactly sorted by time alpha/beta, and each group's last position.
+    """
+    A, B = pts[i], pts[j]
+    ux, uy = A.y - B.y, B.x - A.x
+    events: list[tuple[int, int, int]] = []
+    start = []
+    for ci, C in enumerate(pts):
+        bx = C.x - A.x
+        by = C.y - A.y
+        beta = 2 * (bx * ux + by * uy)
+        alpha = (C.x * C.x + C.y * C.y - A.x * A.x - A.y * A.y
+                 - bx * (A.x + B.x) - by * (A.y + B.y))
+        if beta == 0:
+            if alpha <= 0:
+                start.append(ci)
+        else:
+            if beta < 0:
+                start.append(ci)
+            events.append((alpha, beta, ci))
+    events.sort(key=lambda e: e[0] / e[1])
+    _exact_resort(events, _t_less)
+    last = len(events) - 1
+    ends = [a for a in range(len(events)) if a == last or _t_less(events[a], events[a + 1])]
+    return start, events, ends
+
+
 def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
     """Radius-0 disks, the whole set, and the disks through each pair A, B.
 
-    The center of a disk through A and B moves along their bisector; point C
-    is inside while the center's parameter t is at least (beta > 0) or at
-    most (beta < 0) alpha/beta, and on the line AB (beta = 0) C is inside
-    for all t or none.  Each pair's events are built and exactly sorted
+    Each pair's events (``_disk_pair_events``) are built and exactly sorted
     once; every list then reads the sum before each group of equal times,
     after the group's entering points, and after the whole group, off two
     cumulative sums along the sorted events.
@@ -416,41 +447,18 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
     n = len(pts)
     deltas = _delta_matrix(delta_lists, n)
     best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
+    zero = np.zeros((k, 1), dtype=deltas.dtype)
     for i in range(n):
-        A = pts[i]
         for j in range(i + 1, n):
-            B = pts[j]
-            dx = B.x - A.x
-            dy = B.y - A.y
-            ux, uy = -dy, dx
-            events: list[tuple[int, int, int]] = []  # (alpha, beta, idx)
-            start = []  # inside at t = -inf
-            for ci, C in enumerate(pts):
-                bx = C.x - A.x
-                by = C.y - A.y
-                beta = 2 * (bx * ux + by * uy)
-                alpha = (C.x * C.x + C.y * C.y - A.x * A.x - A.y * A.y
-                         - bx * (A.x + B.x) - by * (A.y + B.y))
-                if beta == 0:
-                    if alpha <= 0:
-                        start.append(ci)
-                else:
-                    if beta < 0:
-                        start.append(ci)
-                    events.append((alpha, beta, ci))
+            start, events, ends = _disk_pair_events(pts, i, j)
             state = deltas[:, start].sum(axis=1, keepdims=True)
             if not events:
                 best = np.maximum(best, np.abs(state[:, 0]))
                 continue
-            events.sort(key=lambda e: e[0] / e[1])
-            _exact_resort(events, _t_less)
-            ends = [a for a in range(len(events) - 1) if _t_less(events[a], events[a + 1])]
-            ends.append(len(events) - 1)
             cols = deltas[:, [e[2] for e in events]]
             enters = np.array([e[1] > 0 for e in events])
             entered = np.cumsum(np.where(enters, cols, 0), axis=1)[:, ends]
             run = np.cumsum(np.where(enters, cols, -cols), axis=1)[:, ends]
-            zero = np.zeros((k, 1), dtype=deltas.dtype)
             before = np.concatenate([zero, run[:, :-1]], axis=1)
             entering = entered - np.concatenate([zero, entered[:, :-1]], axis=1)
             sums = state + np.concatenate([zero, run, before + entering], axis=1)

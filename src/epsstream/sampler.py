@@ -179,18 +179,19 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
     w2 = float(sum(w * w for w in sample.weights))
     lam = math.sqrt(2.0 * math.log(2.0 * nr) / w2) if w2 > 0 else 1.0
     d = np.zeros(len(masks), dtype=np.float64)
-    order = sorted(range(m), key=lambda i: (-sample.weights[i], sample.points[i], i))
+    ints, _ = sample.scaled_weights  # the weight balance; floats only in the potential
+    order = sorted(range(m), key=lambda i: (-ints[i], sample.points[i], i))
     signs = [0] * m
-    max_w = max(sample.weights)
-    total_after = sum(sample.weights, Fraction(0))
-    running = Fraction(0)
+    max_w = max(ints)
+    total_after = sum(ints)
+    running = 0
     for i in order:
-        w = sample.weights[i]
+        w = ints[i]
         total_after -= w
         ids = np.flatnonzero(member[i])
         if ids.size:
             cur = d[ids]
-            g = float(w)
+            g = float(sample.weights[i])
             up = np.cosh(np.clip(lam * (cur + g), -_COSH_CAP, _COSH_CAP)).sum()
             down = np.cosh(np.clip(lam * (cur - g), -_COSH_CAP, _COSH_CAP)).sum()
             prefer = 1 if up <= down else -1
@@ -205,7 +206,7 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
         signs[i] = sign
         running += sign * w
         if ids.size:
-            d[ids] += sign * float(w)
+            d[ids] += sign * g
     return Coloring(tuple(signs))
 
 

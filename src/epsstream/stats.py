@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
-from .ranges import FamilyKind, Point2
-from .rangesums import _apex_sweep, _collapse_multi, _primitive, _sorted_directions
-from .sampler import _scaled_weights
+from .ranges import FamilyKind, Point2, _pair_slopes
+from .rangesums import (_apex_sweep, _collapse_multi, _disk_pair_events, _primitive,
+                        _slope_orders, _sorted_directions)
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -139,7 +139,7 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
             normals.add((d[1], -d[0]))
     # per normal: descending projection values with suffix masses, summed
     # as the integers w * lcm(weight denominators); the level order is the same
-    masses, _ = _scaled_weights(ws)
+    masses, _ = snap.sample.scaled_weights
     tables = {}
     depth_values: set[int] = set()
     for u in normals:
@@ -354,11 +354,10 @@ def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_slopes(pts: Sequence[Point2], ws: Sequence[Fraction]):
+def _pair_slope_masses(pts: Sequence[Point2], gs: Sequence[int]):
     """({slope: mass}, vertical mass, total mass) over the pairs of a
-    collapsed support.  A pair weighs the product of its weights, counted as
-    integers in units of 1/lcm(weight denominators)^2."""
-    gs, _ = _scaled_weights(ws)
+    collapsed support with integer masses gs; a pair weighs the product of
+    its masses."""
     slopes: dict[Fraction, int] = {}
     vertical = total = 0
     m = len(pts)
@@ -382,21 +381,23 @@ def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
     """
     _require(snap, FamilyKind.VPARALLELOGRAM, "slope_rank_estimate")
     s = Fraction(s)
-    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
+    pts, (gs,) = _collapse_multi(snap.sample.points, [snap.sample.scaled_weights[0]])
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
-    slopes, _, total = _pair_slopes(pts, ws)
+    slopes, _, total = _pair_slope_masses(pts, gs)
     below = sum(g for sl, g in slopes.items() if sl < s)
     return Fraction(2 * below + slopes.get(s, 0), 2 * total)
 
 
 def theil_sen_fit(snap: Snapshot) -> FitLine:
-    """Line with the weighted-median pair slope, balancing mass above/below."""
+    """Line with the weighted-median pair slope, balancing mass above/below:
+    the least (|above - below|, intercept) over the support keys y - slope*x
+    and their midpoints, read off prefix masses over the sorted keys."""
     _require(snap, FamilyKind.VPARALLELOGRAM, "theil_sen_fit")
-    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
+    pts, (gs,) = _collapse_multi(snap.sample.points, [snap.sample.scaled_weights[0]])
     if len(pts) < 2:
         raise EpsStreamError("all support points coincident")
-    slopes, vertical, total = _pair_slopes(pts, ws)
+    slopes, vertical, total = _pair_slope_masses(pts, gs)
     if 2 * vertical >= total:
         raise EpsStreamError("median pair slope is vertical")
     run = 0
@@ -408,23 +409,18 @@ def theil_sen_fit(snap: Snapshot) -> FitLine:
             break
     if slope is None:
         raise EpsStreamError("median pair slope is vertical")
-    keys = sorted({p.y - slope * p.x for p in pts})
-    candidates = list(keys)
-    candidates.extend((a + b) / 2 for a, b in zip(keys, keys[1:]))
-    best = None
-    for b in candidates:
-        above = Fraction(0)
-        below = Fraction(0)
-        for q, w in zip(pts, ws):
-            r = q.y - (slope * q.x + b)
-            if r > 0:
-                above += w
-            elif r < 0:
-                below += w
-        imb = abs(above - below)
-        if best is None or (imb, b) < best[:2]:
-            best = (imb, b)
-    return FitLine(slope, best[1])
+    # intercepts scaled by den, as integer keys den*y - num*x; candidates by 2*den
+    num, den = slope.numerator, slope.denominator
+    columns: dict = {}
+    for p, g in zip(pts, gs):
+        k = p.y * den - p.x * num
+        columns[k] = columns.get(k, 0) + g
+    keys = sorted(columns)
+    below = [0, *itertools.accumulate(columns[k] for k in keys)]
+    mass = below[-1]
+    cands = [(abs(mass - below[i + 1] - below[i]), 2 * k) for i, k in enumerate(keys)]
+    cands += [(abs(mass - 2 * below[i + 1]), k + keys[i + 1]) for i, k in enumerate(keys[:-1])]
+    return FitLine(slope, Fraction(min(cands)[1], 2 * den))
 
 
 # ---------------------------------------------------------------------------
@@ -441,101 +437,91 @@ class LmsDisk:
 def lms_location(snap: Snapshot) -> LmsDisk:
     """Smallest canonical disk holding a (1/2 + eps) fraction of the snapshot.
 
-    Such a disk holds at least half of the true stream mass.
+    Such a disk holds at least half of the true stream mass.  Past radius 0,
+    each pair's bisector sweep (``rangesums._disk_pair_events``) gives its
+    diametral disk (t = 0) and circumcircles (one per group of equal event
+    times, holding the mass before the group plus its entering points), on
+    the integer scaled weights: O(m^3 log m).  The least squared radius
+    wins; ties go to radius 0 by (x, y), then to diametral disks by pair
+    (i, j), then to circumcircles by the least index triple on the circle.
     """
     _require(snap, FamilyKind.DISK, "lms_location")
     if snap.eps >= Fraction(1, 2):
         raise ValueError("lms_location needs eps < 1/2")
-    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
-    n = Fraction(snap.n)
-    need = (Fraction(1, 2) + snap.eps) * n
-
-    def mass_in(cx, cy, r2):
-        tot = Fraction(0)
-        for p, w in zip(pts, ws):
-            dx = p.x - cx
-            dy = p.y - cy
-            if dx * dx + dy * dy <= r2:
-                tot += w
-        return tot
-
-    best = None
-    m = len(pts)
-    for i, w in enumerate(ws):  # radius 0
-        if w >= need:
-            cand = (Fraction(0), Fraction(pts[i].x), Fraction(pts[i].y))
-            if best is None or cand < best:
-                best = cand
-    for i in range(m):
-        for j in range(i + 1, m):
-            cx = Fraction(pts[i].x + pts[j].x, 2)
-            cy = Fraction(pts[i].y + pts[j].y, 2)
-            dx = pts[i].x - pts[j].x
-            dy = pts[i].y - pts[j].y
-            r2 = Fraction(dx * dx + dy * dy, 4)
-            if best is not None and r2 >= best[0]:
-                continue
-            if mass_in(cx, cy, r2) >= need:
-                cand = (r2, cx, cy)
-                if best is None or cand < best:
-                    best = cand
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                a, b, c = pts[i], pts[j], pts[k]
-                d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
-                if d == 0:
-                    continue
-                a2 = a.x * a.x + a.y * a.y
-                b2 = b.x * b.x + b.y * b.y
-                c2 = c.x * c.x + c.y * c.y
-                cx = Fraction(a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y), d)
-                cy = Fraction(a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x), d)
-                r2 = (a.x - cx) ** 2 + (a.y - cy) ** 2
-                if best is not None and r2 >= best[0]:
-                    continue
-                if mass_in(cx, cy, r2) >= need:
-                    cand = (r2, cx, cy)
-                    if best is None or cand < best:
-                        best = cand
-    if best is None:
+    ints, denom = snap.sample.scaled_weights
+    pts, (gs,) = _collapse_multi(snap.sample.points, [ints])
+    need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
+    heavy = [p for p, g in zip(pts, gs) if g >= need]
+    if heavy:
+        return LmsDisk((Fraction(heavy[0].x), Fraction(heavy[0].y)), Fraction(0))
+    best = (math.inf,)  # (r2, 1 diametral or 2 circumcircle, index key, center)
+    for ab2, i, j in sorted(((q.x - p.x) ** 2 + (q.y - p.y) ** 2, i, j)
+                            for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j):
+        if ab2 > 4 * best[0]:
+            break  # every disk through this pair is larger
+        start, events, ends = _disk_pair_events(pts, i, j)
+        run, at_zero, near, lo = sum(gs[c] for c in start), None, {}, 0
+        for end in ends:
+            group, lo = events[lo:end + 1], end + 1
+            alpha, beta, _ = group[0]
+            side = (alpha > 0) - (alpha < 0) if beta > 0 else (alpha < 0) - (alpha > 0)
+            entering = sum(gs[c] for _, b, c in group if b > 0)
+            if at_zero is None and side >= 0:
+                at_zero = run + entering if side == 0 else run
+            if side and run + entering >= need:
+                near[side] = group  # the last feasible circle below t = 0, the first above
+                if side > 0:
+                    break
+            run += entering - sum(gs[c] for _, b, c in group if b < 0)
+        A, B = pts[i], pts[j]
+        mx, my = Fraction(A.x + B.x, 2), Fraction(A.y + B.y, 2)
+        if (run if at_zero is None else at_zero) >= need:
+            best = min(best, (Fraction(ab2, 4), 1, (i, j), (mx, my)))
+        for group in near.values():
+            t = Fraction(group[0][0], group[0][1])
+            circle = tuple(sorted({i, j, *(c for _, _, c in group)})[:3])
+            best = min(best, (ab2 * (Fraction(1, 4) + t * t), 2, circle,
+                              (mx + t * (A.y - B.y), my + t * (B.x - A.x))))
+    if best[0] == math.inf:
         raise EpsStreamError("no feasible disk (internal)")
-    r2, cx, cy = best
-    return LmsDisk((cx, cy), r2)
+    return LmsDisk(best[3], best[0])
 
 
 def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     """Minimum-vertical-width slab holding a (1/2 + eps) fraction; returns
-    its central line and the width."""
+    its central line and the width.
+
+    Per support pair slope a = num/den (0 if there is none), the slab
+    measure's order at the separator just below it
+    (``rangesums._slope_orders``) sorts the integer keys den*y - num*x, so
+    one window along it on the integer scaled weights finds the narrowest
+    slabs.  Ties go to the least (width, slope, lower intercept).
+    """
     _require(snap, FamilyKind.SLAB, "lms_regression")
     if snap.eps >= Fraction(1, 2):
         raise ValueError("lms_regression needs eps < 1/2")
-    pts, (ws,) = _collapse_multi(snap.sample.points, [snap.sample.weights])
+    ints, denom = snap.sample.scaled_weights
+    pts, (gs,) = _collapse_multi(snap.sample.points, [ints])
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
-    n = Fraction(snap.n)
-    need = (Fraction(1, 2) + snap.eps) * n
-    best = None
-    for a in sorted(_pair_slopes(pts, ws)[0]) or [Fraction(0)]:
-        keyed: dict[Fraction, Fraction] = {}
-        for p, w in zip(pts, ws):
-            k = p.y - a * p.x
-            keyed[k] = keyed.get(k, Fraction(0)) + w
-        keys = sorted(keyed)
-        masses = [keyed[k] for k in keys]
-        lo = 0
-        run = Fraction(0)
-        for hi in range(len(keys)):
-            run += masses[hi]
-            while run - masses[lo] >= need:
-                run -= masses[lo]
+    need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
+    cands = []
+    for a, order in zip(_pair_slopes(pts) or [Fraction(0)], _slope_orders(pts).tolist()):
+        num, den = a.numerator, a.denominator
+        keys = [pts[i].y * den - pts[i].x * num for i in order]
+        spans = []
+        lo = run = 0
+        for hi, i in enumerate(order):
+            run += gs[i]
+            while run - gs[order[lo]] >= need:
+                run -= gs[order[lo]]
                 lo += 1
             if run >= need:
-                width = keys[hi] - keys[lo]
-                cand = (width, a, keys[lo])
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
+                spans.append((keys[hi] - keys[lo], keys[lo]))
+        if spans:
+            width, blo = min(spans)
+            cands.append((Fraction(width, den), a, Fraction(blo, den)))
+    if not cands:
         raise EpsStreamError("no feasible slab (internal)")
-    width, a, blo = best
+    width, a, blo = min(cands)
     return FitLine(a, blo + width / 2), width

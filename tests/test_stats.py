@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epsstream import Point2, StreamState, WeightedSample, make_config
@@ -19,6 +19,8 @@ from epsstream.oracles import (
     exact_slope_rank,
     exact_tukey_depth,
 )
+from epsstream.ranges import _pair_slopes
+from epsstream.rangesums import _slope_orders
 from epsstream.stats import (
     FitLine,
     lms_location,
@@ -507,3 +509,225 @@ class TestLms:
             assert Fraction(covered) >= Fraction(len(pts), 2)
             a, b1, b2 = exact_lms_slab(PrefixMirror(pts), Fraction(1, 2) + 2 * eps)
             assert width <= b2 - b1
+
+
+_EPSES = (Fraction(1, 100), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3))
+_CIRCLE25 = [Point2(x, y) for x, y in ((3, 4), (4, 3), (5, 0), (0, 5))
+             for x, y in ((x, y), (-x, y), (x, -y), (-x, -y))]
+
+
+@st.composite
+def _lms_inputs(draw):
+    """Small supports rich in degeneracies: a +-2 lattice (cocircular
+    quadruples, collinear runs, shared x), lattice points mirrored in both
+    axes, points of the circle x^2 + y^2 = 25 among lattice points, free
+    points in +-40, two-point and all-vertical supports, with some
+    duplicates, and an eps of the grid."""
+    lattice = st.builds(Point2, st.integers(-2, 2), st.integers(-2, 2))
+    kind = draw(st.sampled_from(("lattice", "mirror", "circle", "free", "pair", "vertical")))
+    if kind == "mirror":  # equal disks and slabs, so ties are common
+        base = draw(st.lists(st.builds(Point2, st.integers(0, 3), st.integers(0, 3)),
+                             min_size=1, max_size=4))
+        pts = [Point2(sx * p.x, sy * p.y) for p in base for sx in (1, -1) for sy in (1, -1)]
+    elif kind == "lattice":
+        pts = draw(st.lists(lattice, min_size=1, max_size=9))
+    elif kind == "circle":
+        pts = draw(st.lists(st.sampled_from(_CIRCLE25), min_size=2, max_size=6))
+        pts += draw(st.lists(st.builds(Point2, st.integers(-5, 5), st.integers(-5, 5)),
+                             max_size=3))
+    elif kind == "free":
+        free = st.builds(Point2, st.integers(-40, 40), st.integers(-40, 40))
+        pts = draw(st.lists(free, min_size=1, max_size=8))
+    elif kind == "pair":
+        pts = draw(st.lists(st.builds(Point2, st.integers(-5, 5), st.integers(-5, 5)),
+                            min_size=2, max_size=2, unique=True))
+    else:
+        x = draw(st.integers(-5, 5))
+        pts = [Point2(x, y) for y in draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6))]
+    return _with_duplicates(draw, pts), draw(st.sampled_from(_EPSES))
+
+
+def _lms_weights(data, pts):
+    """Equal weights, which make equal disks and slabs tie, or Fractions."""
+    return data.draw(st.one_of(st.just([1] * len(pts)),
+                               st.lists(st.fractions(min_value=Fraction(1, 7), max_value=5),
+                                        min_size=len(pts), max_size=len(pts))))
+
+
+def _eps_snapshot(pts, raw_weights, fam, eps):
+    n = len(pts)
+    scale = Fraction(n) / sum(raw_weights)
+    ws = tuple(w * scale for w in raw_weights)
+    return Snapshot(WeightedSample(tuple(pts), ws, Fraction(n), Fraction(0)), n,
+                    make_config(eps, fam))
+
+
+def _merged_support(snap):
+    merged = {}
+    for p, w in zip(snap.sample.points, snap.sample.weights):
+        merged[p] = merged.get(p, Fraction(0)) + w
+    pts = sorted(merged)
+    return pts, [merged[p] for p in pts]
+
+
+def _reference_lms_location(snap):
+    """The smallest disk by a rescan of the support for every radius-0 disk,
+    diametral disk and triple circumcircle, in Fractions, kept here as the
+    reference for the bisector sweep."""
+    pts, ws = _merged_support(snap)
+    need = (Fraction(1, 2) + snap.eps) * snap.n
+
+    def mass_in(cx, cy, r2):
+        return sum((w for p, w in zip(pts, ws) if (p.x - cx) ** 2 + (p.y - cy) ** 2 <= r2),
+                   Fraction(0))
+
+    best = None
+    m = len(pts)
+    for i, w in enumerate(ws):
+        if w >= need:
+            cand = (Fraction(0), Fraction(pts[i].x), Fraction(pts[i].y))
+            if best is None or cand < best:
+                best = cand
+    for i, j in combinations(range(m), 2):
+        cx = Fraction(pts[i].x + pts[j].x, 2)
+        cy = Fraction(pts[i].y + pts[j].y, 2)
+        r2 = Fraction((pts[i].x - pts[j].x) ** 2 + (pts[i].y - pts[j].y) ** 2, 4)
+        if (best is None or r2 < best[0]) and mass_in(cx, cy, r2) >= need:
+            best = (r2, cx, cy)
+    for i, j, k in combinations(range(m), 3):
+        a, b, c = pts[i], pts[j], pts[k]
+        d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+        if d == 0:
+            continue
+        a2, b2, c2 = a.x ** 2 + a.y ** 2, b.x ** 2 + b.y ** 2, c.x ** 2 + c.y ** 2
+        cx = Fraction(a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y), d)
+        cy = Fraction(a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x), d)
+        r2 = (a.x - cx) ** 2 + (a.y - cy) ** 2
+        if (best is None or r2 < best[0]) and mass_in(cx, cy, r2) >= need:
+            best = (r2, cx, cy)
+    return (best[1], best[2]), best[0]
+
+
+def _reference_lms_regression(snap):
+    """The narrowest slab by one Fraction-keyed window per pair slope, kept
+    here as the reference for the window over the slab measure's orders."""
+    pts, ws = _merged_support(snap)
+    need = (Fraction(1, 2) + snap.eps) * snap.n
+    slopes = {Fraction(q.y - p.y, q.x - p.x) for p, q in combinations(pts, 2) if q.x != p.x}
+    best = None
+    for a in sorted(slopes) or [Fraction(0)]:
+        keyed = {}
+        for p, w in zip(pts, ws):
+            keyed[p.y - a * p.x] = keyed.get(p.y - a * p.x, Fraction(0)) + w
+        keys = sorted(keyed)
+        lo = 0
+        run = Fraction(0)
+        for hi, k in enumerate(keys):
+            run += keyed[k]
+            while run - keyed[keys[lo]] >= need:
+                run -= keyed[keys[lo]]
+                lo += 1
+            if run >= need:
+                cand = (k - keys[lo], a, keys[lo])
+                if best is None or cand < best:
+                    best = cand
+    width, a, blo = best
+    return FitLine(a, blo + width / 2), width
+
+
+def _reference_theil_sen(snap):
+    """Theil-Sen with a rescan of the support for every candidate intercept,
+    kept here as the reference for the prefix-mass pass."""
+    pts, ws = _merged_support(snap)
+    slopes = {}
+    vertical = total = Fraction(0)
+    for (p, wp), (q, wq) in combinations(zip(pts, ws), 2):
+        total += wp * wq
+        if q.x == p.x:
+            vertical += wp * wq
+        else:
+            sl = Fraction(q.y - p.y, q.x - p.x)
+            slopes[sl] = slopes.get(sl, Fraction(0)) + wp * wq
+    if len(pts) < 2 or 2 * vertical >= total:
+        raise EpsStreamError("no finite median slope")
+    run = Fraction(0)
+    for slope in sorted(slopes):
+        run += slopes[slope]
+        if 2 * run >= total:
+            break
+    keys = sorted({p.y - slope * p.x for p in pts})
+    best = None
+    for b in keys + [(u + v) / 2 for u, v in zip(keys, keys[1:])]:
+        above = sum((w for p, w in zip(pts, ws) if p.y > slope * p.x + b), Fraction(0))
+        below = sum((w for p, w in zip(pts, ws) if p.y < slope * p.x + b), Fraction(0))
+        if best is None or (abs(above - below), b) < best:
+            best = (abs(above - below), b)
+    return FitLine(slope, best[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_lms_inputs(), data=st.data())
+def test_lms_location_matches_rescan_reference(inp, data):
+    pts, eps = inp
+    snap = _eps_snapshot(pts, _lms_weights(data, pts), "disk", eps)
+    disk = lms_location(snap)
+    assert (disk.center, disk.radius2) == _reference_lms_location(snap)
+    assert all(isinstance(v, Fraction) for v in (*disk.center, disk.radius2))
+
+
+@pytest.mark.parametrize("coords, eps", [
+    # the least disk ties a diametral disk holding a third point of its
+    # circle with a circumcircle of the same radius
+    ([(-2, 0), (-2, 1), (-1, -3), (-1, -2), (-1, 2), (-1, 3), (1, -3), (1, -2), (1, 2),
+      (1, 3), (2, 0)], Fraction(1, 8)),
+    ([(-2, -2), (-2, 2), (-1, -3), (-1, 3), (0, 0), (1, -3), (1, 3), (2, -2), (2, 2)],
+     Fraction(1, 100)),
+    # circumcircles of equal radius, told apart by their least index triples
+    ([(-3, -1), (-3, 1), (-2, -3), (-2, 3), (0, 0), (2, -3), (2, 3), (3, -1), (3, 1)],
+     Fraction(1, 8)),
+    ([(-3, 0), (-2, -2), (-2, 2), (-1, -3), (-1, 3), (0, -3), (0, 3), (1, -3), (1, 3),
+      (2, -2), (2, 2), (3, 0)], Fraction(1, 8)),
+])
+def test_lms_location_breaks_ties_like_the_reference(coords, eps):
+    snap = _eps_snapshot([Point2(x, y) for x, y in coords], [1] * len(coords), "disk", eps)
+    disk = lms_location(snap)
+    assert (disk.center, disk.radius2) == _reference_lms_location(snap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_lms_inputs(), data=st.data())
+def test_lms_regression_matches_window_reference(inp, data):
+    pts, eps = inp
+    assume(len(set(pts)) >= 2)
+    snap = _eps_snapshot(pts, _lms_weights(data, pts), "slab", eps)
+    fit, width = lms_regression(snap)
+    assert (fit, width) == _reference_lms_regression(snap)
+    assert all(isinstance(v, Fraction) for v in (fit.slope, fit.intercept, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_lms_inputs(), data=st.data())
+def test_theil_sen_matches_rescan_reference(inp, data):
+    pts, _ = inp
+    snap = _eps_snapshot(pts, _lms_weights(data, pts), "vpar", Fraction(1, 4))
+    try:
+        want = _reference_theil_sen(snap)
+    except EpsStreamError:
+        with pytest.raises(EpsStreamError):
+            theil_sen_fit(snap)
+        return
+    fit = theil_sen_fit(snap)
+    assert fit == want
+    assert isinstance(fit.intercept, Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=st.lists(st.builds(Point2, st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=1, max_size=10, unique=True))
+def test_slope_orders_sort_the_keys_at_each_pair_slope(pts):
+    slopes = _pair_slopes(pts)
+    orders = _slope_orders(pts)
+    assert len(orders) == len(slopes) + 1
+    for a, order in zip(slopes or [Fraction(0)], orders):
+        keys = [pts[i].y - a * pts[i].x for i in order]
+        assert keys == sorted(keys)
