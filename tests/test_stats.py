@@ -184,12 +184,12 @@ def _depth_inputs(draw):
     return pts, q
 
 
-def _weighted_snapshot(pts, raw_weights, fam="halfplane"):
+def _weighted_snapshot(pts, raw_weights, fam="halfplane", eps=Fraction(1, 4)):
     n = len(pts)
     scale = Fraction(n) / sum(raw_weights)
     ws = tuple(w * scale for w in raw_weights)
     return Snapshot(WeightedSample(tuple(pts), ws, Fraction(n), Fraction(0)), n,
-                    make_config(Fraction(1, 4), fam))
+                    make_config(eps, fam))
 
 
 def _draw_weights(data, pts):
@@ -549,17 +549,7 @@ def _lms_inputs(draw):
 
 def _lms_weights(data, pts):
     """Equal weights, which make equal disks and slabs tie, or Fractions."""
-    return data.draw(st.one_of(st.just([1] * len(pts)),
-                               st.lists(st.fractions(min_value=Fraction(1, 7), max_value=5),
-                                        min_size=len(pts), max_size=len(pts))))
-
-
-def _eps_snapshot(pts, raw_weights, fam, eps):
-    n = len(pts)
-    scale = Fraction(n) / sum(raw_weights)
-    ws = tuple(w * scale for w in raw_weights)
-    return Snapshot(WeightedSample(tuple(pts), ws, Fraction(n), Fraction(0)), n,
-                    make_config(eps, fam))
+    return [1] * len(pts) if data.draw(st.booleans()) else _draw_weights(data, pts)
 
 
 def _merged_support(snap):
@@ -669,7 +659,7 @@ def _reference_theil_sen(snap):
 @given(inp=_lms_inputs(), data=st.data())
 def test_lms_location_matches_rescan_reference(inp, data):
     pts, eps = inp
-    snap = _eps_snapshot(pts, _lms_weights(data, pts), "disk", eps)
+    snap = _weighted_snapshot(pts, _lms_weights(data, pts), "disk", eps)
     disk = lms_location(snap)
     assert (disk.center, disk.radius2) == _reference_lms_location(snap)
     assert all(isinstance(v, Fraction) for v in (*disk.center, disk.radius2))
@@ -689,7 +679,7 @@ def test_lms_location_matches_rescan_reference(inp, data):
       (2, -2), (2, 2), (3, 0)], Fraction(1, 8)),
 ])
 def test_lms_location_breaks_ties_like_the_reference(coords, eps):
-    snap = _eps_snapshot([Point2(x, y) for x, y in coords], [1] * len(coords), "disk", eps)
+    snap = _weighted_snapshot([Point2(x, y) for x, y in coords], [1] * len(coords), "disk", eps)
     disk = lms_location(snap)
     assert (disk.center, disk.radius2) == _reference_lms_location(snap)
 
@@ -699,7 +689,7 @@ def test_lms_location_breaks_ties_like_the_reference(coords, eps):
 def test_lms_regression_matches_window_reference(inp, data):
     pts, eps = inp
     assume(len(set(pts)) >= 2)
-    snap = _eps_snapshot(pts, _lms_weights(data, pts), "slab", eps)
+    snap = _weighted_snapshot(pts, _lms_weights(data, pts), "slab", eps)
     fit, width = lms_regression(snap)
     assert (fit, width) == _reference_lms_regression(snap)
     assert all(isinstance(v, Fraction) for v in (fit.slope, fit.intercept, width))
@@ -709,7 +699,7 @@ def test_lms_regression_matches_window_reference(inp, data):
 @given(inp=_lms_inputs(), data=st.data())
 def test_theil_sen_matches_rescan_reference(inp, data):
     pts, _ = inp
-    snap = _eps_snapshot(pts, _lms_weights(data, pts), "vpar", Fraction(1, 4))
+    snap = _weighted_snapshot(pts, _lms_weights(data, pts), "vpar")
     try:
         want = _reference_theil_sen(snap)
     except EpsStreamError:
