@@ -453,14 +453,16 @@ def _canonical_disks(pts: Sequence[Point2]) -> list[Disk]:
 
 
 def _pair_slopes(pts: Sequence[Point2]) -> list[Fraction]:
-    return sorted({Fraction(q.y - p.y, q.x - p.x) for p in pts for q in pts if q.x != p.x})
+    """The distinct slopes of the non-vertical point pairs, ascending."""
+    return sorted({Fraction(q.y - p.y, q.x - p.x)
+                   for i, p in enumerate(pts) for q in pts[i + 1:] if q.x != p.x})
 
 
-def _slope_separators(pts: Sequence[Point2]) -> list[Fraction]:
-    """One slope inside each gap between consecutive pair slopes and one
-    beyond each end, in order ([0] if there is none): two distinct points
-    tie in y - a*x only at their own pair slope, so never at a separator."""
-    slopes = _pair_slopes(pts)
+def _slope_separators(slopes: Sequence[Fraction]) -> list[Fraction]:
+    """One slope inside each gap between consecutive pair slopes
+    (``_pair_slopes``) and one beyond each end, in order ([0] if there is
+    none): two distinct points tie in y - a*x only at their own pair slope,
+    so never at a separator."""
     if not slopes:
         return [Fraction(0)]
     return [slopes[0] - 1, *((a + b) / 2 for a, b in zip(slopes, slopes[1:])), slopes[-1] + 1]
@@ -469,7 +471,8 @@ def _slope_separators(pts: Sequence[Point2]) -> list[Fraction]:
 def _slope_candidates(pts: Sequence[Point2]) -> list[Fraction]:
     """Pair slopes plus the separators between them (ties need the exact
     slopes, distinct orders need slopes strictly between)."""
-    return sorted(set(_pair_slopes(pts)).union(_slope_separators(pts)))
+    slopes = _pair_slopes(pts)
+    return sorted(set(slopes).union(_slope_separators(slopes)))
 
 
 def _canonical_slabs(pts: Sequence[Point2]) -> list[Slab]:

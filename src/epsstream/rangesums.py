@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import FamilyKind, Point2, _slope_separators
+from .ranges import FamilyKind, Point2, _pair_slopes, _slope_separators
 
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
@@ -472,15 +472,16 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
 # ---------------------------------------------------------------------------
 
 
-def _slope_orders(pts: Sequence[Point2]) -> np.ndarray:
+def _slope_orders(pts: Sequence[Point2], slopes: Sequence[Fraction]) -> np.ndarray:
     """The S x m exact orders of distinct points by y - a*x, one per slope
-    separator a (``ranges._slope_separators``), where no two keys tie.
+    separator a (``ranges._slope_separators``) of their pair slopes
+    ``slopes`` (``ranges._pair_slopes(pts)``), where no two keys tie.
     Keys tie only at a pair slope, and every run of key groups there is a
     run of the order at the separator just below it; so every slab subset
     is a run of one of these orders."""
     orders = []
     coords = [(p.x, p.y) for p in pts]
-    for a in _slope_separators(pts):
+    for a in _slope_separators(slopes):
         num, den = a.numerator, a.denominator
         keys = [y * den - x * num for x, y in coords]
         orders.append(sorted(range(len(keys)), key=keys.__getitem__))
@@ -496,7 +497,7 @@ def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
         return [0] * k
     m = len(pts)
     deltas = _delta_matrix(delta_lists, m)
-    orders = _slope_orders(pts)
+    orders = _slope_orders(pts, _pair_slopes(pts))
     best = np.zeros(k, dtype=deltas.dtype)
     step = max(1, _BLOCK_CELLS // (k * m))
     for lo in range(0, len(orders), step):
@@ -522,7 +523,7 @@ def max_vpar_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
     xr = _ranks([p.x for p in pts])
     nx = int(xr.max()) + 1
     below = xr[:, None] < np.arange(nx + 1)  # m x (X + 1)
-    orders = _slope_orders(pts)
+    orders = _slope_orders(pts, _pair_slopes(pts))
     best = np.zeros(k, dtype=deltas.dtype)
     step = max(1, _BLOCK_CELLS // (k * m * (nx + 1)))
     for s in range(0, len(orders), step):

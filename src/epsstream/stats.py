@@ -10,8 +10,10 @@ fits).  All arithmetic is exact; additive bounds quote the snapshot's eps.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,10 +56,6 @@ def _require(snap: Snapshot, kind: FamilyKind, op: str) -> None:
                                   f"{snap.family.kind.value}")
 
 
-def _support(snap: Snapshot):
-    return snap.sample.points, snap.sample.weights, Fraction(snap.n)
-
-
 def _sqrt_upper(x: Fraction) -> Fraction:
     """A rational upper bound on sqrt(x)."""
     scale = 1 << 20
@@ -72,69 +70,97 @@ def _sqrt_upper(x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _depth_of(points: Sequence[Point2], weights: Sequence[Fraction], total: Fraction,
-              q: Point2) -> Fraction:
-    """Minimum closed-halfplane mass through q, over total (one apex sweep)."""
-    masses: list[Fraction] = []
-    _apex_sweep(points, weights, q, masses.append)
-    return min(masses) / total
+def _depth_of(snap: Snapshot, q: Point2) -> Fraction:
+    """Minimum closed-halfplane mass through q over the stream mass: one apex
+    sweep on the integer scaled weights, divided once."""
+    ints, denom = snap.sample.scaled_weights
+    masses: list[int] = []
+    _apex_sweep(snap.sample.points, ints, q, masses.append)
+    return Fraction(min(masses), denom * snap.n)
 
 
 def tukey_depth(snap: Snapshot, q: Point2) -> DepthValue:
     """Halfspace depth of q in the snapshot; within eps of the stream's."""
     _require(snap, FamilyKind.HALFPLANE, "tukey_depth")
-    pts, ws, n = _support(snap)
-    return DepthValue(_depth_of(pts, ws, n, q), snap.eps)
+    return DepthValue(_depth_of(snap, q), snap.eps)
 
 
-def _clip(poly, a: int, b: int, t) -> list:
-    """Clip a convex polygon (Fraction vertex list) to a*x + b*y <= t."""
-    if not poly:
+def _meet(l1, l2) -> tuple[int, int, int]:
+    """Homogeneous coordinates (X, Y, W), W > 0, of the meet of two
+    nonparallel integer lines a*x + b*y = t (Cramer's rule)."""
+    a1, b1, t1 = l1
+    a2, b2, t2 = l2
+    x, y, w = t1 * b2 - t2 * b1, a1 * t2 - a2 * t1, a1 * b2 - a2 * b1
+    return (x, y, w) if w > 0 else (-x, -y, -w)
+
+
+def _clip(poly: list, line: tuple[int, int, int]) -> list:
+    """Clip a convex polygon to a*x + b*y <= t for line (a, b, t).
+
+    The polygon is a cycle of (X, Y, W, edge): a vertex in homogeneous
+    integer coordinates and the line through it and the next vertex, so a
+    crossing vertex is the meet of the crossed edge and the clip line, and
+    every vertex stays the meet of two input lines.
+    """
+    a, b, t = line
+    side = [a * x + b * y - t * w for x, y, w, _ in poly]
+    if max(side) <= 0:
         return poly
     out = []
-    m = len(poly)
-    vals = [a * x + b * y for x, y in poly]
-    for i in range(m):
-        x1, y1 = poly[i]
-        v1 = vals[i]
-        j = (i + 1) % m
-        x2, y2 = poly[j]
-        v2 = vals[j]
-        if v1 <= t:
-            out.append((x1, y1))
-        if (v1 < t < v2) or (v2 < t < v1):
-            lam = Fraction(t - v1, v2 - v1)
-            out.append((x1 + lam * (x2 - x1), y1 + lam * (y2 - y1)))
+    for i, v in enumerate(poly):
+        s1, s2 = side[i], side[(i + 1) % len(poly)]
+        if s1 <= 0:  # kept; past it the boundary runs on the clip line if it leaves here
+            out.append(v if s1 < 0 or s2 <= 0 else (*v[:3], line))
+        if s1 < 0 < s2:
+            out.append((*_meet(v[3], line), line))
+        elif s2 < 0 < s1:
+            out.append((*_meet(v[3], line), v[3]))
     return out
+
+
+def _lex_order(u, v) -> int:
+    """Sign of the lexicographic comparison of two homogeneous vertices."""
+    return (u[0] * v[2] - v[0] * u[2]) or (u[1] * v[2] - v[1] * u[2])
 
 
 def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     """A point maximizing snapshot depth; its depth is within eps of the
-    stream's maximum depth and at least 1/3."""
+    stream's maximum depth and at least 1/3.
+
+    Binary search over the depth levels; the depth region of a level is
+    the box around the support clipped to one halfplane per support-pair
+    normal, in integer lines (coordinates scaled by the lcm of their
+    denominators).  The lexicographically least vertex of the deepest
+    region is returned.
+    """
     _require(snap, FamilyKind.HALFPLANE, "tukey_median")
-    pts, ws, n = _support(snap)
+    pts = snap.sample.points
     if not pts:
         raise EpsStreamError("empty snapshot")
-    if len(pts) == 1:
-        return pts[0], DepthValue(Fraction(1), snap.eps)
-
     base = pts[0]
     ref = next((p for p in pts if p != base), None)
+    if ref is None:
+        return base, DepthValue(Fraction(1), snap.eps)
     collinear = all((p.x - base.x) * (ref.y - base.y) == (p.y - base.y) * (ref.x - base.x)
                     for p in pts)
     if collinear:
         best = None
         for p in pts:
-            d = _depth_of(pts, ws, n, p)
+            d = _depth_of(snap, p)
             if best is None or d > best[1] or (d == best[1] and p < best[0]):
                 best = (p, d)
         return best[0], DepthValue(best[1], snap.eps)
 
+    scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    coords = [(p.x.numerator * (scale // p.x.denominator),
+               p.y.numerator * (scale // p.y.denominator)) for p in pts]
     # normals to all support directions, both orientations
     normals: set[tuple[int, int]] = set()
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = _primitive(q.x - p.x, q.y - p.y)
+    for i, (px, py) in enumerate(coords):
+        for qx, qy in coords[i + 1:]:
+            if (qx, qy) == (px, py):
+                continue  # coincident copies span no direction
+            d = _primitive(qx - px, qy - py)
             normals.add((-d[1], d[0]))
             normals.add((d[1], -d[0]))
     # per normal: descending projection values with suffix masses, summed
@@ -143,29 +169,36 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     tables = {}
     depth_values: set[int] = set()
     for u in normals:
-        proj: dict = {}
-        for p, g in zip(pts, masses):
-            v = u[0] * p.x + u[1] * p.y
-            proj[v] = proj.get(v, 0) + g
-        vals = sorted(proj, reverse=True)
-        suffix = list(itertools.accumulate(proj[v] for v in vals))
+        flip = tables.get((-u[0], -u[1]))
+        if flip:  # the table of -u read from its other end
+            vals, suffix = flip
+            vals = [-v for v in reversed(vals)]
+            suffix = [suffix[-1] - s for s in reversed(suffix[:-1])] + [suffix[-1]]
+        else:
+            proj: dict = {}
+            for (x, y), g in zip(coords, masses):
+                v = u[0] * x + u[1] * y
+                proj[v] = proj.get(v, 0) + g
+            vals = sorted(proj, reverse=True)
+            suffix = list(itertools.accumulate(proj[v] for v in vals))
         tables[u] = (vals, suffix)
         depth_values.update(suffix)
 
     levels = sorted(depth_values)
+    lo_x = min(x for x, _ in coords) - scale
+    hi_x = max(x for x, _ in coords) + scale
+    lo_y = min(y for _, y in coords) - scale
+    hi_y = max(y for _, y in coords) + scale
+    box = [(lo_x, lo_y, 1, (0, 1, lo_y)), (hi_x, lo_y, 1, (1, 0, hi_x)),
+           (hi_x, hi_y, 1, (0, 1, hi_y)), (lo_x, hi_y, 1, (1, 0, lo_x))]
 
     def region(tau: int):
-        minx = min(p.x for p in pts)
-        maxx = max(p.x for p in pts)
-        miny = min(p.y for p in pts)
-        maxy = max(p.y for p in pts)
-        poly = [(Fraction(minx - 1), Fraction(miny - 1)), (Fraction(maxx + 1), Fraction(miny - 1)),
-                (Fraction(maxx + 1), Fraction(maxy + 1)), (Fraction(minx - 1), Fraction(maxy + 1))]
+        poly = box
         for u, (vals, suffix) in tables.items():
             k = bisect.bisect_left(suffix, tau)
             if k == len(suffix):
                 return []
-            poly = _clip(poly, u[0], u[1], vals[k])
+            poly = _clip(poly, (u[0], u[1], vals[k]))
             if not poly:
                 return []
         return poly
@@ -182,11 +215,11 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
             hi = mid - 1
     if best_poly is None:
         raise EpsStreamError("depth region search failed")
-    vx = min(best_poly)
-    q = Point2(vx[0].numerator if vx[0].denominator == 1 else vx[0],
-               vx[1].numerator if vx[1].denominator == 1 else vx[1])
-    value = _depth_of(pts, ws, n, q)
-    return q, DepthValue(value, snap.eps)
+    vx, vy, vw, _ = min(best_poly, key=functools.cmp_to_key(_lex_order))
+    x, y = Fraction(vx, vw * scale), Fraction(vy, vw * scale)
+    q = Point2(x.numerator if x.denominator == 1 else x,
+               y.numerator if y.denominator == 1 else y)
+    return q, DepthValue(_depth_of(snap, q), snap.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +252,7 @@ def simplicial_depth_estimate(snap: Snapshot, q: Point2,
     delta_sub = Fraction(delta_sub)
     if not 0 < delta_sub < 1:
         raise ValueError("delta_sub must be in (0, 1)")
-    pts, ws, n = _support(snap)
+    pts, ws, n = snap.sample.points, snap.sample.weights, Fraction(snap.n)
     if n < 3:
         raise EpsStreamError("simplicial depth needs mass >= 3")
     groups: dict[tuple[int, int], Fraction] = {}
@@ -269,50 +302,60 @@ def simplicial_depth_estimate(snap: Snapshot, q: Point2,
 # ---------------------------------------------------------------------------
 
 
-def _pivot_candidates(xs: list) -> list:
-    out = set()
-    for x in xs:
-        out.add(x - 1)
-        out.add(x)
-        out.add(x + 1)
-    return sorted(out)
-
-
-def regression_depth(snap: Snapshot, line: FitLine) -> DepthValue:
-    """Minimum mass swept when rotating the line to vertical about any pivot.
+def _least_swept_masses(pts: Sequence[Point2], gs: Sequence[int], lines) -> list[int]:
+    """Per line (slope, intercept), the least integer mass swept when
+    rotating the line to vertical about any pivot, on integer masses gs.
 
     Points on the line (outside the pivot column) always count: the motion
     starts on them.  The support is grouped into x columns of (above, below,
-    on) mass, and each pivot reads prefix sums of the sorted columns.
+    on) mass, and each pivot reads prefix sums of the sorted columns.  Only
+    pivots on columns are read: turning either way, a pivot on a column next
+    to a gap sweeps part of what a pivot in the gap sweeps.  At slope a/b and
+    intercept c/d, the residual of (x, y) has the sign of b*d*y - a*d*x - b*c.
     """
+    rank = {x: i + 1 for i, x in enumerate(sorted({p.x for p in pts}))}
+    cols = [rank[p.x] for p in pts]
+    out = []
+    for slope, inter in lines:
+        a, b = slope.numerator, slope.denominator
+        c, d = inter.numerator, inter.denominator
+        bd, ad, bc = b * d, a * d, b * c
+        up, down, on = [0] * (len(rank) + 1), [0] * (len(rank) + 1), [0] * (len(rank) + 1)
+        for p, g, j in zip(pts, gs, cols):
+            r = bd * p.y - ad * p.x - bc
+            if r > 0:
+                up[j] += g
+            elif r < 0:
+                down[j] += g
+            else:
+                on[j] += g
+        up, down, on = (list(itertools.accumulate(v)) for v in (up, down, on))
+        # about column j, rising sweeps the mass above on the right and below
+        # on the left (falling the other two), and every point on the line
+        # off the column: prefix sums before column j, suffix sums after it
+        up_on, down_on = list(map(operator.add, up, on)), list(map(operator.add, down, on))
+        out.append(min(up[-1] + on[-1] + min(map(operator.sub, down_on, up_on[1:])),
+                       down[-1] + on[-1] + min(map(operator.sub, up_on, down_on[1:]))))
+    return out
+
+
+def regression_depth(snap: Snapshot, line: FitLine) -> DepthValue:
+    """Minimum mass swept when rotating the line to vertical about any pivot
+    (``_least_swept_masses``), over the stream mass."""
     _require(snap, FamilyKind.DOUBLE_WEDGE, "regression_depth")
     if line.slope is None:
         raise ValueError("vertical lines are nonfits")
-    pts, ws, n = _support(snap)
-    columns: dict = {}
-    for p, w in zip(pts, ws):
-        r = p.y - (line.slope * p.x + line.intercept)
-        col = columns.setdefault(p.x, [Fraction(0)] * 3)
-        col[0 if r > 0 else 1 if r < 0 else 2] += w
-    xs = sorted(columns)
-    prefix = [(Fraction(0),) * 3]
-    for x in xs:
-        prefix.append(tuple(a + b for a, b in zip(prefix[-1], columns[x])))
-    up, down, on = prefix[-1]
-    swept = []
-    for v in _pivot_candidates(xs):
-        up_left, down_left, on_left = prefix[bisect.bisect_left(xs, v)]
-        up_through, down_through, on_through = prefix[bisect.bisect_right(xs, v)]
-        on_off = on_left + on - on_through
-        swept.append(min((up - up_through) + down_left + on_off,
-                         up_left + (down - down_through) + on_off))
-    return DepthValue(min(swept) / n, snap.eps)
+    ints, denom = snap.sample.scaled_weights
+    mass, = _least_swept_masses(snap.sample.points, ints,
+                                [(Fraction(line.slope), Fraction(line.intercept))])
+    return DepthValue(Fraction(mass, denom * snap.n), snap.eps)
 
 
 def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
-    """Deepest fit over lines through support pairs and nearby perturbations."""
+    """Deepest fit over lines through support pairs and nearby perturbations;
+    ties go to the least (slope, intercept)."""
     _require(snap, FamilyKind.DOUBLE_WEDGE, "max_regression_depth_fit")
-    pts, ws, n = _support(snap)
+    pts = snap.sample.points
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 support points")
     candidates: set[tuple[Fraction, Fraction]] = set()
@@ -328,25 +371,28 @@ def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
     if not candidates:
         # all support on one vertical column: any horizontal line through a point
         candidates = {(Fraction(0), Fraction(p.y)) for p in pts}
+    spanx = max(abs(p.x) for p in pts) + 1
     enriched: set[tuple[Fraction, Fraction]] = set()
     for slope, inter in candidates:
         enriched.add((slope, inter))
-        gaps = [abs(p.y - (slope * p.x + inter)) for p in pts]
-        gaps = [g for g in gaps if g > 0]
-        if gaps:
-            db = min(gaps) / 2
+        # the least nonzero |residual|, scaled by b*d as in _least_swept_masses
+        a, b = slope.numerator, slope.denominator
+        c, d = inter.numerator, inter.denominator
+        gap = min((r for r in (abs(b * d * p.y - a * d * p.x - b * c) for p in pts) if r),
+                  default=0)
+        if gap:
+            db = Fraction(gap, 2 * b * d)
             enriched.add((slope, inter + db))
             enriched.add((slope, inter - db))
-        spanx = max(abs(p.x) for p in pts) + 1
-        da = (min(gaps) / (2 * spanx)) if gaps else Fraction(1, 2)
+        da = Fraction(gap, 2 * b * d * spanx) if gap else Fraction(1, 2)
         for ds in (da, -da):
             enriched.add((slope + ds, inter))
-    best = None
-    for slope, inter in sorted(enriched):
-        d = regression_depth(snap, FitLine(slope, inter))
-        if best is None or d.value > best[1].value:
-            best = (FitLine(slope, inter), d)
-    return best
+    lines = list(enriched)
+    ints, denom = snap.sample.scaled_weights
+    masses = _least_swept_masses(pts, ints, lines)
+    deepest = max(masses)
+    slope, inter = min(line for line, g in zip(lines, masses) if g == deepest)
+    return FitLine(slope, inter), DepthValue(Fraction(deepest, denom * snap.n), snap.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +423,32 @@ def _pair_slope_masses(pts: Sequence[Point2], gs: Sequence[int]):
 def slope_rank_estimate(snap: Snapshot, s: Fraction) -> Fraction:
     """Normalized position of slope s among weighted support pair slopes.
 
-    Vertical pairs rank above any finite slope; ties count half.
+    Vertical pairs rank above any finite slope; ties count half.  One
+    integer pass over the pairs of the collapsed support: with dx > 0, the
+    pair slope dy/dx is below s = num/den exactly when dy*den < num*dx.
     """
     _require(snap, FamilyKind.VPARALLELOGRAM, "slope_rank_estimate")
     s = Fraction(s)
+    num, den = s.numerator, s.denominator
     pts, (gs,) = _collapse_multi(snap.sample.points, [snap.sample.scaled_weights[0]])
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
-    slopes, _, total = _pair_slope_masses(pts, gs)
-    below = sum(g for sl, g in slopes.items() if sl < s)
-    return Fraction(2 * below + slopes.get(s, 0), 2 * total)
+    below = at = total = 0
+    for i, (p, gp) in enumerate(zip(pts, gs)):
+        for q, gq in zip(pts[i + 1:], gs[i + 1:]):
+            gg = gp * gq
+            total += gg
+            dx, dy = q.x - p.x, q.y - p.y
+            if dx < 0:
+                dx, dy = -dx, -dy
+            elif dx == 0:
+                continue
+            lhs, rhs = dy * den, num * dx
+            if lhs < rhs:
+                below += gg
+            elif lhs == rhs:
+                at += gg
+    return Fraction(2 * below + at, 2 * total)
 
 
 def theil_sen_fit(snap: Snapshot) -> FitLine:
@@ -506,7 +568,8 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
         raise EpsStreamError("need at least 2 distinct support points")
     need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
     cands = []
-    for a, order in zip(_pair_slopes(pts) or [Fraction(0)], _slope_orders(pts).tolist()):
+    slopes = _pair_slopes(pts)
+    for a, order in zip(slopes or [Fraction(0)], _slope_orders(pts, slopes).tolist()):
         num, den = a.numerator, a.denominator
         keys = [pts[i].y * den - pts[i].x * num for i in order]
         spans = []

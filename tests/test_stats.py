@@ -1,7 +1,8 @@
+import bisect
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from epsstream.oracles import (
     exact_tukey_depth,
 )
 from epsstream.ranges import _pair_slopes
-from epsstream.rangesums import _slope_orders
+from epsstream.rangesums import _primitive, _slope_orders
 from epsstream.stats import (
     FitLine,
     lms_location,
@@ -214,6 +215,109 @@ def test_depth_matches_oracle_on_unit_weights(inp):
     assert tukey_depth(snap, q).value == exact_tukey_depth(PrefixMirror(pts), q)
 
 
+def _reference_tukey_median(snap):
+    """The deepest point by binary search over depth levels with Fraction
+    polygon clipping, kept here as the reference for the integer-line
+    clipping.  It runs on the merged support: on coincident support points
+    its normal loop divided by zero."""
+    pts, ws = _merged_support(snap)
+    n = Fraction(snap.n)
+    if len(pts) == 1:
+        return pts[0], Fraction(1)
+    base, ref = pts[0], pts[1]
+    if all((p.x - base.x) * (ref.y - base.y) == (p.y - base.y) * (ref.x - base.x) for p in pts):
+        best = None
+        for p in pts:
+            d = _reference_depth(pts, ws, n, p)
+            if best is None or d > best[1] or (d == best[1] and p < best[0]):
+                best = (p, d)
+        return best
+    normals = set()
+    for p, q in combinations(pts, 2):
+        d = _primitive(q.x - p.x, q.y - p.y)
+        normals.update({(-d[1], d[0]), (d[1], -d[0])})
+    tables = []
+    levels = set()
+    for u in normals:
+        proj = {}
+        for r, w in zip(pts, ws):
+            v = u[0] * r.x + u[1] * r.y
+            proj[v] = proj.get(v, Fraction(0)) + w
+        vals = sorted(proj, reverse=True)
+        suffix = list(accumulate(proj[v] for v in vals))
+        tables.append((u, vals, suffix))
+        levels.update(suffix)
+    levels = sorted(levels)
+
+    def clip(poly, a, b, t):
+        out = []
+        vals = [a * x + b * y for x, y in poly]
+        for i, (x1, y1) in enumerate(poly):
+            x2, y2 = poly[(i + 1) % len(poly)]
+            v1, v2 = vals[i], vals[(i + 1) % len(poly)]
+            if v1 <= t:
+                out.append((x1, y1))
+            if v1 < t < v2 or v2 < t < v1:
+                lam = (t - v1) / (v2 - v1)
+                out.append((x1 + lam * (x2 - x1), y1 + lam * (y2 - y1)))
+        return out
+
+    def region(tau):
+        lo_x, hi_x = Fraction(min(p.x for p in pts) - 1), Fraction(max(p.x for p in pts) + 1)
+        lo_y, hi_y = Fraction(min(p.y for p in pts) - 1), Fraction(max(p.y for p in pts) + 1)
+        poly = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
+        for u, vals, suffix in tables:
+            k = bisect.bisect_left(suffix, tau)
+            if k == len(suffix):
+                return []
+            poly = clip(poly, u[0], u[1], vals[k])
+            if not poly:
+                return []
+        return poly
+
+    lo, hi = 0, len(levels) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        poly = region(levels[mid])
+        if poly:
+            best_poly = poly
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    x, y = min(best_poly)
+    q = Point2(x.numerator if x.denominator == 1 else x, y.numerator if y.denominator == 1 else y)
+    return q, _reference_depth(pts, ws, n, q)
+
+
+def _assert_median_matches_reference(snap):
+    pt, dv = tukey_median(snap)
+    assert repr((pt, dv.value)) == repr(_reference_tukey_median(snap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inp=_depth_inputs(), data=st.data())
+def test_median_matches_fraction_clipping_reference(inp, data):
+    pts, _ = inp
+    _assert_median_matches_reference(_weighted_snapshot(pts, _lms_weights(data, pts)))
+
+
+@pytest.mark.parametrize("coords", [
+    # the deepest region is one point: the centre of a square, a Fraction point
+    [(1, 1), (-1, 1), (1, -1), (-1, -1)],
+    [(-3, -3), (-2, 2), (-1, 3), (3, 2)],
+    # the deepest region is the segment from (0, 0) to (3/5, 0)
+    [(-3, 0), (-3, 3), (0, 0), (1, 3), (2, 0), (3, -3), (3, -2)],
+    # the deepest region's leftmost side is vertical: its lower end wins
+    [(-3, -3), (-3, 0), (-1, -3), (-1, 2), (1, -3), (2, 1), (3, -2)],
+    # Fraction coordinates, with a coincident copy
+    [(Fraction(1, 2), 0), (Fraction(-1, 3), Fraction(2, 3)), (2, Fraction(5, 4)),
+     (Fraction(1, 2), 0), (1, Fraction(-7, 6))],
+])
+def test_median_matches_reference_on_degenerate_regions(coords):
+    pts = [Point2(x, y) for x, y in coords]
+    _assert_median_matches_reference(_weighted_snapshot(pts, [1] * len(pts)))
+
+
 class TestSimplicial:
     def test_triangle_contains(self):
         snap = exact_snap([Point2(0, 0), Point2(4, 0), Point2(0, 4)], "wedge")
@@ -401,6 +505,69 @@ def test_regression_depth_matches_oracle_on_unit_weights(inp):
     pts, line = inp
     want = exact_regression_depth(PrefixMirror(pts), line.slope, line.intercept)
     assert regression_depth(exact_snap(pts, "dwedge"), line).value == want
+
+
+@st.composite
+def _fit_inputs(draw):
+    """A few columns of points sharing an x, a collinear run and duplicates."""
+    pts = [Point2(x, y) for x in draw(st.lists(_SMALL, min_size=1, max_size=3))
+           for y in draw(st.lists(_SMALL, min_size=1, max_size=2))]
+    if draw(st.booleans()):
+        ax, ay, dx, dy = draw(st.tuples(_SMALL, _SMALL, st.integers(0, 2), st.integers(-2, 2)))
+        pts += [Point2(ax + t * dx, ay + t * dy) for t in range(3)]
+    return _with_duplicates(draw, pts)
+
+
+def _reference_max_regression_depth_fit(snap):
+    """The first deepest candidate line in (slope, intercept) order, each
+    measured by the direct per-pivot loop in Fractions, kept here as the
+    reference for the integer swept masses."""
+    pts, ws = snap.sample.points, snap.sample.weights
+    candidates = set()
+    for p, q in combinations(pts, 2):
+        if p.x != q.x:
+            slope = Fraction(q.y - p.y, q.x - p.x)
+            candidates.add((slope, p.y - slope * p.x))
+    if not candidates:
+        candidates = {(Fraction(0), Fraction(p.y)) for p in pts}
+    enriched = set()
+    for slope, inter in candidates:
+        enriched.add((slope, inter))
+        gaps = [g for g in (abs(p.y - (slope * p.x + inter)) for p in pts) if g > 0]
+        if gaps:
+            enriched.update({(slope, inter + min(gaps) / 2), (slope, inter - min(gaps) / 2)})
+        da = min(gaps) / (2 * (max(abs(p.x) for p in pts) + 1)) if gaps else Fraction(1, 2)
+        enriched.update({(slope + da, inter), (slope - da, inter)})
+    best = None
+    for slope, inter in sorted(enriched):
+        d = _reference_regression_depth(pts, ws, Fraction(snap.n), FitLine(slope, inter))
+        if best is None or d > best[1]:
+            best = (FitLine(slope, inter), d)
+    return best
+
+
+def _assert_fit_matches_reference(snap):
+    fit, dv = max_regression_depth_fit(snap)
+    assert repr((fit, dv.value)) == repr(_reference_max_regression_depth_fit(snap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_fit_inputs(), data=st.data())
+def test_max_fit_matches_fraction_reference(pts, data):
+    assume(len(pts) >= 2)
+    _assert_fit_matches_reference(_weighted_snapshot(pts, _lms_weights(data, pts), "dwedge"))
+
+
+@pytest.mark.parametrize("coords", [
+    # Fraction coordinates, with a shared x and a coincident copy
+    [(Fraction(1, 2), 1), (Fraction(1, 2), Fraction(-2, 3)), (Fraction(-5, 4), 0),
+     (2, Fraction(7, 3)), (2, Fraction(7, 3))],
+    # one vertical column: only horizontal candidates
+    [(1, 0), (1, 3), (1, -2), (1, 3)],
+])
+def test_max_fit_matches_reference_on_fixed_supports(coords):
+    pts = [Point2(x, y) for x, y in coords]
+    _assert_fit_matches_reference(_weighted_snapshot(pts, [1, 2, 3, 1, 2][:len(pts)], "dwedge"))
 
 
 @st.composite
@@ -716,7 +883,7 @@ def test_theil_sen_matches_rescan_reference(inp, data):
                     min_size=1, max_size=10, unique=True))
 def test_slope_orders_sort_the_keys_at_each_pair_slope(pts):
     slopes = _pair_slopes(pts)
-    orders = _slope_orders(pts)
+    orders = _slope_orders(pts, slopes)
     assert len(orders) == len(slopes) + 1
     for a, order in zip(slopes or [Fraction(0)], orders):
         keys = [pts[i].y - a * pts[i].x for i in order]
