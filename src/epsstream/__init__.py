@@ -15,7 +15,6 @@ from .engine import (
     insert,
     make_config,
     memory_footprint,
-    schedule_weight,
     snapshot,
     snapshot_of_exact,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "orient",
     "parse_descriptor",
     "parse_point",
-    "schedule_weight",
     "snapshot",
     "snapshot_of_exact",
     "static_eps_approx",

@@ -82,13 +82,13 @@ def _scale_of(args) -> int:
 
 def _cmd_build(args, out) -> int:
     scale = _scale_of(args)
-    cfg = make_config(Fraction(args.eps), args.family, Fraction(args.c), scale)
+    cfg = make_config(Fraction(args.eps), args.family, scale)
     pts = _read_points(args.input, scale)
     if args.resume:
         state = StreamState.from_json(_load_json(args.resume, "state"))
         have, want = config_json(state.config), config_json(cfg)
         mismatched = [f"{key} {have[key]} (flags: {want[key]})"
-                      for key in ("family", "eps", "c", "scale") if have[key] != want[key]]
+                      for key in ("family", "eps", "scale") if have[key] != want[key]]
         if mismatched:
             raise EpsStreamError("resumed state has " + ", ".join(mismatched))
     else:
@@ -235,7 +235,7 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     scale = _scale_of(args)
-    cfg = make_config(Fraction(args.eps), args.family, Fraction(args.c), scale)
+    cfg = make_config(Fraction(args.eps), args.family, scale)
     pts = _read_points(args.input, scale)
     sizes = sorted({int(s) for s in args.sizes.split(",") if s.strip()})
     if not sizes or sizes[-1] > len(pts):
@@ -278,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input", required=True, help="points file, one x,y per line ('-' = stdin)")
     b.add_argument("--family", required=True, choices=[k.value for k in FamilyKind])
     b.add_argument("--eps", required=True)
-    b.add_argument("--c", default="1")
     b.add_argument("--state", help="write engine state JSON here")
     b.add_argument("--snapshot", help="write snapshot JSON here")
     b.add_argument("--resume", help="resume from a previously written state")
@@ -314,12 +313,25 @@ def _build_parser() -> argparse.ArgumentParser:
     be.add_argument("--input", required=True)
     be.add_argument("--family", required=True, choices=[k.value for k in FamilyKind])
     be.add_argument("--eps", required=True)
-    be.add_argument("--c", default="1")
     be.add_argument("--sizes", required=True, help="comma separated prefix sizes")
     be.add_argument("--out", help="write the CSV here instead of stdout")
 
     return top
 
+
+# The flag each (command, stat) reads, checked before the stat runs.
+REQUIRED_FLAGS = {
+    ("stats", "tukey-depth"): "point",
+    ("stats", "simplicial"): "point",
+    ("stats", "regdepth"): "line",
+    ("stats", "slope-rank"): "slope",
+    ("oracle", "count"): "range",
+    ("oracle", "tukey-depth"): "point",
+    ("oracle", "simplicial"): "point",
+    ("oracle", "regdepth"): "line",
+    ("oracle", "slope-rank"): "slope",
+    ("oracle", "discrepancy"): "snapshot",
+}
 
 _DISPATCH = {
     "build": _cmd_build,
@@ -339,6 +351,9 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
+        flag = REQUIRED_FLAGS.get((args.command, getattr(args, "stat", None)))
+        if flag and getattr(args, flag) is None:
+            raise EpsStreamError(f"{args.stat} needs --{flag}")
         return _DISPATCH[args.command](args, out)
     except StreamParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

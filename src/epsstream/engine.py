@@ -1,20 +1,19 @@
 """Streaming merge-reduce engine over canonical stream blocks.
 
 The stream is tiled by blocks of 2^k consecutive elements.  The engine keeps
-one weighted summary per maximal available block (the occupied levels always
-spell n in binary), merging sibling summaries when a block completes and
+one weighted sample per maximal available block (the occupied levels always
+spell n in binary), merging sibling samples when a block completes and
 reducing the merge under a per-level error budget
 
-    delta_k = (eps/2) * w_k / W,   w_k = k^(-1-c),  W = sum of all w_u,
+    delta_k = (eps/2) * k^-2 / W,   W = pi^2/6 = sum of all u^-2,
 
 so the deltas telescope below eps/2 no matter how deep the hierarchy grows.
-A snapshot unions the live summaries (a weighted merge; weights travel
+A snapshot unions the live samples (a weighted merge; weights travel
 unchanged) and applies one more weighted reduction with budget eps/2,
 yielding a sample whose exactly measured certificate never exceeds eps.
 
-W is evaluated as a rational upper bound and the w_k as rational lower
-bounds, so every budget is conservative and the telescoping sum stays below
-eps/2 by construction.
+W is taken as a rational upper bound on pi^2/6, so every budget is
+conservative and the telescoping sum stays below eps/2 by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import EpsStreamError, FamilyMismatchError, StreamParseError
 from .ranges import ALL_FAMILIES, DEFAULT_SCALE, Point2, RangeFamily, family
@@ -38,94 +36,38 @@ from .sampler import (
     union,
 )
 
-# pi^2/6 = 1.6449340668482264... ; any rational above it is a safe W for c=1
+# pi^2/6 = 1.6449340668482264... ; any rational above it is a safe W
 _ZETA2_UPPER = Fraction(16449340668482265, 10 ** 16)
 
-_W_TRUNCATION = 4096
-_ROOT_PRECISION_BITS = 30
+STATE_VERSION = 2
 
 # State files record the reduce thresholds the summaries were built under;
 # only the built-in table is accepted back.
 _THRESHOLD_ROWS = tuple(sorted((fam.kind.value, fam.reduce_size) for fam in ALL_FAMILIES))
 
 
-def _integer_root(n: int, q: int) -> int:
-    """floor(n ** (1/q)) for nonnegative integer n."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // q))
-    while True:
-        y = ((q - 1) * x + n // x ** (q - 1)) // q
-        if y >= x:
-            return x
-        x = y
-
-
-def schedule_weight(k: int, c: Fraction) -> Fraction:
-    """w_k = k^(-1-c); exact for integer c, else a close rational lower bound."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("c must be > 0")
-    if c.denominator == 1:
-        return Fraction(1, k ** (1 + c.numerator))
-    p, q = c.numerator, c.denominator
-    scale = 1 << _ROOT_PRECISION_BITS
-    # upper bound on k^(1+c) at ~2^-30 relative precision
-    t = _integer_root(k ** (q + p) * scale ** q, q) + 1
-    return Fraction(scale, t)
-
-
-def _schedule_weight_upper(k: int, c: Fraction) -> Fraction:
-    if c.denominator == 1:
-        return Fraction(1, k ** (1 + c.numerator))
-    p, q = c.numerator, c.denominator
-    scale = 1 << _ROOT_PRECISION_BITS
-    t = max(1, _integer_root(k ** (q + p) * scale ** q, q))
-    return Fraction(scale, t)
-
-
-@lru_cache(maxsize=None)
-def _w_total_upper(c: Fraction) -> Fraction:
-    """Rational upper bound on W = sum of u^(-1-c)."""
-    if c == 1:
-        return _ZETA2_UPPER
-    total = Fraction(0)
-    for u in range(1, _W_TRUNCATION + 1):
-        total += _schedule_weight_upper(u, c)
-    # integral tail: sum_{u>N} u^(-1-c) <= N^(-c)/c = N * w_N / c
-    total += Fraction(_W_TRUNCATION) * _schedule_weight_upper(_W_TRUNCATION, c) / c
-    return total
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     eps: Fraction
     family: RangeFamily
-    c: Fraction = Fraction(1)
     scale: int = DEFAULT_SCALE
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0, 1)")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
 
 
-def make_config(eps, fam, c=Fraction(1), scale=DEFAULT_SCALE) -> EngineConfig:
+def make_config(eps, fam, scale=DEFAULT_SCALE) -> EngineConfig:
     if not isinstance(fam, RangeFamily):
         fam = family(fam)
-    return EngineConfig(Fraction(eps), fam, Fraction(c), scale)
+    return EngineConfig(Fraction(eps), fam, scale)
 
 
 def error_budget(k: int, cfg: EngineConfig) -> Fraction:
-    """Reduction budget delta_k = (eps/2) * w_k / W at level k (conservative)."""
+    """Reduction budget delta_k = (eps/2) * k^-2 / W at level k (conservative)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return cfg.eps / 2 * schedule_weight(k, cfg.c) / _w_total_upper(cfg.c)
+    return cfg.eps / 2 * Fraction(1, k * k) / _ZETA2_UPPER
 
 
 def budget_prefix(k: int, cfg: EngineConfig) -> Fraction:
@@ -145,13 +87,12 @@ def _parse_fields(what: str, read):
 
 def config_json(cfg: EngineConfig) -> dict:
     """The config fields that state and snapshot headers share."""
-    return {"eps": _frac_str(cfg.eps), "c": _frac_str(cfg.c),
-            "family": cfg.family.kind.value, "scale": cfg.scale}
+    return {"eps": _frac_str(cfg.eps), "family": cfg.family.kind.value, "scale": cfg.scale}
 
 
 def _config_fields(meta) -> tuple:
     """Parse ``config_json``'s fields into ``make_config``'s arguments, checking none."""
-    return Fraction(meta["eps"]), meta["family"], Fraction(meta["c"]), int(meta["scale"])
+    return Fraction(meta["eps"]), meta["family"], int(meta["scale"])
 
 
 def _check_family(owner: str, raw: dict, fam: RangeFamily) -> None:
@@ -159,23 +100,6 @@ def _check_family(owner: str, raw: dict, fam: RangeFamily) -> None:
     if raw.get("family") != fam.kind.value:
         raise FamilyMismatchError(f"{owner} sample family {raw.get('family')!r} "
                                   f"differs from its header's {fam.kind.value!r}")
-
-
-@dataclass
-class LevelSummary:
-    """Summary of one canonical block of 2^level stream elements."""
-
-    level: int
-    sample: WeightedSample
-
-    def __post_init__(self):
-        if self.sample.total_weight != Fraction(2 ** self.level):
-            raise ValueError("level summary must represent 2^level mass")
-
-    @property
-    def delta(self) -> Fraction:
-        """The level's certificate, which its sample carries."""
-        return self.sample.eps_bound
 
 
 @dataclass(frozen=True)
@@ -239,21 +163,31 @@ class Snapshot:
 
 
 class StreamState:
-    """Single-writer stream engine; snapshots are immutable values."""
+    """Single-writer stream engine; snapshots are immutable values.
+
+    ``slots`` maps each occupied level k to the sample of one block of 2^k
+    stream elements, which weighs 2^k and certifies at most
+    ``budget_prefix(k)``.
+    """
 
     def __init__(self, config: EngineConfig):
         self.config = config
         self.n = 0
-        self.slots: dict[int, LevelSummary] = {}
+        self.slots: dict[int, WeightedSample] = {}
 
     def insert(self, p: Point2) -> "StreamState":
-        """Consume one stream element, restoring the binary slot invariant."""
-        pending = LevelSummary(0, WeightedSample((p,), (Fraction(1),), Fraction(1), Fraction(0)))
+        """Consume one stream element, restoring the binary slot invariant:
+        each completed level-k block is the union of its two halves, reduced
+        under ``error_budget(k)``.  halve adds each accepted error to the
+        sample's certificate."""
+        pending = WeightedSample((p,), (Fraction(1),), Fraction(1), Fraction(0))
         level = 0
         while level in self.slots:
             left = self.slots.pop(level)
-            pending = self._merge_reduce(left, pending, level + 1)
             level += 1
+            merged = union((left, pending), (left.eps_bound + pending.eps_bound) / 2)
+            pending, _ = reduce_with_budget(merged, self.config.family,
+                                            error_budget(level, self.config))
         self.slots[level] = pending
         self.n += 1
         return self
@@ -263,41 +197,29 @@ class StreamState:
             self.insert(p)
         return self
 
-    def _merge_reduce(self, left: LevelSummary, right: LevelSummary, k: int) -> LevelSummary:
-        # halve adds each accepted error to the sample's certificate
-        merged = union((left.sample, right.sample), (left.delta + right.delta) / 2)
-        reduced, _ = reduce_with_budget(merged, self.config.family, error_budget(k, self.config))
-        return LevelSummary(k, reduced)
-
     def snapshot(self) -> Snapshot:
-        """Union the live summaries and apply the final eps/2 reduction."""
+        """Union the live samples and apply the final eps/2 reduction."""
         if self.n < 1:
             raise EpsStreamError("empty stream has no snapshot")
         levels = [self.slots[level] for level in sorted(self.slots, reverse=True)]
-        base_err = sum((s.delta * s.sample.total_weight for s in levels), Fraction(0)) / self.n
-        merged = canonical(union([s.sample for s in levels], base_err))
+        base_err = sum((s.eps_bound * s.total_weight for s in levels), Fraction(0)) / self.n
+        merged = canonical(union(levels, base_err))
         reduced, _ = reduce_with_budget(merged, self.config.family, self.config.eps / 2)
         return Snapshot(reduced, self.n, self.config)
 
     def memory_footprint(self) -> MemoryFootprint:
-        return MemoryFootprint(sum(len(s.sample) for s in self.slots.values()), len(self.slots))
+        return MemoryFootprint(sum(len(s) for s in self.slots.values()), len(self.slots))
 
     # -- persistence --------------------------------------------------------
 
     def to_json(self) -> dict:
         cfg = self.config
         return {
-            "version": 1,
+            "version": STATE_VERSION,
             "config": {**config_json(cfg), "reduce_thresholds": list(_THRESHOLD_ROWS)},
             "n": self.n,
-            "slots": [
-                {
-                    "level": lvl,
-                    "delta": _frac_str(s.delta),
-                    "sample": sample_to_json(s.sample, cfg.family),
-                }
-                for lvl, s in sorted(self.slots.items())
-            ],
+            "slots": [{"level": lvl, "sample": sample_to_json(s, cfg.family)}
+                      for lvl, s in sorted(self.slots.items())],
         }
 
     def to_json_str(self) -> str:
@@ -307,46 +229,48 @@ class StreamState:
     def from_json(cls, obj) -> "StreamState":
         """Rebuild a state written by ``to_json``, checking what it claims.
 
-        Every field is parsed before any is checked: a missing or malformed
-        one raises ``StreamParseError``.  A slot sample of another family
-        raises ``FamilyMismatchError``.  Slots that do not spell n, or whose
-        delta differs from their sample's certificate or exceeds the level's
-        budget prefix, and reduce thresholds other than the built-in ones,
-        raise ``EpsStreamError``; an out-of-range config, ``ValueError``.
+        A file of another version raises ``EpsStreamError``.  Every field is
+        parsed before any is checked: a missing or malformed one raises
+        ``StreamParseError``.  A slot sample of another family raises
+        ``FamilyMismatchError``.  Slot levels that do not spell n, a level-k
+        sample that does not weigh 2^k or certifies more than
+        ``budget_prefix(k)``, and reduce thresholds other than the built-in
+        ones raise ``EpsStreamError``; an out-of-range config, ``ValueError``.
         """
         if not isinstance(obj, dict):
             raise StreamParseError("not a state file (expected a JSON object)")
-        if obj.get("version") != 1:
-            raise EpsStreamError(f"unsupported state version {obj.get('version')!r}")
+        if obj.get("version") != STATE_VERSION:
+            raise EpsStreamError(f"unsupported state version {obj.get('version')!r} "
+                                 f"(this build reads version {STATE_VERSION})")
 
         def read():
             meta = obj["config"]
             head = (_config_fields(meta), tuple(tuple(t) for t in meta["reduce_thresholds"]),
                     int(obj["n"]))
-            rows = [(int(slot["level"]), Fraction(slot["delta"]), slot["sample"])
-                    for slot in obj["slots"]]
-            return (*head, [(*row, sample_from_json(row[2])) for row in rows])
+            rows = [(int(slot["level"]), slot["sample"]) for slot in obj["slots"]]
+            return (*head, [(level, raw, sample_from_json(raw)) for level, raw in rows])
 
         config, thresholds, n, slots = _parse_fields("state", read)
         cfg = make_config(*config)
         if thresholds != _THRESHOLD_ROWS:
             raise EpsStreamError(f"state was built under reduce thresholds {list(thresholds)}, "
                                  f"not the built-in {list(_THRESHOLD_ROWS)}")
+        # checked first, so that no level below exceeds n's bit length
+        levels = sorted(level for level, _, _ in slots)
+        if n < 0 or levels != [k for k in range(n.bit_length()) if n >> k & 1]:
+            raise EpsStreamError("slot levels do not match n")
         state = cls(cfg)
         state.n = n
-        for level, delta, raw, sample in slots:
-            if level in state.slots:
-                raise EpsStreamError(f"two slots at level {level}")
+        for level, raw, sample in slots:
             _check_family(f"slot {level}", raw, cfg.family)
-            if delta != sample.eps_bound:
-                raise EpsStreamError(f"slot {level} has delta {delta} but its sample "
-                                     f"certifies {sample.eps_bound}")
+            if sample.total_weight != 2 ** level:
+                raise EpsStreamError(f"slot {level} sample weighs "
+                                     f"{_frac_str(sample.total_weight)}, not 2^{level}")
             budget = budget_prefix(level, cfg)
-            if delta > budget:
-                raise EpsStreamError(f"slot {level} delta {delta} exceeds its budget {budget}")
-            state.slots[level] = LevelSummary(level, sample)
-        if sorted(state.slots) != [k for k in range(n.bit_length()) if n >> k & 1]:
-            raise EpsStreamError("slot levels do not match n")
+            if sample.eps_bound > budget:
+                raise EpsStreamError(f"slot {level} certificate {sample.eps_bound} exceeds "
+                                     f"its budget {budget}")
+            state.slots[level] = sample
         return state
 
 

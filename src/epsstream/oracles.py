@@ -32,6 +32,15 @@ REGDEPTH_N_CAP = 60
 SIMPLICIAL_N_CAP = 25
 LMS_N_CAP = 128
 
+# int64 bounds of the numpy passes.  Each keeps every multiplied integer
+# below 2^31 in magnitude, so a product of two is below 2^62 and a sum of two
+# products (a cross or dot product) stays below 2^63.
+# exact_tukey_depth multiplies direction components (p - q over their gcd).
+_TUKEY_NP_COMPONENT_BOUND = 1 << 31
+# _halfplane_discrepancy_scaled multiplies coordinate differences, which
+# stay below 2^31 while coordinates stay below 2^30.
+_HALFPLANE_NP_COORD_BOUND = 1 << 30
+
 
 class PrefixMirror:
     """The full ordered stream prefix; test-mode companion of the engine."""
@@ -87,7 +96,7 @@ def exact_tukey_depth(mirror: PrefixMirror, q: Point2) -> Fraction:
     # at each such u plus both infinitesimal rotations is exhaustive
     dirs = list(classes)
     counts = [classes[d] for d in dirs]
-    if all(abs(v) < (1 << 25) for d in dirs for v in d) and n < (1 << 31):
+    if all(abs(v) < _TUKEY_NP_COMPONENT_BOUND for d in dirs for v in d) and n < (1 << 31):
         dd = np.array(dirs, dtype=np.int64)
         cc = np.array(counts, dtype=np.int64)
         perp = np.concatenate([np.stack([-dd[:, 1], dd[:, 0]], axis=1),
@@ -357,11 +366,11 @@ def _halfplane_discrepancy_scaled(pts, ints) -> int:
     """Exact max |sum| over halfplane subsets: closed/strict/tilted lines
     through every ordered point pair, vectorized with overflow guards."""
     u = len(pts)
+    if any(abs(c) >= _HALFPLANE_NP_COORD_BOUND for p in pts for c in (p.x, p.y)):
+        raise CapExceededError("halfplane discrepancy oracle needs |coords| < 2^30")
     xs = np.array([p.x for p in pts], dtype=np.int64)
     ys = np.array([p.y for p in pts], dtype=np.int64)
     dd = np.array(ints, dtype=np.int64)
-    if max((abs(int(v)) for v in np.concatenate([xs, ys])), default=0) >= (1 << 25):
-        raise CapExceededError("halfplane discrepancy oracle needs |coords| < 2^25")
     if sum(abs(v) for v in ints) >= (1 << 61):
         raise CapExceededError("halfplane discrepancy oracle: weights too large")
     best = abs(int(dd.sum()))

@@ -11,11 +11,11 @@ Each family provides
                              every subset the family induces on a point set,
 * ``subsystem_oracle``    -- the deduplicated list of those induced subsets.
 
-The canonical lists are polynomial in the input size with the exponent given
-by the family's oracle dimension; the composite families (wedge, double
-wedge, vertical parallelogram) are products of simpler ones and get
-expensive well below their hard caps, so callers should keep those inputs
-small.  Each family's size limits are one ``RangeFamily`` row.
+The canonical lists are polynomial in the input size; the composite
+families (wedge, double wedge, vertical parallelogram) are products of
+simpler ones and get expensive well below their hard caps, so callers
+should keep those inputs small.  Each family's size limits are one
+``RangeFamily`` row.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class FamilyKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RangeFamily:
-    """A range family: its subset-count growth exponent and size limits.
+    """A range family and its size limits.
 
     ``oracle_cap`` bounds enumeration, halving and exact verification (it
     bounds admissibility, not speed); ``reduce_size`` bounds the inputs a
@@ -108,20 +108,19 @@ class RangeFamily:
     """
 
     kind: FamilyKind
-    oracle_dimension: int
     oracle_cap: int
     reduce_size: int
     verify_size: int
 
 
 _FAMILIES = {fam.kind: fam for fam in (
-    RangeFamily(FamilyKind.HALFPLANE, 2, 4096, 1024, 160),
-    RangeFamily(FamilyKind.QUADRANT, 2, 4096, 2048, 256),
-    RangeFamily(FamilyKind.WEDGE, 4, 256, 64, 48),
-    RangeFamily(FamilyKind.DOUBLE_WEDGE, 4, 256, 64, 48),
-    RangeFamily(FamilyKind.DISK, 3, 1024, 96, 72),
-    RangeFamily(FamilyKind.SLAB, 4, 1024, 64, 56),
-    RangeFamily(FamilyKind.VPARALLELOGRAM, 6, 128, 24, 20),
+    RangeFamily(FamilyKind.HALFPLANE, 4096, 1024, 160),
+    RangeFamily(FamilyKind.QUADRANT, 4096, 2048, 256),
+    RangeFamily(FamilyKind.WEDGE, 256, 64, 48),
+    RangeFamily(FamilyKind.DOUBLE_WEDGE, 256, 64, 48),
+    RangeFamily(FamilyKind.DISK, 1024, 96, 72),
+    RangeFamily(FamilyKind.SLAB, 1024, 64, 56),
+    RangeFamily(FamilyKind.VPARALLELOGRAM, 128, 24, 20),
 )}
 
 

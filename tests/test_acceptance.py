@@ -106,17 +106,17 @@ def test_budget_telescoping(eq1_runs):
         fam = family(fam_name)
         offset = 0
         for level in sorted(state.slots, reverse=True):
-            summ = state.slots[level]
+            sample = state.slots[level]
             block = pts[offset:offset + (1 << level)]
             offset += 1 << level
             ground = WeightedSample.uniform(sorted(block))
-            measured = exact_discrepancy(ground, summ.sample, fam)
+            measured = exact_discrepancy(ground, sample, fam)
             if level >= 1 and measured > budget_prefix(level, state.config):
                 violations.append(f"{style} n={n} {fam_name} level {level}: "
                                   f"{measured} > budget")
-            if measured > summ.delta and level >= 1:
+            if measured > sample.eps_bound and level >= 1:
                 violations.append(f"{style} n={n} {fam_name} level {level}: "
-                                  f"measured {measured} > tracked {summ.delta}")
+                                  f"measured {measured} > tracked {sample.eps_bound}")
             if level == 0 and measured != 0:
                 violations.append(f"{style} level-0 summary not exact")
         if offset != n:
@@ -125,7 +125,7 @@ def test_budget_telescoping(eq1_runs):
 
 
 def test_space_growth():
-    """points_stored(4096) / points_stored(64) <= 2 * (lg4096/lg64)^(3+2c)."""
+    """points_stored(4096) / points_stored(64) <= 2 * (lg4096/lg64)^5."""
     violations = []
     pts = make_stream("uniform", 4096, seed=99)
     cfg = make_config(QUARTER, "halfplane")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import epsstream
-from epsstream.cli import main
+from epsstream.cli import REQUIRED_FLAGS, main
 from streams import make_stream
 
 
@@ -155,7 +155,7 @@ def test_env_scale_override(tmp_path, monkeypatch):
 @pytest.mark.parametrize("scale,flags", [
     ("1", ["--family", "disk", "--eps", "1/4"]),
     ("1", ["--family", "halfplane", "--eps", "1/2"]),
-    ("1", ["--family", "halfplane", "--eps", "1/4", "--c", "2"]),
+    ("1", ["--family", "quadrant", "--eps", "1/2"]),
     ("2", ["--family", "halfplane", "--eps", "1/4"]),
 ])
 def test_resume_rejects_mismatched_config(tmp_path, stream_file, capsys, scale, flags):
@@ -190,27 +190,29 @@ def _top_slot(data):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda data: [data.clear(), data.update(version=1)], "'config'"),
+    (lambda data: [data.clear(), data.update(version=2)], "'config'"),
     (lambda data: data.pop("n"), "'n'"),
     (lambda data: data.update(slots=5), "not iterable"),
     (lambda data: data.update(config=[]), "list indices"),
-    (lambda data: _top_slot(data).pop("delta"), "'delta'"),
     (lambda data: _top_slot(data)["sample"].pop("points"), "'points'"),
 ], ids=["only-version", "no-n", "slots-not-a-list", "config-not-an-object",
-        "slot-without-delta", "sample-without-points"])
+        "sample-without-points"])
 def test_resume_reports_missing_or_malformed_field(tmp_path, stream_file, capsys, edit, message):
     assert _resume_edited_state(tmp_path, stream_file, edit) == 2
     err = capsys.readouterr().err
     assert "not a state file" in err and message in err
 
 
-def _set_slot_delta(data):
-    _top_slot(data)["delta"] = "1/1024"
-
-
 def _raise_slot_certificate(data):
-    slot = _top_slot(data)
-    slot["delta"] = slot["sample"]["eps_bound"] = "1/8"
+    _top_slot(data)["sample"]["eps_bound"] = "1/8"
+
+
+def _halve_slot_weights(data):
+    # the level-5 top slot's sample still sums to its total, but weighs 16
+    sample = _top_slot(data)["sample"]
+    for row in sample["points"]:
+        row[2] = str(Fraction(row[2]) / 2)
+    sample["total_weight"] = str(Fraction(sample["total_weight"]) / 2)
 
 
 def _negate_first_weight(sample):
@@ -219,8 +221,12 @@ def _negate_first_weight(sample):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (_set_slot_delta, "but its sample certifies"),
     (_raise_slot_certificate, "exceeds its budget"),
+    (_halve_slot_weights, "sample weighs 16/1, not 2^5"),
+    pytest.param(lambda data: _top_slot(data).update(level=10 ** 9), "slot levels do not match n",
+                 id="huge-level"),
+    pytest.param(lambda data: data.update(n=-16, slots=data["slots"][:1]),  # level 4 only
+                 "slot levels do not match n", id="negative-n"),
     pytest.param(lambda data: _negate_first_weight(_top_slot(data)["sample"]),
                  "weights must be positive", id="negative-weight"),
     pytest.param(lambda data: _top_slot(data)["sample"].update(family="disk"),
@@ -366,11 +372,30 @@ def test_snapshot_scalar_field(tmp_path, stream_file, capsys, field, value, code
 
 @pytest.mark.parametrize("edit,code", [
     (lambda data: data["config"].__setitem__("eps", "1/0"), 2),
-    (lambda data: _top_slot(data).__setitem__("delta", "1/0"), 2),
     (lambda data: _top_slot(data).__setitem__("level", "x"), 2),
     (lambda data: data["config"].__setitem__("eps", "3/2"), 3),
-], ids=["eps-zero-denominator", "delta-zero-denominator", "level-non-numeric",
-        "eps-out-of-range"])
+], ids=["eps-zero-denominator", "level-non-numeric", "eps-out-of-range"])
 def test_state_scalar_field(tmp_path, stream_file, capsys, edit, code):
     assert _resume_edited_state(tmp_path, stream_file, edit) == code
     assert ("not a state file" in capsys.readouterr().err) == (code == 2)
+
+
+def test_resume_rejects_version_1_state(tmp_path, stream_file, capsys):
+    def to_version_1(data):
+        # the version-1 layout: a config c and a per-slot copy of eps_bound
+        data.update(version=1)
+        data["config"]["c"] = "1/1"
+        for slot in data["slots"]:
+            slot["delta"] = slot["sample"]["eps_bound"]
+
+    assert _resume_edited_state(tmp_path, stream_file, to_version_1) == 3
+    assert "unsupported state version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,stat", sorted(REQUIRED_FLAGS))
+def test_missing_required_flag_is_config_error(tmp_path, stream_file, capsys, command, stat):
+    snap = _edited_snapshot(tmp_path, stream_file, lambda data: None)
+    source = ["--snapshot", str(snap)] if command == "stats" else ["--input", str(stream_file)]
+    assert run_cli(["--scale", "1", command, stat] + source) == (3, "")
+    flag = REQUIRED_FLAGS[(command, stat)]
+    assert f"{stat} needs --{flag}" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from epsstream import (
     error_budget,
     family,
     make_config,
-    schedule_weight,
     verify_approximation,
 )
 from epsstream import sampler
@@ -22,31 +21,18 @@ from streams import STYLES, make_stream
 HP = family(FamilyKind.HALFPLANE)
 
 
-def test_schedule_weight_values():
-    assert schedule_weight(1, Fraction(1)) == 1
-    assert schedule_weight(2, Fraction(1)) == Fraction(1, 4)
-    assert schedule_weight(3, Fraction(1)) == Fraction(1, 9)
-
-
-def test_schedule_weight_general_c_is_close_lower_bound():
-    w = schedule_weight(5, Fraction(1, 2))
-    true = 5.0 ** -1.5
-    assert 0 < float(w) <= true
-    assert true - float(w) < 1e-6
-
-
 def test_error_budget_values():
     cfg = make_config(Fraction(1, 10), "halfplane")
     b1 = error_budget(1, cfg)
     assert abs(float(b1) - 0.030396) < 1e-5
     assert float(b1) <= 0.05 / 1.6449340668482264  # never above the exact value
     assert error_budget(2, cfg) == b1 / 4
+    assert error_budget(3, cfg) == b1 / 9
 
 
 def test_budgets_telescope_under_half_eps():
-    for c in (Fraction(1), Fraction(1, 2), Fraction(3)):
-        cfg = make_config(Fraction(1, 4), "halfplane", c=c)
-        assert budget_prefix(60, cfg) < cfg.eps / 2
+    cfg = make_config(Fraction(1, 4), "halfplane")
+    assert budget_prefix(60, cfg) < cfg.eps / 2
 
 
 def test_slots_follow_binary_representation():
@@ -55,7 +41,7 @@ def test_slots_follow_binary_representation():
     for i, p in enumerate(pts, start=1):
         st.insert(p)
         assert sorted(st.slots) == [k for k in range(8) if i >> k & 1]
-        assert sum(s.sample.total_weight for s in st.slots.values()) == i
+        assert sum(s.total_weight for s in st.slots.values()) == i
     assert st.memory_footprint().levels_occupied == bin(40).count("1")
 
 
@@ -79,7 +65,7 @@ def test_eight_points_level_three_budget():
     st.extend(make_stream("uniform", 8, seed=3))
     (level,) = st.slots
     assert level == 3
-    assert st.slots[3].delta <= budget_prefix(3, cfg) < Fraction(1, 4)
+    assert st.slots[3].eps_bound <= budget_prefix(3, cfg) < Fraction(1, 4)
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -132,7 +118,7 @@ def test_footprint_counts_slots():
     cfg = make_config(Fraction(1, 2), "halfplane")
     st = StreamState(cfg).extend(make_stream("uniform", 33, seed=8))
     foot = st.memory_footprint()
-    assert foot.points_stored == sum(len(s.sample) for s in st.slots.values())
+    assert foot.points_stored == sum(len(s) for s in st.slots.values())
     assert foot.levels_occupied == 2  # 33 = 100001b
 
 
@@ -157,11 +143,12 @@ def test_budget_accounting_tracked_per_level():
     cfg = make_config(Fraction(1, 2), "halfplane")
     pts = make_stream("uniform", 64, seed=10)
     st = StreamState(cfg).extend(pts)
-    for lvl, summ in st.slots.items():
+    for lvl, sample in st.slots.items():
+        assert sample.total_weight == 2 ** lvl
         if lvl >= 1:
-            assert summ.delta <= budget_prefix(lvl, cfg)
+            assert sample.eps_bound <= budget_prefix(lvl, cfg)
         else:
-            assert summ.delta == 0
+            assert sample.eps_bound == 0
 
 
 def test_module_level_op_aliases():

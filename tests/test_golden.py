@@ -23,6 +23,13 @@ digests were recorded from an unmodified copy of the code before range
 masks were decoded with numpy and before the int64 sweep was extended to
 |coordinate| < 2^30, so a pass here shows both changes keep every output;
 the guidance and precheck change kept them too.
+
+All 58 state digests were re-recorded for state format version 2, which
+drops each slot's ``delta`` (a copy of its sample's ``eps_bound``) and the
+config's ``c`` (the budget schedule is fixed at k^-2).  Before that, each
+new state file was checked to equal the old version-1 file with exactly
+three edits: both fields dropped and the version set to 2.  No snapshot
+digest changed.
 """
 
 import hashlib
@@ -54,172 +61,172 @@ SEED = 31
 
 GOLDEN = {
     ("halfplane", "uniform", "1/4"): (
-        "ab58940ac00df03ab1c4f6293f505303889b2b7738d8cb7def2743ba4c32c22c",
+        "89e9d211dc0b1694fb0de5d2e1320f21d8ed48611509937274ffc45b49257504",
         "186940e22804b2654c1ed6b13e607884502df2cd79f65d06d99a9382e3bad6b3"),
     ("halfplane", "uniform", "1/2"): (
-        "771c9055ce9922e69a6925dae179bc08038122e5b5f556ed658c681957447d51",
+        "4c1a3d8ba564a228bfd7c025bbbc706667a407e67dba24f08a1f053c285281f1",
         "86ab67293795dc33b90ef7ddc7ee343a84446da9d9105aa755dfaf8db705b9ed"),
     ("halfplane", "sorted", "1/4"): (
-        "56bcabb97385833af88e08fb57dff8f51b777d2dbbde237841c59cc74e887a81",
+        "c4130e43a42e32508f64077e5a33388eca3de783e215e0c3e4cdb9b687d931fe",
         "eed94ac0b6ea3e44d73b3b8ea51a8950a666a6ccfa1dbf8072c0a10fbe21ceb5"),
     ("halfplane", "sorted", "1/2"): (
-        "53fb1eeda44198ea4ab08ca8db3031a4916740afb9b4cebf0d806b9b6546ce3b",
+        "721b8e0179d9b5d9a413596d2649f05a65874995255af4023668dc2ac4862ed9",
         "2fbc768547e1cee9b56df0dbacbafb5d03a025baae972cb5d5c08dd85436252f"),
     ("halfplane", "clustered", "1/4"): (
-        "f4fb7bd79eb9c1acc766eacdeb7e8c629990f0e006751f70a4d51cfbcdc96ef4",
+        "2716f0e5ca0e90c6ac0e73b464755d24c02462b780843aa01d00ec2d0e5c6b99",
         "39a38ee7ab700553f9a95cf82ef91d8292524921948bb81afe08478248cba675"),
     ("halfplane", "clustered", "1/2"): (
-        "a62da1368aa6f60b1fdc78f1fc0739aca5deda9cc63eb20f76cb0d53ab26f2f3",
+        "b2c0b8f133e5c67f6fdac695e5ab5950bc3055293e6ce5abc8be3e1b684ffd43",
         "7c2af12b2eb6604698928dda7661b464d32f6751feaa92ede73e64db6fab1a10"),
     ("halfplane", "duplicates", "1/4"): (
-        "1e5af5937e96b40e82bc707311893fc31cdaabeb9d6b946eee07a8ed877c0657",
+        "9f04d37cb594f039cce5cd2cb569a284f27648b2366ea844fe8a20f49ce18c98",
         "65746f2cc3db7ef8cfd541dc7f8464a0e1f076a943fcf939edb36d612fb79b45"),
     ("halfplane", "duplicates", "1/2"): (
-        "b23d3fe9b62e0782b424644f4b3d208f887575a944146d54306558e85caf9fc8",
+        "d6e72e09612282eb5b35ac16ffef0e051c3576db754a38d7e0323582dba1f2f7",
         "65746f2cc3db7ef8cfd541dc7f8464a0e1f076a943fcf939edb36d612fb79b45"),
     ("quadrant", "uniform", "1/4"): (
-        "0b316bf81d778a180ce9521ce156acd991bd46c269991f58305ce73c6ae91113",
+        "8728db70c20aa858e64929b642fd1827fdd366096ebf9e299c6310fc3e1193ee",
         "ebeae70031a7d8cc1062b652ac3656d25afcc5e6679062d61140deba5e15c67a"),
     ("quadrant", "uniform", "1/2"): (
-        "311d01b5fab8dcfdda4a34db7b01f94af5ae9b47f057e7cb5a92f73c1c15eda1",
+        "69898e0cc83aeb979d925bdf0aa020f3ba20239855547f8bf109b0bb5aac408b",
         "a9fb35ff6cee53a124c2ed5a4c2c94f39163b348f0405271831a8769886207d0"),
     ("quadrant", "sorted", "1/4"): (
-        "621890079f0f9a1b230f7a0d01e18caf9ba70a388eee1b04dbc62b1b8eaf5b57",
+        "4628b3068decd5fc80933b5c473356dd194b5759ff4a616eef006a43fa5d7848",
         "dfc9f12155be6f76e4f2acb8d5bb904e580f2707faff2a90a7444b94145c317c"),
     ("quadrant", "sorted", "1/2"): (
-        "8041cacb6c3fc40e8cf088783b3a09167809f2e8a7eb69a6b7bc6eeaad8b6a62",
+        "b4eddecef08de2de865c288c196f36628dada7acf7fb271bc2b9e92c0f351650",
         "7a00ab236d11250964763cbdfdf129071a409d6c3878feb2d1611c83f641e6f4"),
     ("quadrant", "clustered", "1/4"): (
-        "a26ddf0f8f888d0701d62a122f1e6c294f756ec24aff8c6ac572859b31880b28",
+        "1deec315a167304415a2c91bb528333ba65c485768132e0b64593c31e4b9fc41",
         "cf23fa525d2f85b8c6bdf86c60cedef375d078f10c59abac0441cc3be435fff7"),
     ("quadrant", "clustered", "1/2"): (
-        "0db8dc7825b65faa41b41b376e7e10a9635f81e27b4375c57b8c9ab6990075e7",
+        "9742ddce665cc642001e157882d4311a5a009a2a978a8d32df848081f7ed335b",
         "cc377da3add53e1214b0ad76c80d52f06b96f9d68eb700d6c02f183145b73f42"),
     ("quadrant", "duplicates", "1/4"): (
-        "f2803be80d50dc454a5781034425e598d6426ea677cda6be52297af7c04e0aaa",
+        "fa1ba49c03a61c43b49ce20b1ac65ddaf9fc51d0f7f2d75d219f9c89a2886e90",
         "3d7c633970b3f7419ff95bd1101950304ca54f39067fab0113f964f7b1e3bab6"),
     ("quadrant", "duplicates", "1/2"): (
-        "05eb787d61c3e3c12592b996cc6d20798290943f9a46d167d14a3826ef190ca7",
+        "867b685e2e65dee934f7d6bfd583a2a9cdaf5dc7483c6418244e3ec91116fb24",
         "3d7c633970b3f7419ff95bd1101950304ca54f39067fab0113f964f7b1e3bab6"),
     ("disk", "uniform", "1/4"): (
-        "ba4e61a3809dd40e717f614a8960d55b704f2d9dfbfd2e11e0d496b14f9aa76f",
+        "63ce1892e66c5e3b890a01d9db6a9969e91d4c8a016b1343bb6cd55213cd8e85",
         "589dd9b65e5ebe2d5092877de73534f43659339d865c1e755e129565804ca2cc"),
     ("disk", "uniform", "1/2"): (
-        "badf32807a0e138169a407779e9d9f1914ee69dfd46b91db0c9069dff37feae2",
+        "db8ffd8ec4373c32591f3e7974f7d25b084642f348a4e0f2209187e9a27f7748",
         "4e2d8ca2608bfd7c3694ddcf5e79b2f502598599545821678659de9fc8815eb8"),
     ("disk", "sorted", "1/4"): (
-        "d5c97a06ba90a900fe73342ba38eb2654c5155617d280de777333c74213315de",
+        "15dcd2daac314d1d39d0905f3d6d65b4a146cd00889336b4e90964f302cae1da",
         "fda51817641f1822dd1c554d6ff11e4e2237487bcbb12750479e1f0b7852ff64"),
     ("disk", "sorted", "1/2"): (
-        "08497ecae4a53015508c95115acb328f87fa45bc3dd8e451ac1460bc5c015a3e",
+        "1ab7db6aff7c009700c4eb688ca0e0f99119698f49accb85155e3e9dcac262fe",
         "577498486e6cef5e4717e4be6b6ec264889b35673092138c69015138e435bff7"),
     ("disk", "clustered", "1/4"): (
-        "a476af9c29ba967780fdfa495d04c4429285f49231b8d1c6f2d9ea86bc86c83b",
+        "060172c36e9622e3e47a2c27cfad75ff0a402197a38d7190c177cb2a6aad257c",
         "679c32fc7545f36ab58eb2c0dea087ba3038c82c027d58d668e7aabc95d7431c"),
     ("disk", "clustered", "1/2"): (
-        "d78bb1909b101adc1dd5c79c8f1e1775ca872603e8b489a814d498a2f7f4feae",
+        "54e274fe31df417f3947a8cf3aa1bc0fc2d8f8d7c33ebd4b756be664b14133dd",
         "07ca32a235319052b4bbf368d3d3a39de80952380737e898bac50c372161fb24"),
     ("disk", "duplicates", "1/4"): (
-        "a2e94cdfb6ca816b59335a5e4bfc66df023ed7c1505aa125c9af106886eb0b77",
+        "fe728f58442eb911d412c52b2d482a9b09773e056f758af780cfb76ffdda12fa",
         "f22ca021d3d4d59431b8d6e2223559b803beff25c2176d916a43f56c50fb60c7"),
     ("disk", "duplicates", "1/2"): (
-        "f5060716544da746de5f90c0e4e074ac202325132c7b1233d3080fced5abbc52",
+        "dcb40860b04a8085f1d7ef62af8a1e73cb77513b3da4257e02751edd894652ed",
         "da06235f49aa84151b045f79d2fe4244b46ecf04143ba243066bde0621c5ef0f"),
     ("slab", "uniform", "1/4"): (
-        "63ceb162b1b1af022a166c896e0c3372edc41ee8bfe967db923db116bf4b34c4",
+        "0328e299fbfeb4713fb6603535636b152c3b73a14b65f260bdd829e1cd58e193",
         "8fcf3cb175d4dc64efe87ddb693285c68188a0a05625ea26312f426dc79e786d"),
     ("slab", "uniform", "1/2"): (
-        "7948254228f557d3dfa295fb6030f6dce5a6786790f5388745834f29afb49a71",
+        "3b35aef4385576870bc28a6e52ed0991d67094b5c571a3a0922752f993155546",
         "d0ebca6aff5fffbe4d7c51c625fa8f2d8a41dab8ccd68e415adbd54b9490d57c"),
     ("slab", "sorted", "1/4"): (
-        "c7fdb699d60a5190a84cefd600061aae2dac908a3dac2fb5789cac779ae50df5",
+        "62a53f96149d78f779ebda59ad8a5bdc646085b650e16463ec2d8a924c7ac14c",
         "01e91ee8577d5925d17cdee1220660443c0e31c809e0d6bf2bba1e26ef1881c5"),
     ("slab", "sorted", "1/2"): (
-        "3c6e3398b7956cfabc21176887514302fb09c44a708d611847de2dc00958f506",
+        "f416ff6f15fd63b43832395df9057fd6045bbbdd14cfa3bd4757b034c239784d",
         "19a2c81469d52d9c877e2901a4f9860f21e317c69313f98a6b1671fd3612ef18"),
     ("slab", "clustered", "1/4"): (
-        "61fc918866cdcc7e6d1d8b26f1ecb23c3976c932032121cecbadd59dcd88afd9",
+        "e76f9d4d579450d0331635ac741722dfdca58f71fece03f4ebb028cb78222bb3",
         "0342175f3e9412db0e887b985e3c740fdb239b57fb042d652207d7e527a86f70"),
     ("slab", "clustered", "1/2"): (
-        "0fb528fa0d939c512d0f8065b58a6c326f35efbfde1c7eaf5c5e7981a1991fc7",
+        "4eef40dfbe53293910e6dfcd4c626818637c258e7bec60ce789b34c15a52810b",
         "52e53b332e3002a13bc03b3e04726d036dac2336b0b68e690bf3157f4b46714e"),
     ("slab", "duplicates", "1/4"): (
-        "babb347f3473fdf2f1771cf62efc9ff0f43e08cae4a5bded17c0a1f518ca3234",
+        "0ce5ff8119f6cacbe3fe457ca5320b643137cee57140a33d68541865e5445a33",
         "065e18a75d9b117a43eb135c3f1ac0449dca906a768fecbdb3d28432e4a843f3"),
     ("slab", "duplicates", "1/2"): (
-        "7ebdc57e8fb0c1856a1b248dcf75cedda7b6f9546f777a9b16eaa5e5e1d09d28",
+        "caf27cd2b30bae8a5fd962c781939999fc0f1fedecd8ec806f3af1d6c00867f1",
         "6f8263c24dffb5feedc26f27bd7af2e74241fca09f46e2983422f26cfa982f8f"),
     ("wedge", "uniform", "1/4"): (
-        "13c0fdb784c24531a9bb856662a675cce6be1e2d80338de62564942b9c1c5ea4",
+        "74db73b26d9668d0052cff6f8256d06e75dc2c8cf8dd4ba44dc8db8a191c561d",
         "d8ff251f2a7cc10dc7c3c74feabf0630314834e7845fa269b896156abad4539c"),
     ("wedge", "uniform", "1/2"): (
-        "94a26f717ee0a3c995b74dc0d712e418a646bb12cd480ff0aa9c909726955809",
+        "6de8d340475058a67e0271ff3018cc1611f72be57b39f3fae6d093e703bf09c7",
         "b191ede34547dd639889eb3b920f410155b27a6c1c47ce2d1f4df59c744a5482"),
     ("wedge", "sorted", "1/4"): (
-        "0d218ba5e063e92a211206195448dfb9f4e0cf6e8057a6cdefe08a670416dc70",
+        "d9a78d2ccee55fe8252cb05e87eecc1f00d8e66c31f1f3664343a81d2cc64e79",
         "e4729e0000fa849cc979b86ab94bdcc5a945eb79ec037bdca9417b8b217cd12e"),
     ("wedge", "sorted", "1/2"): (
-        "6e00b52d423e56ffe26f7a09be44a17368cf8e2de67d68d70cbf186279382549",
+        "4bb75b9719e854b9f55510e62b3a918a005deed2cc39a546760daee392c8f8c4",
         "975c7633bc054e7b7090d82ef96d21da55b0ca708245fe4a353795ba72246be2"),
     ("wedge", "clustered", "1/4"): (
-        "99236b3c8f5573f84a2dad1165fe329f0a423a53a92311ac34245e287df9fddc",
+        "008859d4ec4c8805a3f53ba924f698d1fc970dab04b90552f953f850f2816eee",
         "102125600016ff37363e1815410d33e0a09fac56c0eb5b27a9020ce79bcc09e6"),
     ("wedge", "clustered", "1/2"): (
-        "1e6db4afc68a37c6d7ef715f51258debc06ae352263cabdb0ba806c720c59a94",
+        "6ffbafa3232990fc862032d40478fbf4aba41ef45c01373a99b99360f59e5e3f",
         "caf82d3dfe9df0c945ed8e05c44dfd59e99b77ae09ba515f2fc8b1ab9f2d85a8"),
     ("wedge", "duplicates", "1/4"): (
-        "322e3711aa4b197e2478dd650b027c141d1a9a0d9913c0f0bbfaeb1df695126d",
+        "53f93b0b0fcda562edd7ee7f7852bddf8bca809ab08021f5e51bca580f7723c3",
         "b81584d9af0a02790a4c7c9b6a9336d1690169547e4b0c343bc43f8100349122"),
     ("wedge", "duplicates", "1/2"): (
-        "ad05e31e6cb26052e3be93c5d882e2ecd15890b1a1b1bf2ee32fe094243fb547",
+        "42223fa4a6eb64fb8fd2d07991535f5fd2fe7c8caf7be850b25542a394731f57",
         "b81584d9af0a02790a4c7c9b6a9336d1690169547e4b0c343bc43f8100349122"),
     ("dwedge", "uniform", "1/4"): (
-        "e5a3e36fa323e7097b6e20872f3b57ca10eb13d85ff27a4b12a9c3ddde7acd04",
+        "a58991074da924c9f7f2543fb4c7b8b60064b920a050b465723ee7f59f060841",
         "b0834e85801d626865531816fcaaef75cd11abaa376f5adb95437f2f52709da4"),
     ("dwedge", "uniform", "1/2"): (
-        "262d4c8f80c464a2906122e028d47a4865bf34ee2b6be2d280935f887077187c",
+        "656425debdba752aac983303074402fc37abbe4293eb2f1a0d7ffede9339aad1",
         "2bfd4118939acf1af9cf6c69b366feaabba8de1c098affc558c4e8b6ef3abab8"),
     ("dwedge", "sorted", "1/4"): (
-        "ad81ce984b6ed7f05a1ff08b78fbfeb52d1d483b0e117382a251df91138cdde8",
+        "07da5d1a2d6378b88c7d2cc6afa7109de7652c3531c0194cb6929884bedba053",
         "705e4afe7e63a99871e5c52c1d1493595147d0e0e358b7d96c2c8bdaadfd9747"),
     ("dwedge", "sorted", "1/2"): (
-        "5ca09ad69702ab5b7890d28f73d0e33ad91ad01b3765f7fd61951248900e699a",
+        "aeee4d27df137ca1c67dc9cd969583471f981d37529a747752040c7149a2418c",
         "f68936aa584b0b252491cbd5c42872f34b9230df1c18b77f515ac03714a44bf9"),
     ("dwedge", "clustered", "1/4"): (
-        "90ef0cd7d88f60b906ad952243f46a6aacaad03d6bfc67ec4d6dc31f1477f8a8",
+        "953a037e58d6901658199869a42aed5cea063b4251dc02a1f5927495a531f25d",
         "747b681a99b5caa7707698d327828f27088df7680d3ac688b2a27a05c20e0a16"),
     ("dwedge", "clustered", "1/2"): (
-        "915ecb2321b10384a8bacced044e375043007423e305a3a2a8c7edad43e4b04c",
+        "68938bf338e3ee2e8db27fb298fdbabe3951c7cd7b85e448c52f04d809272ba9",
         "44808661dc6565221291f10735a1f850ca7246edb4088bf9ae71e6c9ac4fd8f6"),
     ("dwedge", "duplicates", "1/4"): (
-        "1c729caf60597e603d23d884c75ee997c60a96a9224e8910f9dc2fdf86b59d0c",
+        "f026c2274e1a752b94fe762161430b4cc28ab38ff19e6a5bfc0053a8b6cdb3cd",
         "3dcc33d1b6a917e78aac7e5980a8f2c6620feb34e5ba9262ce04e7e2995e6840"),
     ("dwedge", "duplicates", "1/2"): (
-        "b75c946855af0ff619b290b1ee321bedeccf648094f43eede90fa3963a8896b7",
+        "af5a57c771c6153e490dad16d972c51c52313cb9a82eebaca5d3595f9789c1b1",
         "3dcc33d1b6a917e78aac7e5980a8f2c6620feb34e5ba9262ce04e7e2995e6840"),
     ("vpar", "uniform", "1/4"): (
-        "8124ac28e50cbdf2c06c43cb218ad7b3f1b5a72d7f0a06758b260d86983aaf4b",
+        "3cb59cdc26ec5956e1bb1c86e8155d84f741ffd85162ae8f97307382123747d8",
         "f96c222770eaa5d47cf6e44f38c77b2111411fdf5e8b26710a9677ab6f347e17"),
     ("vpar", "uniform", "1/2"): (
-        "d02a9534d340202f8a78c443b697545eb398cffedbd3e4a7d79aa1c8b36d1c54",
+        "2ff1e367157b297b5d5a8ba6163ba98dc5e2d6ab34dc468aaedab5d6a1dae5bb",
         "dc8a463e5fb16bc8efd7d2c8e641a936e91dd8f1cef5ac6b2ffeb1f514062362"),
     ("vpar", "sorted", "1/4"): (
-        "b35e80cae797dadb4bbcd6237a9520c943a1443f60dd0217ddac9ab44b9506c1",
+        "9e27b04b55c42b7f273a9a094723d05fdfc0e0b2598388083f343834c09de30d",
         "61ca093d39263d1c16c363dd271f864c708de069aaed88dd5d7eae70bbf5e606"),
     ("vpar", "sorted", "1/2"): (
-        "2ff45a870663cea26c28aff5338562278c15694cd94f54024e243a5c5dff21f0",
+        "edc8b61affbfa394b0e320841579eb764a3d18fbb9bf0ab3c4efed22293f63a1",
         "61ca093d39263d1c16c363dd271f864c708de069aaed88dd5d7eae70bbf5e606"),
     ("vpar", "clustered", "1/4"): (
-        "3f5b7e4514d287f13b9bf74d9dcb49491fb8511be127cba9880a23e08286d855",
+        "4ef207d0421e4769e906e2f1233a53530373275482d089f100562875a337bbe5",
         "1656f9a30277eaae3c4377fad3a680f152a3b30882e95f60e5e363e0ac9d5d10"),
     ("vpar", "clustered", "1/2"): (
-        "c847ee205441e77f608239b13bedb02773bd1bd7c8af1ad09a599d36f9c626a1",
+        "8f52227cd60644d3dd881287771b6b73ab011e618fdc8160d2219f1270ae3bab",
         "1656f9a30277eaae3c4377fad3a680f152a3b30882e95f60e5e363e0ac9d5d10"),
     ("vpar", "duplicates", "1/4"): (
-        "6cf8c932d739f7575d74025a8610132e4aa1f1e306e90183e74d8b0a79afbf9c",
+        "10b100f4ab16482a594078259cca4ad7d2cc2435755dd7ec37a7aa6c2d8b4127",
         "80b614c5e6c1db107b0156cb4aeb74af94d34f5ed9c7982fcb40db4ea0183f06"),
     ("vpar", "duplicates", "1/2"): (
-        "c59384badb38e5ff95edd33c57ad92531e733ffb73f45e2c0d7d2844a486e1c8",
+        "87d81e30420a0371f846607db97775f1240df74e2827a65be63546e41b117ea0",
         "80b614c5e6c1db107b0156cb4aeb74af94d34f5ed9c7982fcb40db4ea0183f06"),
 }
 
@@ -247,11 +254,11 @@ def _wide(points):
 GOLDEN_LARGE = {
     "uniform-256": (
         lambda: make_stream("uniform", 256, seed=SEED),
-        "e4b67edc4bf9dc2100c3cbcfaee4148d0396e96a0882a78ff503ad1beff976a1",
+        "76fb0bac08b6d1a44473f38d3de21ec66ff584e2d33806813876cad2a844a446",
         "13cfb0dcd34eb4c82b056c506395f422006933d7a69e5cb1f254edc3956c8348"),
     "wide-256": (
         lambda: _wide(make_stream("uniform", 256, seed=SEED)),
-        "d3f217d7545085c5d80305f546903035865471337dc527c075b8e7e75e02ed3c",
+        "e6f5e810651080d7b665d08744db9453b79b72b770d6058b4dd8d875317512a2",
         "737147c448c0a9e444601a767db1dc2b28999b3ccccefd16d3921cd29c4acf69"),
 }
 LARGE_SNAPSHOT_SIZES = {"uniform-256": 64, "wide-256": 64}

@@ -5,6 +5,7 @@ import pytest
 
 from epsstream import FamilyKind, Point2, WeightedSample, family
 from epsstream.errors import CapExceededError
+from epsstream import oracles
 from epsstream.oracles import (
     PrefixMirror,
     exact_count,
@@ -160,6 +161,52 @@ def test_discrepancy_matches_mask_enumeration():
                 sval = sum(union[coords[i]] for i in range(len(coords)) if mask >> i & 1)
                 want = max(want, abs(sval))
             assert got == want / g.total_weight
+
+
+def _wide_points(rng, n):
+    """n points near (+-2^29, +-2^29), some on shared lines, and some at the
+    2^30 coordinate bound, where differences come within 2 of 2^31."""
+    edge = (1 << 30) - 1
+    pts = []
+    while len(pts) < n:
+        kind = rng.randrange(4)
+        if kind == 3:
+            pts.append(Point2(rng.choice((-edge, edge)), rng.randint(-edge, edge)))
+        elif kind == 2 and pts:  # a collinear run through an earlier point
+            base, t = rng.choice(pts), rng.randint(1, 3)
+            dx, dy = rng.randint(-4, 4), rng.randint(-4, 4)
+            cand = Point2(base.x + t * dx, base.y + t * dy)
+            if max(abs(cand.x), abs(cand.y)) <= edge:
+                pts.append(cand)
+        else:
+            pts.append(Point2(rng.choice((-1, 1)) * ((1 << 29) + rng.randint(-999, 999)),
+                              rng.choice((-1, 1)) * ((1 << 29) + rng.randint(-999, 999))))
+    return pts
+
+
+def test_tukey_depth_int64_branch_matches_python_loop_near_2_29(monkeypatch):
+    rng = random.Random(6)
+    cases = []
+    for _ in range(40):
+        pts = _wide_points(rng, rng.randint(1, 12))
+        q = rng.choice(pts + _wide_points(rng, 1))
+        cases.append((PrefixMirror(pts), q, exact_tukey_depth(PrefixMirror(pts), q)))
+    monkeypatch.setattr(oracles, "_TUKEY_NP_COMPONENT_BOUND", 0)  # the Python loop only
+    for mirror, q, got in cases:
+        assert exact_tukey_depth(mirror, q) == got
+
+
+def test_halfplane_discrepancy_near_2_29_matches_mask_enumeration():
+    rng = random.Random(7)
+    for _ in range(12):
+        pts = sorted(set(_wide_points(rng, rng.randint(3, 12))))
+        ints = [rng.choice((-1, 1)) * rng.randint(1, 1 << 40) for _ in pts]
+        want = 0
+        for mask in subsystem_oracle_masks(HP, pts):
+            want = max(want, abs(sum(d for i, d in enumerate(ints) if mask >> i & 1)))
+        assert oracles._halfplane_discrepancy_scaled(pts, ints) == want
+    with pytest.raises(CapExceededError):
+        oracles._halfplane_discrepancy_scaled([Point2(0, 0), Point2(1 << 30, 0)], [1, -1])
 
 
 def test_mirror_append():
