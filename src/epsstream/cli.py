@@ -28,7 +28,8 @@ from .oracles import (
     exact_tukey_depth,
 )
 from .queries import approx_count, eps_net, iceberg_query
-from .ranges import DEFAULT_SCALE, FamilyKind, Point2, format_point, parse_descriptor, parse_point
+from .ranges import (DEFAULT_SCALE, FamilyKind, Point2, _coord_from_text, format_point,
+                     parse_descriptor, parse_point)
 from .sampler import WeightedSample, _frac_str
 from . import stats as stats_mod
 
@@ -126,7 +127,8 @@ def _run_query_line(snap: Snapshot, line: str, scale: int) -> dict:
         rest = parts[1].split(None, 1) if len(parts) > 1 else []
         if len(rest) != 2:
             raise StreamParseError("iceberg needs: iceberg <theta> <descriptor>")
-        verdict = iceberg_query(snap, parse_descriptor(rest[1], scale), Fraction(rest[0]))
+        theta = _coord_from_text(rest[0])
+        verdict = iceberg_query(snap, parse_descriptor(rest[1], scale), theta)
         return {"verdict": verdict.value}
     raise StreamParseError(f"unknown query verb {verb!r}")
 

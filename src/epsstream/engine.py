@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import EpsStreamError, FamilyMismatchError, StreamParseError
 from .ranges import ALL_FAMILIES, DEFAULT_SCALE, Point2, RangeFamily, family
@@ -123,6 +124,11 @@ class Snapshot:
     @property
     def certified_error(self) -> Fraction:
         return self.sample.eps_bound
+
+    @cached_property
+    def additive_bound(self) -> Fraction:
+        """eps * n, the additive error of every count the snapshot answers."""
+        return self.eps * self.n
 
     @property
     def family(self) -> RangeFamily:

@@ -3,6 +3,16 @@
 Counts carry an additive guarantee of eps * n inherited from the snapshot
 certificate; iceberg verdicts are sound in both directions because the
 decision band is exactly the guarantee band.
+
+A query evaluates its range on every support point at once: the
+descriptor's ``contains`` runs on the sample's cached coordinate columns
+(``WeightedSample.columns``) and the mask it returns selects the scaled
+integer weights to sum.  The columns are int64 while the coordinates are
+ints below 2^30 in absolute value and the descriptor's parameters are ints
+whose ``peak`` keeps every product and sum below 2^63; otherwise the same
+expression runs on columns of exact Python numbers (dtype object).  The
+count is one Fraction of the clamped masked sum, and an iceberg verdict
+compares integers cross-multiplied, so no answer depends on the dtype.
 """
 
 from __future__ import annotations
@@ -13,7 +23,13 @@ from fractions import Fraction
 
 from .engine import Snapshot
 from .errors import FamilyMismatchError
-from .ranges import Point2, RangeDescriptor
+from .rangesums import _NP_COORD_LIMIT
+from .ranges import Point2, RangeDescriptor, descriptor_values
+
+# int64 arithmetic wraps silently, so a range is evaluated on int64
+# columns only while its ``peak`` over coordinates below _NP_COORD_LIMIT is
+# below this.
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -35,13 +51,27 @@ def _check_kind(snap: Snapshot, desc: RangeDescriptor) -> None:
             f"{desc.kind.value} query against a {snap.family.kind.value} snapshot")
 
 
+def _fits_int64(desc: RangeDescriptor) -> bool:
+    return (all(isinstance(v, int) for v in descriptor_values(desc))
+            and desc.peak(_NP_COORD_LIMIT) < _INT64_LIMIT)
+
+
+def _range_mass(snap: Snapshot, desc: RangeDescriptor) -> tuple[int, int]:
+    """The support's scaled weight inside the range, clamped to
+    [0, n * denom], and denom, the denominator of ``scaled_weights``."""
+    _check_kind(snap, desc)
+    xs, ys, ws = snap.sample.columns
+    if xs.dtype != object and not _fits_int64(desc):
+        xs, ys = xs.astype(object), ys.astype(object)
+    _, denom = snap.sample.scaled_weights
+    mass = int(ws[desc.contains(Point2(xs, ys))].sum())
+    return min(max(mass, 0), snap.n * denom), denom
+
+
 def approx_count(snap: Snapshot, desc: RangeDescriptor) -> CountEstimate:
     """Weighted mass of the range in the snapshot, clamped to [0, n]."""
-    _check_kind(snap, desc)
-    ints, denom = snap.sample.scaled_weights
-    total = Fraction(sum(g for p, g in zip(snap.sample.points, ints) if desc.contains(p)), denom)
-    total = min(max(total, Fraction(0)), Fraction(snap.n))
-    return CountEstimate(total, snap.eps * snap.n, snap.n)
+    mass, denom = _range_mass(snap, desc)
+    return CountEstimate(Fraction(mass, denom), snap.additive_bound, snap.n)
 
 
 def iceberg_query(snap: Snapshot, desc: RangeDescriptor, theta: Fraction) -> Verdict:
@@ -49,11 +79,17 @@ def iceberg_query(snap: Snapshot, desc: RangeDescriptor, theta: Fraction) -> Ver
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
-    est = approx_count(snap, desc)
-    frac = est.estimate / snap.n
-    if frac >= theta + snap.eps:
+    mass, denom = _range_mass(snap, desc)
+    # With theta = r/s and eps * n = p/q, the estimate mass/denom is at
+    # least theta * n + eps * n iff mass * s * q >= (r * n * q + p * s) * denom,
+    # and at most theta * n - eps * n iff the same holds with <= and -.
+    band = snap.additive_bound
+    scaled = mass * theta.denominator * band.denominator
+    mid = theta.numerator * snap.n * band.denominator
+    half = band.numerator * theta.denominator
+    if scaled >= (mid + half) * denom:
         return Verdict.ABOVE
-    if frac <= theta - snap.eps:
+    if scaled <= (mid - half) * denom:
         return Verdict.BELOW
     return Verdict.UNCERTAIN
 

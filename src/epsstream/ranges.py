@@ -6,7 +6,11 @@ rounding.  All regions are closed: boundary points count as inside.
 
 Each family provides
 
-* ``contains``            -- exact membership of a point in a range,
+* ``contains``            -- exact membership of a point in a range, one
+                             expression that also takes a ``Point2`` of
+                             numpy coordinate arrays and returns a mask,
+* ``peak``                -- a bound on the values ``contains`` forms,
+                             which decides whether int64 arrays hold them,
 * ``canonical_ranges``    -- a finite witness list of descriptors realizing
                              every subset the family induces on a point set,
 * ``subsystem_oracle``    -- the deduplicated list of those induced subsets.
@@ -133,6 +137,12 @@ ALL_FAMILIES = tuple(_FAMILIES.values())
 
 # ---------------------------------------------------------------------------
 # Range descriptors.  Closed-region convention throughout.
+#
+# ``contains`` combines its comparisons with ``&`` and ``!=``, never ``and``
+# or chained comparisons, so one expression serves a point and a Point2 of
+# arrays.  ``peak(c)``, for c >= 1, bounds the absolute value of every
+# parameter, product and sum that ``contains`` forms on points whose
+# coordinates are at most c in absolute value.
 # ---------------------------------------------------------------------------
 
 
@@ -153,6 +163,9 @@ class Halfplane:
     def contains(self, p: Point2) -> bool:
         return self.a * p.x + self.b * p.y >= self.t
 
+    def peak(self, c: int) -> Coord:
+        return max((abs(self.a) + abs(self.b)) * c, abs(self.t))
+
 
 @dataclass(frozen=True)
 class Quadrant:
@@ -164,7 +177,10 @@ class Quadrant:
     kind = FamilyKind.QUADRANT
 
     def contains(self, p: Point2) -> bool:
-        return p.x >= self.px and p.y >= self.py
+        return (p.x >= self.px) & (p.y >= self.py)
+
+    def peak(self, c: int) -> Coord:
+        return max(abs(self.px), abs(self.py))
 
 
 @dataclass(frozen=True)
@@ -177,7 +193,10 @@ class Wedge:
     kind = FamilyKind.WEDGE
 
     def contains(self, p: Point2) -> bool:
-        return self.h1.contains(p) and self.h2.contains(p)
+        return self.h1.contains(p) & self.h2.contains(p)
+
+    def peak(self, c: int) -> Coord:
+        return max(self.h1.peak(c), self.h2.peak(c))
 
 
 @dataclass(frozen=True)
@@ -191,6 +210,9 @@ class DoubleWedge:
 
     def contains(self, p: Point2) -> bool:
         return self.h1.contains(p) != self.h2.contains(p)
+
+    def peak(self, c: int) -> Coord:
+        return max(self.h1.peak(c), self.h2.peak(c))
 
 
 @dataclass(frozen=True)
@@ -212,6 +234,10 @@ class Disk:
         dy = p.y - self.cy
         return dx * dx + dy * dy <= self.r2
 
+    def peak(self, c: int) -> Coord:
+        d = c + max(abs(self.cx), abs(self.cy))
+        return max(2 * d * d, self.r2)
+
 
 @dataclass(frozen=True)
 class Slab:
@@ -229,7 +255,10 @@ class Slab:
 
     def contains(self, p: Point2) -> bool:
         ax = self.a * p.x
-        return ax + self.b1 <= p.y <= ax + self.b2
+        return (ax + self.b1 <= p.y) & (p.y <= ax + self.b2)
+
+    def peak(self, c: int) -> Coord:
+        return abs(self.a) * c + max(abs(self.b1), abs(self.b2))
 
 
 @dataclass(frozen=True)
@@ -251,9 +280,12 @@ class VParallelogram:
     kind = FamilyKind.VPARALLELOGRAM
 
     def contains(self, p: Point2) -> bool:
-        if not (self.x1 <= p.x <= self.x2):
-            return False
-        return self.a * p.x + self.b1 <= p.y <= self.a * p.x + self.b2
+        ax = self.a * p.x
+        return ((self.x1 <= p.x) & (p.x <= self.x2)
+                & (ax + self.b1 <= p.y) & (p.y <= ax + self.b2))
+
+    def peak(self, c: int) -> Coord:
+        return max(abs(self.x1), abs(self.x2), abs(self.a) * c + max(abs(self.b1), abs(self.b2)))
 
 
 RangeDescriptor = Union[Halfplane, Quadrant, Wedge, DoubleWedge, Disk, Slab, VParallelogram]
@@ -318,25 +350,28 @@ def parse_descriptor(text: str, scale: int = 1) -> RangeDescriptor:
         raise StreamParseError(f"bad descriptor {text!r}: {exc}") from exc
 
 
+def descriptor_values(desc: RangeDescriptor) -> tuple[Coord, ...]:
+    """The descriptor's parameters in text-format order."""
+    k = desc.kind
+    if k is FamilyKind.HALFPLANE:
+        return (desc.a, desc.b, desc.t)
+    if k is FamilyKind.QUADRANT:
+        return (desc.px, desc.py)
+    if k is FamilyKind.DISK:
+        return (desc.cx, desc.cy, desc.r2)
+    if k is FamilyKind.SLAB:
+        return (desc.a, desc.b1, desc.b2)
+    if k is FamilyKind.VPARALLELOGRAM:
+        return (desc.x1, desc.x2, desc.a, desc.b1, desc.b2)
+    return (desc.h1.a, desc.h1.b, desc.h1.t, desc.h2.a, desc.h2.b, desc.h2.t)
+
+
 def format_descriptor(desc: RangeDescriptor) -> str:
     def fmt(v: Coord) -> str:
         f = Fraction(v)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
-    k = desc.kind
-    if k is FamilyKind.HALFPLANE:
-        vals = (desc.a, desc.b, desc.t)
-    elif k is FamilyKind.QUADRANT:
-        vals = (desc.px, desc.py)
-    elif k is FamilyKind.DISK:
-        vals = (desc.cx, desc.cy, desc.r2)
-    elif k is FamilyKind.SLAB:
-        vals = (desc.a, desc.b1, desc.b2)
-    elif k is FamilyKind.VPARALLELOGRAM:
-        vals = (desc.x1, desc.x2, desc.a, desc.b1, desc.b2)
-    else:
-        vals = (desc.h1.a, desc.h1.b, desc.h1.t, desc.h2.a, desc.h2.b, desc.h2.t)
-    return f"{k.value}:" + ",".join(fmt(v) for v in vals)
+    return f"{desc.kind.value}:" + ",".join(fmt(v) for v in descriptor_values(desc))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,23 @@ class WeightedSample:
         """The weights as integers over their least common denominator."""
         return _scaled_weights(self.weights)
 
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x, y and the scaled integer weights as arrays, for evaluating a
+        range on every point at once.  The coordinates are int64 while each
+        is an int below 2^30 in absolute value (``rangesums._NP_COORD_LIMIT``)
+        and the weights while their sum is below 2^63, so no masked sum
+        wraps; otherwise a column holds the exact Python numbers (dtype
+        object), in the same arithmetic."""
+        xs = [p.x for p in self.points]
+        ys = [p.y for p in self.points]
+        small = all(isinstance(v, int) and abs(v) < rangesums._NP_COORD_LIMIT
+                    for v in xs + ys)
+        ints, _ = self.scaled_weights
+        coord = np.int64 if small else object
+        return (np.array(xs, dtype=coord), np.array(ys, dtype=coord),
+                np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object))
+
     @classmethod
     def uniform(cls, points: Iterable[Point2], eps_bound: Fraction = Fraction(0)) -> "WeightedSample":
         pts = tuple(points)
@@ -232,13 +249,14 @@ def _paired_coloring(sample: WeightedSample) -> Coloring | None:
     m = len(sample)
     if m < 2:
         return None
-    minx = min(p.x for p in sample.points)
-    miny = min(p.y for p in sample.points)
     if not all(isinstance(p.x, int) and isinstance(p.y, int) for p in sample.points):
         return None
-    by_weight: dict[Fraction, list[int]] = {}
-    for i, w in enumerate(sample.weights):
-        by_weight.setdefault(w, []).append(i)
+    minx = min(p.x for p in sample.points)
+    miny = min(p.y for p in sample.points)
+    ints, _ = sample.scaled_weights  # one common denominator keeps every order and sign
+    by_weight: dict[int, list[int]] = {}
+    for i, g in enumerate(ints):
+        by_weight.setdefault(g, []).append(i)
     signs = [0] * m
     leftovers: list[int] = []
     for w in sorted(by_weight, reverse=True):
@@ -249,12 +267,12 @@ def _paired_coloring(sample: WeightedSample) -> Coloring | None:
             signs[idxs[a + 1]] = -1
         if len(idxs) % 2:
             leftovers.append(idxs[-1])
-    running = sum((sample.weights[i] * s for i, s in enumerate(signs) if s), Fraction(0))
-    leftovers.sort(key=lambda i: (-sample.weights[i], i))
+    running = sum(g * s for g, s in zip(ints, signs))
+    leftovers.sort(key=lambda i: (-ints[i], i))
     for i in leftovers:
         sign = -1 if running > 0 else 1
         signs[i] = sign
-        running += sign * sample.weights[i]
+        running += sign * ints[i]
     if len(set(signs)) < 2:
         return None
     return Coloring(tuple(signs))

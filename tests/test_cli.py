@@ -47,6 +47,19 @@ def test_build_query_round_trip(tmp_path, stream_file):
     assert len(json.loads(lines[2])["points"]) >= 1
 
 
+@pytest.mark.parametrize("theta,code", [("abc", 2), ("1/0", 2), ("2", 3)])
+def test_iceberg_theta_exit_codes(tmp_path, stream_file, capsys, theta, code):
+    """An unparseable theta is a parse error, like a bad descriptor value;
+    a parsed one outside (0, 1) is a config error."""
+    snap = tmp_path / "snap.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(stream_file),
+                    "--family", "halfplane", "--eps", "1/2", "--snapshot", str(snap)])[0] == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text(f"iceberg {theta} halfplane:1,0,0\n")
+    assert run_cli(["query", "--snapshot", str(snap), "--queries", str(queries)])[0] == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_build_resume_equals_uninterrupted(tmp_path):
     pts = make_stream("sorted", 40, seed=2)
     full = tmp_path / "full.txt"

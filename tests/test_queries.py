@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsstream import (
@@ -19,6 +20,7 @@ from epsstream import (
 from epsstream.engine import Snapshot, snapshot_of_exact
 from epsstream.errors import FamilyMismatchError
 from epsstream.oracles import PrefixMirror, exact_count
+from epsstream.queries import _fits_int64
 from epsstream.ranges import (
     Disk,
     DoubleWedge,
@@ -27,6 +29,7 @@ from epsstream.ranges import (
     Slab,
     VParallelogram,
     Wedge,
+    descriptor_values,
 )
 from streams import make_stream
 
@@ -136,47 +139,116 @@ def _fraction_count(snap, desc):
     return min(max(total, Fraction(0)), Fraction(snap.n))
 
 
-_q = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-_halfplanes = st.builds(lambda normal, t: Halfplane(*normal, t), st.tuples(_q, _q).filter(any), _q)
+def _near(e_lo, e_hi, d_lo, d_hi):
+    """Ints +-(2^e + d), e in [e_lo, e_hi], d in [d_lo, d_hi]."""
+    return st.builds(lambda s, e, d: s * ((1 << e) + d), st.sampled_from((-1, 1)),
+                     st.integers(e_lo, e_hi), st.integers(d_lo, d_hi))
 
 
-_DESCRIPTORS = {
-    FamilyKind.HALFPLANE: _halfplanes,
-    FamilyKind.QUADRANT: st.builds(Quadrant, _q, _q),
-    FamilyKind.WEDGE: st.builds(Wedge, _halfplanes, _halfplanes),
-    FamilyKind.DOUBLE_WEDGE: st.builds(DoubleWedge, _halfplanes, _halfplanes),
-    FamilyKind.DISK: st.builds(Disk, _q, _q, st.fractions(min_value=0, max_value=60,
-                                                           max_denominator=6)),
-    FamilyKind.SLAB: st.builds(lambda a, b: Slab(a, *sorted(b)), _q, st.tuples(_q, _q)),
-    FamilyKind.VPARALLELOGRAM: st.builds(lambda x, a, b: VParallelogram(*sorted(x), a, *sorted(b)),
-                                         st.tuples(_q, _q), _q, st.tuples(_q, _q)),
-}
+# Coordinates: small ints, ints just inside +-2^30 (int64 columns either
+# way), ints on both sides of it (dtype object), and Fractions (a snapshot
+# file may carry them); one style per sample.
+_small = st.integers(-6, 6)
+_coord_styles = (_small, st.one_of(_small, _near(30, 30, -3, -1)),
+                 st.one_of(_small, _near(30, 30, -3, 2)),
+                 st.one_of(_small, st.fractions(min_value=-6, max_value=6, max_denominator=4)))
+# Descriptor parameters: small ints, small Fractions, or small ints mixed
+# with large ones: 2^32 to 2^62, which fit int64 but whose products with
+# coordinates near 2^30 do not, or 2^70 and above (the CLI reads
+# halfplane:1e400,0,0).
+_param_styles = (st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                 st.one_of(_near(32, 62, -3, 3), st.integers(-9, 9)),
+                 st.one_of(_near(70, 1400, -3, 3), st.integers(-9, 9)))
+# Weights: small denominators, or with large ones mixed in, so that the
+# scaled integer weights sum past 2^63.
+_plain_weights = st.fractions(min_value=Fraction(1, 30), max_value=12, max_denominator=30)
+_weight_styles = (_plain_weights,
+                  st.one_of(_plain_weights,
+                            st.builds(Fraction, st.integers(1, 1 << 40),
+                                      st.sampled_from(((1 << 31) - 1, (1 << 61) - 1, 3 ** 40)))))
+
+
+def _descriptor(draw, kind, v, pivot):
+    """A ``kind`` descriptor with parameters drawn from ``v``; every boundary
+    it draws passes through ``pivot`` unless that is None."""
+    def offset(a):  # b with pivot on the line y = a*x + b
+        return pivot.y - a * pivot.x if pivot is not None else draw(v)
+
+    def halfplane():
+        a, b = draw(st.tuples(v, v).filter(any))
+        return Halfplane(a, b, a * pivot.x + b * pivot.y if pivot is not None else draw(v))
+
+    def slab_params():
+        a, b, w = draw(v), offset(draw(v)), abs(draw(v))
+        return (a, b, b + w) if draw(st.booleans()) else (a, b - w, b)
+
+    if kind is FamilyKind.HALFPLANE:
+        return halfplane()
+    if kind is FamilyKind.WEDGE:
+        return Wedge(halfplane(), halfplane())
+    if kind is FamilyKind.DOUBLE_WEDGE:
+        return DoubleWedge(halfplane(), halfplane())
+    if kind is FamilyKind.QUADRANT:
+        return Quadrant(*(pivot if pivot is not None else (draw(v), draw(v))))
+    if kind is FamilyKind.DISK:
+        cx, cy = draw(v), draw(v)
+        if pivot is not None:
+            return Disk(cx, cy, (pivot.x - cx) ** 2 + (pivot.y - cy) ** 2)
+        return Disk(cx, cy, draw(v) ** 2 + abs(draw(v)))
+    if kind is FamilyKind.SLAB:
+        return Slab(*slab_params())
+    x1 = pivot.x if pivot is not None else draw(v)
+    return VParallelogram(x1, x1 + abs(draw(v)), *slab_params())
+
+
+def _snapshot(kind, pts, ws, n, eps=Fraction(1, 4)):
+    return Snapshot(WeightedSample(tuple(pts), tuple(ws), sum(ws, Fraction(0)), Fraction(0)), n,
+                    make_config(eps, kind))
 
 
 @st.composite
 def _weighted_queries(draw):
-    kind = draw(st.sampled_from(list(_DESCRIPTORS)))
-    c = st.integers(-6, 6)
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    c = draw(st.sampled_from(_coord_styles))
     pts = draw(st.lists(st.builds(Point2, c, c), min_size=1, max_size=24))
-    ws = draw(st.lists(st.fractions(min_value=Fraction(1, 30), max_value=12, max_denominator=30),
+    ws = draw(st.lists(draw(st.sampled_from(_weight_styles)),
                        min_size=len(pts), max_size=len(pts)))
     total = sum(ws, Fraction(0))
     # n below, at and above the represented mass, so the clamp is exercised
     n = draw(st.integers(1, int(total) + 3))
     eps = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))))
-    snap = Snapshot(WeightedSample(tuple(pts), tuple(ws), total, Fraction(0)), n,
-                    make_config(eps, kind))
+    snap = _snapshot(kind, pts, ws, n, eps)
     theta = draw(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                               max_denominator=100))
-    return snap, draw(_DESCRIPTORS[kind]), theta
+    pivot = draw(st.one_of(st.none(), st.sampled_from(pts)))
+    return snap, _descriptor(draw, kind, draw(st.sampled_from(_param_styles)), pivot), theta
 
 
-@settings(max_examples=300, deadline=None)
+# The largest coordinate an int64 column holds; products with parameters
+# that fit int64 may still not.
+_EDGE = (1 << 30) - 1
+
+
+@settings(max_examples=500, deadline=None)
 @given(query=_weighted_queries())
+@example(query=(_snapshot(FamilyKind.HALFPLANE, [Point2(_EDGE, 0), Point2(5, 5)], [1, 1], 2),
+                Halfplane((1 << 40) + 1, 0, 0), Fraction(1, 2)))
+@example(query=(_snapshot(FamilyKind.DISK, [Point2(-_EDGE, 0), Point2(5, 5)], [1, 1], 2),
+                Disk(1 << 31, 0, 1 << 62), Fraction(1, 2)))
+@example(query=(_snapshot(FamilyKind.QUADRANT, [Point2(0, 0), Point2(1, 1)],
+                          [Fraction(1, (1 << 61) - 1), Fraction(1, 3 ** 40)], 1),
+                Quadrant(1, 1), Fraction(1, 2)))
 def test_integer_weight_counts_match_fraction_sums(query):
-    """Counts summed as integers over one denominator, and the iceberg
-    verdicts read off them, equal the per-point Fraction sums."""
+    """Counts summed as integers over one denominator, on int64 or exact
+    object columns, and the iceberg verdicts read off them, equal the
+    per-point Fraction sums."""
     snap, desc, theta = query
+    xs, ys, ws = snap.sample.columns
+    if all(isinstance(v, int) and abs(v) < 1 << 30 for p in snap.sample.points for v in p):
+        assert xs.dtype == ys.dtype == np.int64
+        if all(isinstance(v, int) and abs(v) < 1 << 20 for v in descriptor_values(desc)):
+            assert _fits_int64(desc)
+    assert (ws.dtype == np.int64) is (sum(snap.sample.scaled_weights[0]) < 1 << 63)
     expected = _fraction_count(snap, desc)
     assert approx_count(snap, desc).estimate == expected
     frac = expected / snap.n
