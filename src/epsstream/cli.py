@@ -69,6 +69,14 @@ def _load_json(path: str, what: str):
             raise StreamParseError(f"not a {what} file ({exc})") from exc
 
 
+def _line_flag(text: str) -> tuple[Fraction, Fraction]:
+    """The exact slope and intercept of a ``--line slope,intercept`` flag."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise StreamParseError(f"expected 'slope,intercept', got {text!r}")
+    return _coord_from_text(parts[0]), _coord_from_text(parts[1])
+
+
 def _scale_of(args) -> int:
     if args.scale is not None:
         return args.scale
@@ -83,7 +91,7 @@ def _scale_of(args) -> int:
 
 def _cmd_build(args, out) -> int:
     scale = _scale_of(args)
-    cfg = make_config(Fraction(args.eps), args.family, scale)
+    cfg = make_config(_coord_from_text(args.eps), args.family, scale)
     pts = _read_points(args.input, scale)
     if args.resume:
         state = StreamState.from_json(_load_json(args.resume, "state"))
@@ -161,13 +169,13 @@ def _cmd_stats(args, out) -> int:
         _emit(out, {"point": format_point(pt, scale), "value": _frac_str(dv.value),
                     "value_float": float(dv.value), "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "simplicial":
-        delta = Fraction(args.delta) if args.delta else None
+        delta = _coord_from_text(args.delta) if args.delta else None
         dv = stats_mod.simplicial_depth_estimate(snap, parse_point(args.point, scale), delta)
         _emit(out, {"value": _frac_str(dv.value), "value_float": float(dv.value),
                     "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "regdepth":
-        a, b = args.line.split(",")
-        line = stats_mod.FitLine(Fraction(a), Fraction(b) * scale)
+        a, b = _line_flag(args.line)
+        line = stats_mod.FitLine(a, b * scale)
         dv = stats_mod.regression_depth(snap, line)
         _emit(out, {"value": _frac_str(dv.value), "value_float": float(dv.value),
                     "additive_bound": _frac_str(dv.additive_bound)})
@@ -176,7 +184,7 @@ def _cmd_stats(args, out) -> int:
         _emit(out, {"slope": _frac_str(fit.slope), "intercept": _frac_str(fit.intercept / scale),
                     "value": _frac_str(dv.value), "additive_bound": _frac_str(dv.additive_bound)})
     elif op == "slope-rank":
-        rank = stats_mod.slope_rank_estimate(snap, Fraction(args.slope))
+        rank = stats_mod.slope_rank_estimate(snap, _coord_from_text(args.slope))
         _emit(out, {"value": _frac_str(rank), "value_float": float(rank)})
     elif op == "theil-sen":
         fit = stats_mod.theil_sen_fit(snap)
@@ -211,18 +219,18 @@ def _cmd_oracle(args, out) -> int:
         v = exact_simplicial_depth(mirror, parse_point(args.point, scale))
         _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "regdepth":
-        a, b = args.line.split(",")
-        v = exact_regression_depth(mirror, Fraction(a), Fraction(b) * scale)
+        a, b = _line_flag(args.line)
+        v = exact_regression_depth(mirror, a, b * scale)
         _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "slope-rank":
-        v = exact_slope_rank(mirror, Fraction(args.slope))
+        v = exact_slope_rank(mirror, _coord_from_text(args.slope))
         _emit(out, {"value": _frac_str(v), "value_float": float(v)})
     elif op == "lms-loc":
-        (cx, cy), r2 = exact_lms_disk(mirror, Fraction(args.fraction))
+        (cx, cy), r2 = exact_lms_disk(mirror, _coord_from_text(args.fraction))
         _emit(out, {"center": f"{_frac_str(cx / scale)},{_frac_str(cy / scale)}",
                     "radius2": _frac_str(r2 / scale / scale)})
     elif op == "lms-reg":
-        a, b1, b2 = exact_lms_slab(mirror, Fraction(args.fraction))
+        a, b1, b2 = exact_lms_slab(mirror, _coord_from_text(args.fraction))
         _emit(out, {"slope": _frac_str(a), "b1": _frac_str(b1 / scale), "b2": _frac_str(b2 / scale),
                     "vertical_width": _frac_str((b2 - b1) / scale)})
     elif op == "discrepancy":
@@ -237,7 +245,7 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     scale = _scale_of(args)
-    cfg = make_config(Fraction(args.eps), args.family, scale)
+    cfg = make_config(_coord_from_text(args.eps), args.family, scale)
     pts = _read_points(args.input, scale)
     sizes = sorted({int(s) for s in args.sizes.split(",") if s.strip()})
     if not sizes or sizes[-1] > len(pts):

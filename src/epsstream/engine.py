@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import EpsStreamError, FamilyMismatchError, StreamParseError
 from .ranges import ALL_FAMILIES, DEFAULT_SCALE, Point2, RangeFamily, family
@@ -68,11 +68,27 @@ def error_budget(k: int, cfg: EngineConfig) -> Fraction:
     """Reduction budget delta_k = (eps/2) * k^-2 / W at level k (conservative)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return cfg.eps / 2 * Fraction(1, k * k) / _ZETA2_UPPER
+    eps = cfg.eps
+    return _level_budget(k, eps.numerator, eps.denominator)
+
+
+@lru_cache(maxsize=4096)
+def _level_budget(k: int, eps_num: int, eps_den: int) -> Fraction:
+    """``error_budget``, built once per (k, eps): a level merge runs about once
+    per insert.  Keyed on eps's integer terms, which hash faster than a Fraction."""
+    return Fraction(eps_num, 2 * eps_den) * Fraction(1, k * k) / _ZETA2_UPPER
+
+
+# eps -> [budget_prefix(0), budget_prefix(1), ...], grown as deeper levels are asked for
+_PREFIXES: dict[Fraction, list[Fraction]] = {}
 
 
 def budget_prefix(k: int, cfg: EngineConfig) -> Fraction:
-    return sum((error_budget(u, cfg) for u in range(1, k + 1)), Fraction(0))
+    """delta_1 + ... + delta_k, the most a level-k sample may certify (0 for k < 1)."""
+    sums = _PREFIXES.setdefault(cfg.eps, [Fraction(0)])
+    while len(sums) <= k:
+        sums.append(sums[-1] + error_budget(len(sums), cfg))
+    return sums[max(k, 0)]
 
 
 def _parse_fields(what: str, read):

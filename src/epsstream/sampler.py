@@ -16,8 +16,10 @@ Colorings are guided by a hyperbolic-cosine potential (method of
 conditional expectations) over projection prefixes, the subsets that lines
 of a few fixed normals per family cut off, not over every induced subset.
 A cheap locality pairing is the alternative candidate, and the measured
-error picks the winner.  Floats appear only inside the guidance potential, never
-in a certificate.
+error picks the winner.  Each coloring is measured once, not once per kept
+class: the error deltas of keeping the -1 class are, point by point, those
+of keeping the +1 class negated, so one exact max |range sum| prices both.
+Floats appear only inside the guidance potential, never in a certificate.
 """
 
 from __future__ import annotations
@@ -192,7 +194,8 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
         raise ValueError("coloring needs at least 2 points")
     masks = [_as_mask(r, m) for r in ranges]
     nr = max(1, len(masks))
-    member = rangesums.membership_matrix(masks, m)
+    # the entries are 0/1, and nonzero reads a bool row several times faster
+    member = rangesums.membership_matrix(masks, m).view(bool)
     w2 = float(sum(w * w for w in sample.weights))
     lam = math.sqrt(2.0 * math.log(2.0 * nr) / w2) if w2 > 0 else 1.0
     d = np.zeros(len(masks), dtype=np.float64)
@@ -202,15 +205,20 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
     max_w = max(ints)
     total_after = sum(ints)
     running = 0
+    step = np.empty((2, 1))  # the +g and -g candidates, one row each
     for i in order:
         w = ints[i]
         total_after -= w
-        ids = np.flatnonzero(member[i])
+        ids = member[i].nonzero()[0]
         if ids.size:
             cur = d[ids]
             g = float(sample.weights[i])
-            up = np.cosh(np.clip(lam * (cur + g), -_COSH_CAP, _COSH_CAP)).sum()
-            down = np.cosh(np.clip(lam * (cur - g), -_COSH_CAP, _COSH_CAP)).sum()
+            step[0, 0], step[1, 0] = g, -g
+            pot = cur + step  # the same operands as lam * (cur + g) and lam * (cur - g)
+            pot *= lam
+            np.clip(pot, -_COSH_CAP, _COSH_CAP, out=pot)
+            np.cosh(pot, out=pot)
+            up, down = pot.sum(axis=1)
             prefer = 1 if up <= down else -1
         else:
             prefer = 1
@@ -223,7 +231,7 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
         signs[i] = sign
         running += sign * w
         if ids.size:
-            d[ids] += sign * g
+            d[ids] = cur + sign * g
     return Coloring(tuple(signs))
 
 
@@ -335,18 +343,20 @@ def _scaled_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
-def _class_error_deltas(signs, scaled, keep_sign):
-    """Integer deltas whose range sums scale the kept-class error.
+def _class_error_deltas(signs, scaled):
+    """Integer deltas whose range sums scale the error of either kept class.
 
-    With scaled weights g, kept mass M = sum over kept g, and T = sum g, the
-    per-point delta T*g*[kept] - M*g makes max |range sum| / (M*T) the exact
-    relative error of the rescaled kept class.
+    With scaled weights g, T = sum g and M = the mass of the +1 class, the
+    per-point delta T*g*[s = +1] - M*g makes max |range sum| / (M*T) the
+    exact relative error of the rescaled +1 class.  The -1 class, of mass
+    T - M, has deltas T*g*[s = -1] - (T - M)*g, which are these negated
+    point by point, so the same max over (T - M)*T is its error.
     """
     total = sum(scaled)
-    kept_mass = sum(g for g, s in zip(scaled, signs) if s == keep_sign)
-    deltas = [total * g - kept_mass * g if s == keep_sign else -kept_mass * g
+    plus_mass = sum(g for g, s in zip(scaled, signs) if s == 1)
+    deltas = [total * g - plus_mass * g if s == 1 else -plus_mass * g
               for g, s in zip(scaled, signs)]
-    return deltas, kept_mass, total
+    return deltas, plus_mass, total
 
 
 def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fraction]:
@@ -355,6 +365,11 @@ def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fra
     Returns the kept class (total weight preserved exactly) and the exact
     worst-case relative discrepancy it incurred against the input over all
     ranges the family induces on the input's support.
+
+    Each coloring is measured once: keeping the -1 class errs on every range
+    by exactly the +1 class's error deltas, negated (``_class_error_deltas``),
+    so one max |range sum| prices both classes.  A coloring with no class of
+    admissible size is not measured.
     """
     m = len(sample)
     if m < 2:
@@ -367,23 +382,25 @@ def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fra
         colorings.append(paired)
     scaled, denom = sample.scaled_weights
     size_cap = (m + 1) // 2 + 1
-    candidates = []  # (delta list, meta)
+    lists = []  # one delta list per measured coloring
     metas = []
     for ci, col in enumerate(colorings):
-        for keep in (1, -1):
-            size = sum(1 for s in col.signs if s == keep)
-            if size == 0 or size > size_cap:
-                continue
-            deltas, kept_mass, total = _class_error_deltas(col.signs, scaled, keep)
-            candidates.append(deltas)
-            metas.append((ci, keep, kept_mass, total, col))
-    maxima = rangesums.max_range_sums(fam.kind, sample.points, candidates)
+        plus = col.signs.count(1)
+        keeps = [keep for keep, size in ((1, plus), (-1, m - plus)) if 0 < size <= size_cap]
+        if not keeps:
+            continue
+        deltas, plus_mass, total = _class_error_deltas(col.signs, scaled)
+        lists.append(deltas)
+        metas.append((ci, col, keeps, plus_mass, total))
+    maxima = rangesums.max_range_sums(fam.kind, sample.points, lists)
     best = None
-    for (ci, keep, kept_mass, total, col), mx in zip(metas, maxima):
-        err = Fraction(mx, kept_mass * total)
-        key = (err, ci, -keep)
-        if best is None or key < best[0]:
-            best = (key, keep, kept_mass, col, err)
+    for (ci, col, keeps, plus_mass, total), mx in zip(metas, maxima):
+        for keep in keeps:
+            kept_mass = plus_mass if keep == 1 else total - plus_mass
+            err = Fraction(mx, kept_mass * total)
+            key = (err, ci, -keep)
+            if best is None or key < best[0]:
+                best = (key, keep, kept_mass, col, err)
     _, keep, kept_mass, col, err = best
     factor = Fraction(sum(scaled), kept_mass)
     pts = tuple(p for p, s in zip(sample.points, col.signs) if s == keep)

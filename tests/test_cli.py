@@ -142,6 +142,40 @@ def test_bad_eps_is_config_error(tmp_path, stream_file):
     assert code == 3
 
 
+@pytest.fixture()
+def three_points(tmp_path):
+    path = tmp_path / "three.txt"
+    path.write_text("0,0\n1,2\n3,1\n")
+    return path
+
+
+@pytest.mark.parametrize("command,flags,code", [
+    (["build"], ["--family", "halfplane", "--eps", "1/0"], 2),
+    (["build"], ["--family", "halfplane", "--eps", "abc"], 2),
+    (["build"], ["--family", "halfplane", "--eps", "2"], 3),
+    (["bench"], ["--family", "halfplane", "--eps", "1/0", "--sizes", "3"], 2),
+    (["stats", "slope-rank"], ["--slope", "1/0"], 2),
+    (["stats", "slope-rank"], ["--slope", "abc"], 2),
+    (["stats", "regdepth"], ["--line", "1/0,2"], 2),
+    (["stats", "regdepth"], ["--line", "1"], 2),
+    (["stats", "simplicial"], ["--point", "0,0", "--delta", "abc"], 2),
+    (["oracle", "slope-rank"], ["--slope", "1/0"], 2),
+    (["oracle", "regdepth"], ["--line", "1,x"], 2),
+    (["oracle", "lms-loc"], ["--fraction", "1/0"], 2),
+    (["oracle", "lms-reg"], ["--fraction", "abc"], 2),
+])
+def test_numeric_flag_exit_codes(tmp_path, three_points, capsys, command, flags, code):
+    """A numeric flag that does not parse as an exact number is a parse
+    error (exit 2), as a descriptor value or iceberg theta is; a parsed eps
+    outside (0, 1) is a config error (exit 3)."""
+    snap = tmp_path / "snap.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(three_points),
+                    "--family", "halfplane", "--eps", "1/2", "--snapshot", str(snap)])[0] == 0
+    source = ["--snapshot", str(snap)] if command[0] == "stats" else ["--input", str(three_points)]
+    assert run_cli(["--scale", "1", *command, *source, *flags]) == (code, "")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_console_entry_point():
     # the subprocess imports the same package as this test, installed or not
     src = str(Path(epsstream.__file__).resolve().parent.parent)

@@ -35,6 +35,21 @@ def test_budgets_telescope_under_half_eps():
     assert budget_prefix(60, cfg) < cfg.eps / 2
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 7), Fraction(99, 100)])
+def test_cached_budgets_equal_the_formula(eps):
+    """The memoised budgets and the running prefix sums are exactly the
+    closed form, asked for deep levels first and then again from level 1."""
+    cfg = make_config(eps, "halfplane")
+    w = Fraction(16449340668482265, 10 ** 16)
+    formula = [cfg.eps / 2 * Fraction(1, k * k) / w for k in range(1, 65)]
+    for k in (64, 7, *range(1, 65)):
+        assert error_budget(k, cfg) == formula[k - 1]
+        assert budget_prefix(k, cfg) == sum(formula[:k], Fraction(0))
+    assert budget_prefix(0, cfg) == 0
+    with pytest.raises(ValueError):
+        error_budget(0, cfg)
+
+
 def test_slots_follow_binary_representation():
     st = StreamState(make_config(Fraction(1, 2), "halfplane"))
     pts = make_stream("uniform", 40, seed=2)

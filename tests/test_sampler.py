@@ -18,10 +18,13 @@ from epsstream import (
     verify_approximation,
     weighted_eps_approx,
 )
+from epsstream import rangesums
 from epsstream.rangesums import halfplane_subset_masks, membership_matrix
 from epsstream.sampler import (
     _COSH_CAP,
+    _class_error_deltas,
     _guidance_masks,
+    _paired_coloring,
     collapse_duplicates,
     sample_from_json,
     sample_to_json,
@@ -162,6 +165,17 @@ class TestColoringDecode:
             masks = _guidance_masks(kind, s.points)
             assert low_discrepancy_coloring(s, masks).signs == _reference_coloring(s, masks)
 
+    @pytest.mark.parametrize("style", STYLES)
+    def test_matches_reference_on_weighted_prefix_guidance(self, style):
+        # non-dyadic weights, and rows of far more than numpy's 128-element
+        # pairwise-sum block, so every cosh sum takes the blocked path
+        pts = sorted(make_stream(style, 300, seed=5))
+        ws = tuple(Fraction(1, 3) if i % 3 else Fraction(2, 7) for i in range(len(pts)))
+        s = WeightedSample(tuple(pts), ws, sum(ws, Fraction(0)), Fraction(0))
+        for kind in FamilyKind:
+            masks = _guidance_masks(kind, s.points)
+            assert low_discrepancy_coloring(s, masks).signs == _reference_coloring(s, masks)
+
     def test_membership_rows_are_contiguous(self):
         # each coloring step reads one row; a strided row would be copied
         member = membership_matrix([0b1011, 0b0110, 0b1111], 4)
@@ -209,6 +223,107 @@ class TestHalve:
         out, _ = halve(s, HP)
         assert out.total_weight == s.total_weight
         assert sum(out.weights, Fraction(0)) == s.total_weight
+
+
+def _reference_class_deltas(signs, scaled, keep_sign):
+    """The kept-class error deltas as first written, one list per kept class."""
+    total = sum(scaled)
+    kept_mass = sum(g for g, s in zip(scaled, signs) if s == keep_sign)
+    deltas = [total * g - kept_mass * g if s == keep_sign else -kept_mass * g
+              for g, s in zip(scaled, signs)]
+    return deltas, kept_mass, total
+
+
+def _reference_halve(sample, fam):
+    """``halve`` as first written: one measured delta list per coloring and
+    admissible kept class."""
+    m = len(sample)
+    colorings = [low_discrepancy_coloring(sample, _guidance_masks(fam.kind, sample.points))]
+    paired = _paired_coloring(sample)
+    if paired is not None:
+        colorings.append(paired)
+    scaled, _ = sample.scaled_weights
+    size_cap = (m + 1) // 2 + 1
+    candidates, metas = [], []
+    for ci, col in enumerate(colorings):
+        for keep in (1, -1):
+            size = sum(1 for s in col.signs if s == keep)
+            if size == 0 or size > size_cap:
+                continue
+            deltas, kept_mass, total = _reference_class_deltas(col.signs, scaled, keep)
+            candidates.append(deltas)
+            metas.append((ci, keep, kept_mass, total, col))
+    maxima = rangesums.max_range_sums(fam.kind, sample.points, candidates)
+    best = None
+    for (ci, keep, kept_mass, total, col), mx in zip(metas, maxima):
+        err = Fraction(mx, kept_mass * total)
+        key = (err, ci, -keep)
+        if best is None or key < best[0]:
+            best = (key, keep, kept_mass, col, err)
+    _, keep, kept_mass, col, err = best
+    factor = Fraction(sum(scaled), kept_mass)
+    pts = tuple(p for p, s in zip(sample.points, col.signs) if s == keep)
+    ws = tuple(w * factor for w, s in zip(sample.weights, col.signs) if s == keep)
+    return WeightedSample(pts, ws, sample.total_weight, sample.eps_bound + err), err
+
+
+def _halve_cases():
+    """Samples for comparing ``halve`` with its reference: unit and
+    non-dyadic weights, coincident points, and a heavy point that leaves
+    only one class of admissible size."""
+    cases = {}
+    for style in ("uniform", "duplicates"):
+        pts = tuple(make_stream(style, 20, seed=3))
+        cases[f"{style}-unit"] = WeightedSample.uniform(pts, Fraction(1, 50))
+        ws = tuple(Fraction(1, 3) if i % 2 else Fraction(2, 7) for i in range(len(pts)))
+        cases[f"{style}-weighted"] = WeightedSample(pts, ws, sum(ws, Fraction(0)), Fraction(0))
+    pts = tuple(Point2(5 * i, (i * i) % 11) for i in range(9))
+    ws = (Fraction(40),) + (Fraction(1, 3),) * 8
+    cases["heavy"] = WeightedSample(pts, ws, sum(ws, Fraction(0)), Fraction(0))
+    cases["pair"] = WeightedSample((Point2(0, 0), Point2(1, 1)), (Fraction(1), Fraction(3)),
+                                   Fraction(4), Fraction(0))
+    return cases
+
+
+_HALVE_CASES = _halve_cases()
+
+
+class TestOneMeasurementPerColoring:
+    @settings(max_examples=200, deadline=None)
+    @given(signs=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=30),
+           weights=st.lists(st.integers(1, 10 ** 6), min_size=30, max_size=30))
+    def test_minus_class_deltas_are_the_plus_deltas_negated(self, signs, weights):
+        scaled = weights[:len(signs)]
+        plus, plus_mass, total = _reference_class_deltas(signs, scaled, 1)
+        minus, minus_mass, _ = _reference_class_deltas(signs, scaled, -1)
+        assert minus == [-v for v in plus]
+        assert minus_mass == total - plus_mass
+        assert _class_error_deltas(signs, scaled) == (plus, plus_mass, total)
+
+    def test_heavy_case_has_one_admissible_class(self):
+        s = _HALVE_CASES["heavy"]
+        col = low_discrepancy_coloring(s, _guidance_masks(FamilyKind.HALFPLANE, s.points))
+        sizes = sorted((col.signs.count(1), col.signs.count(-1)))
+        assert sizes[1] > (len(s) + 1) // 2 + 1
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("case", sorted(_HALVE_CASES))
+    def test_halve_equals_four_list_reference(self, kind, case, monkeypatch):
+        sample, fam = _HALVE_CASES[case], family(kind)
+        want = _reference_halve(sample, fam)
+        measured = []
+        real = rangesums.max_range_sums
+
+        def counting(kind_, pts, lists):
+            measured.append(len(lists))
+            return real(kind_, pts, lists)
+
+        monkeypatch.setattr(rangesums, "max_range_sums", counting)
+        got = halve(sample, fam)
+        assert got == want
+        assert got[0].eps_bound == sample.eps_bound + got[1]
+        colorings = 1 + (_paired_coloring(sample) is not None)
+        assert measured == [colorings]
 
 
 def _weighted_samples():
