@@ -81,7 +81,14 @@ def _scale_of(args) -> int:
     if args.scale is not None:
         return args.scale
     env = os.environ.get("EPS_STREAM_SCALE")
-    return int(env) if env else DEFAULT_SCALE
+    return _int_from_text(env, "EPS_STREAM_SCALE") if env else DEFAULT_SCALE
+
+
+def _int_from_text(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise StreamParseError(f"bad {what} {text!r}: expected an integer") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ def _cmd_bench(args, out) -> int:
     scale = _scale_of(args)
     cfg = make_config(_coord_from_text(args.eps), args.family, scale)
     pts = _read_points(args.input, scale)
-    sizes = sorted({int(s) for s in args.sizes.split(",") if s.strip()})
+    sizes = sorted({_int_from_text(s, "size") for s in args.sizes.split(",") if s.strip()})
     if not sizes or sizes[-1] > len(pts):
         raise ValueError(f"sizes must be nonempty and at most the stream length {len(pts)}")
     state = StreamState(cfg)

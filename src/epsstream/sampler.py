@@ -12,14 +12,20 @@ measured halving overspends the budget and is rolled back.  The
 certificate attached to a sample is therefore a sum of exactly measured
 quantities.
 
-Colorings are guided by a hyperbolic-cosine potential (method of
+Halfplane halvings choose among three pairings, in the spirit of the
+matchings of low crossing number of Matousek, Welzl and Wernisch: points of
+equal weight are paired consecutively along a z-order curve, a Hilbert
+curve and a Hilbert curve with its origin shifted, and each pair gets one
++1 and one -1 sign.  Pairs that a range contains whole cancel, so only
+pairs straddling its boundary count.  Every other family has two
+candidates: a coloring guided by a hyperbolic-cosine potential (method of
 conditional expectations) over projection prefixes, the subsets that lines
-of a few fixed normals per family cut off, not over every induced subset.
-A cheap locality pairing is the alternative candidate, and the measured
-error picks the winner.  Each coloring is measured once, not once per kept
-class: the error deltas of keeping the -1 class are, point by point, those
-of keeping the +1 class negated, so one exact max |range sum| prices both.
-Floats appear only inside the guidance potential, never in a certificate.
+of a few fixed normals per family cut off, and the z-order pairing.  The
+measured error picks the winner.  Each coloring is measured once, not once
+per kept class: the error deltas of keeping the -1 class are, point by
+point, those of keeping the +1 class negated, so one exact max |range sum|
+prices both.  Floats appear only inside the guidance potential, never in a
+certificate.
 """
 
 from __future__ import annotations
@@ -235,41 +241,92 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
     return Coloring(tuple(signs))
 
 
-def _morton(x: int, y: int) -> int:
-    """Interleave bits of nonnegative ints (z-order key)."""
-    out = 0
-    bit = 0
-    while x or y:
-        out |= (x & 1) << (2 * bit)
-        out |= (y & 1) << (2 * bit + 1)
-        x >>= 1
-        y >>= 1
-        bit += 1
-    return out
+_HILBERT_SHIFT = 12345  # the second Hilbert curve's origin offset, in grid units
 
 
-def _paired_coloring(sample: WeightedSample) -> Coloring | None:
-    """Pair equal-weight points along a z-order curve, alternating signs.
+def _grid_columns(sample: WeightedSample) -> tuple[np.ndarray, np.ndarray]:
+    """The points on a nonnegative integer grid, one array per axis.
+
+    Coordinates are scaled by the lcm of their denominators and shifted so
+    each axis starts at 0.  The arrays are uint64 while every coordinate,
+    shifted Hilbert origin included, is below 2^32, so each curve key fits
+    in 64 bits; otherwise they hold exact Python ints (dtype object).
+    """
+    xs, ys, _ = sample.columns
+    if xs.dtype == object:
+        scale = math.lcm(*(v.denominator for v in xs), *(v.denominator for v in ys))
+        xs, ys = (np.array([v.numerator * (scale // v.denominator) for v in col], dtype=object)
+                  for col in (xs, ys))
+    gx, gy = xs - xs.min(), ys - ys.min()
+    if max(gx.max(), gy.max()) < (1 << 32) - _HILBERT_SHIFT:
+        return gx.astype(np.uint64), gy.astype(np.uint64)
+    return gx, gy
+
+
+def _bit_length(gx: np.ndarray, gy: np.ndarray) -> int:
+    return int(max(gx.max(), gy.max())).bit_length()
+
+
+def _z_order_keys(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Each grid point's z-order (Morton) key: bit b of x goes to bit 2b of
+    the key and bit b of y to bit 2b + 1."""
+    key = np.zeros_like(gx)
+    for b in range(_bit_length(gx, gy)):
+        key |= (((gx >> b) & 1) << (2 * b)) | (((gy >> b) & 1) << (2 * b + 1))
+    return key
+
+
+def _hilbert_keys(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Each grid point's index along the Hilbert curve of the smallest
+    2^k x 2^k grid holding them all; consecutive indices are 4-neighbours.
+
+    From the top bit down, the quadrant's two key bits are appended and the
+    lower bits are turned into the quadrant's own sub-curve frame.
+    """
+    x, y = gx.copy(), gy.copy()
+    key = np.zeros_like(gx)
+    for b in reversed(range(_bit_length(gx, gy))):
+        rx, ry = (x >> b) & 1, (y >> b) & 1
+        key |= ((3 * rx) ^ ry) << (2 * b)
+        low = (1 << b) - 1
+        flip = (rx == 1) & (ry == 0)
+        x, y = np.where(flip, x ^ low, x), np.where(flip, y ^ low, y)
+        turn = ry == 0
+        x, y = np.where(turn, y, x), np.where(turn, x, y)
+    return key
+
+
+def _curve_keys(sample: WeightedSample, kind: FamilyKind) -> list[np.ndarray]:
+    """The curve keys whose pairings a halving measures: z-order, then for
+    halfplanes the Hilbert curve and the Hilbert curve with a shifted origin."""
+    gx, gy = _grid_columns(sample)
+    if kind is not FamilyKind.HALFPLANE:
+        return [_z_order_keys(gx, gy)]
+    return [_z_order_keys(gx, gy), _hilbert_keys(gx, gy),
+            _hilbert_keys(gx + _HILBERT_SHIFT, gy + _HILBERT_SHIFT)]
+
+
+def _paired_coloring(sample: WeightedSample, key: np.ndarray) -> Coloring:
+    """Pair equal-weight points consecutive in curve-key order (ties by
+    index), alternating signs; points left unpaired take signs that keep
+    the running weight balance nearest 0, heaviest first.
 
     Paired points cancel inside any range that contains both, so for
     geometrically local pairs only boundary-straddling pairs contribute.
+    Both classes are nonempty for >= 2 points: a pair holds one of each,
+    and the first two leftovers take opposite signs.
     """
     m = len(sample)
     if m < 2:
-        return None
-    if not all(isinstance(p.x, int) and isinstance(p.y, int) for p in sample.points):
-        return None
-    minx = min(p.x for p in sample.points)
-    miny = min(p.y for p in sample.points)
+        raise ValueError("pairing needs at least 2 points")
     ints, _ = sample.scaled_weights  # one common denominator keeps every order and sign
     by_weight: dict[int, list[int]] = {}
-    for i, g in enumerate(ints):
-        by_weight.setdefault(g, []).append(i)
+    for i in np.argsort(key, kind="stable").tolist():
+        by_weight.setdefault(ints[i], []).append(i)
     signs = [0] * m
     leftovers: list[int] = []
     for w in sorted(by_weight, reverse=True):
         idxs = by_weight[w]
-        idxs.sort(key=lambda i: (_morton(sample.points[i].x - minx, sample.points[i].y - miny), i))
         for a in range(0, len(idxs) - 1, 2):
             signs[idxs[a]] = 1
             signs[idxs[a + 1]] = -1
@@ -281,8 +338,6 @@ def _paired_coloring(sample: WeightedSample) -> Coloring | None:
         sign = -1 if running > 0 else 1
         signs[i] = sign
         running += sign * ints[i]
-    if len(set(signs)) < 2:
-        return None
     return Coloring(tuple(signs))
 
 
@@ -362,6 +417,11 @@ def _class_error_deltas(signs, scaled):
 def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fraction]:
     """One reduction round: color, keep the better class, rescale weights.
 
+    Halfplanes measure the three curve pairings of ``_curve_keys``; every
+    other family measures the cosh-guided coloring and the z-order pairing.
+    The least error wins, ties going to the earlier coloring and then to
+    the +1 class.
+
     Returns the kept class (total weight preserved exactly) and the exact
     worst-case relative discrepancy it incurred against the input over all
     ranges the family induces on the input's support.
@@ -376,10 +436,9 @@ def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fra
         raise ValueError("halve needs at least 2 points")
     if m > fam.oracle_cap:
         raise CapExceededError(f"halve on {m} points exceeds {fam.kind.value} cap {fam.oracle_cap}")
-    colorings = [low_discrepancy_coloring(sample, _guidance_masks(fam.kind, sample.points))]
-    paired = _paired_coloring(sample)
-    if paired is not None:
-        colorings.append(paired)
+    colorings = [] if fam.kind is FamilyKind.HALFPLANE else [
+        low_discrepancy_coloring(sample, _guidance_masks(fam.kind, sample.points))]
+    colorings += [_paired_coloring(sample, key) for key in _curve_keys(sample, fam.kind)]
     scaled, denom = sample.scaled_weights
     size_cap = (m + 1) // 2 + 1
     lists = []  # one delta list per measured coloring
@@ -402,9 +461,10 @@ def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fra
             if best is None or key < best[0]:
                 best = (key, keep, kept_mass, col, err)
     _, keep, kept_mass, col, err = best
-    factor = Fraction(sum(scaled), kept_mass)
+    # each kept weight g/denom, rescaled by T/kept_mass, as one Fraction
+    total, den = sum(scaled), kept_mass * denom
     pts = tuple(p for p, s in zip(sample.points, col.signs) if s == keep)
-    ws = tuple(w * factor for w, s in zip(sample.weights, col.signs) if s == keep)
+    ws = tuple(Fraction(g * total, den) for g, s in zip(scaled, col.signs) if s == keep)
     out = WeightedSample(pts, ws, sample.total_weight, sample.eps_bound + err)
     return out, err
 

@@ -143,6 +143,51 @@ def test_space_growth():
     _report("space-growth", violations)
 
 
+# Halfplane snapshot sizes on the grid below, recorded from the code
+# before halfplane halvings moved to three curve pairings (cosh-guided
+# coloring and z-order pairing then), per (style, eps): one (seed 31,
+# seed 5) pair per n in GRID_SIZES.
+GRID_SIZES = (48, 96, 256, 512, 1024)
+GRID_SEEDS = (31, 5)
+PARENT_GRID_SNAPSHOT_SIZES = {
+    ("uniform", "1/4"): ((24, 24), (48, 48), (64, 64), (64, 128), (128, 128)),
+    ("uniform", "1/2"): ((12, 24), (24, 24), (32, 16), (32, 32), (32, 32)),
+    ("sorted", "1/4"): ((24, 24), (48, 48), (64, 64), (64, 64), (128, 128)),
+    ("sorted", "1/2"): ((12, 12), (24, 24), (32, 32), (32, 32), (32, 32)),
+    ("clustered", "1/4"): ((24, 24), (24, 48), (64, 64), (64, 64), (64, 64)),
+    ("clustered", "1/2"): ((12, 12), (12, 24), (32, 32), (32, 32), (32, 32)),
+    ("duplicates", "1/4"): ((12, 24), (24, 24), (64, 32), (64, 64), (128, 64)),
+    ("duplicates", "1/2"): ((12, 12), (12, 12), (32, 16), (32, 32), (32, 32)),
+}
+
+
+def test_halfplane_snapshot_sizes_against_recorded_grid():
+    """80 halfplane snapshots certify at most eps, hold no more points in
+    all than the recorded sizes sum to, and no more of them grow than shrink."""
+    violations = []
+    total = recorded_total = grew = shrank = 0
+    for (style, eps), rows in PARENT_GRID_SNAPSHOT_SIZES.items():
+        for n, recorded in zip(GRID_SIZES, rows):
+            for seed, before in zip(GRID_SEEDS, recorded):
+                snap = StreamState(make_config(Fraction(eps), "halfplane")).extend(
+                    make_stream(style, n, seed=seed)).snapshot()
+                size = len(snap.sample)
+                if snap.certified_error > Fraction(eps):
+                    violations.append(f"{style} n={n} seed={seed} eps={eps}: "
+                                      f"certificate {snap.certified_error}")
+                total += size
+                recorded_total += before
+                grew += size > before
+                shrank += size < before
+    print(f"\n  grid: {total} snapshot points (recorded {recorded_total}), "
+          f"{grew} grew, {shrank} shrank")
+    if total > recorded_total:
+        violations.append(f"{total} snapshot points > recorded {recorded_total}")
+    if grew > shrank:
+        violations.append(f"{grew} snapshots grew, {shrank} shrank")
+    _report("halfplane-size-grid", violations)
+
+
 def test_tukey_depth_and_median():
     """Probe depths within eps; median within eps of the best probe depth
     and at least 1/3 - eps."""

@@ -120,6 +120,13 @@ def test_bench_csv(tmp_path, stream_file):
         assert float(r[3]) <= 0.25 * n
 
 
+def test_bench_unparseable_size_is_a_parse_error(stream_file, capsys):
+    code, out = run_cli(["--scale", "1", "bench", "--input", str(stream_file),
+                         "--family", "quadrant", "--eps", "1/4", "--sizes", "16,abc"])
+    assert code == 2 and out == ""
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_malformed_line_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1,2\n2,3\nwat\n")
@@ -197,6 +204,15 @@ def test_env_scale_override(tmp_path, monkeypatch):
     data = json.loads(snap.read_text())
     assert data["snapshot"]["scale"] == 2
     assert [2, 2] in [p[:2] for p in data["sample"]["points"]]
+
+
+def test_env_scale_unparseable_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("1,1\n2,2\n3,0\n")
+    monkeypatch.setenv("EPS_STREAM_SCALE", "abc")
+    code, out = run_cli(["build", "--input", str(path), "--family", "quadrant", "--eps", "1/2"])
+    assert code == 2 and out == ""
+    assert "EPS_STREAM_SCALE" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale,flags", [

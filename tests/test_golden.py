@@ -30,6 +30,13 @@ config's ``c`` (the budget schedule is fixed at k^-2).  Before that, each
 new state file was checked to equal the old version-1 file with exactly
 three edits: both fields dropped and the version set to 2.  No snapshot
 digest changed.
+
+Nine halfplane snapshot digests (seven small cases and both large ones)
+were re-recorded when halfplane halvings moved from the cosh-guided
+coloring and the z-order pairing to three curve pairings (z-order,
+Hilbert, shifted Hilbert).  No state digest changed: no level halves at
+these sizes.  ``SNAPSHOT_SIZES`` and ``LARGE_SNAPSHOT_SIZES`` were not
+edited, and every snapshot stays within them.
 """
 
 import hashlib
@@ -65,25 +72,25 @@ GOLDEN = {
         "186940e22804b2654c1ed6b13e607884502df2cd79f65d06d99a9382e3bad6b3"),
     ("halfplane", "uniform", "1/2"): (
         "4c1a3d8ba564a228bfd7c025bbbc706667a407e67dba24f08a1f053c285281f1",
-        "86ab67293795dc33b90ef7ddc7ee343a84446da9d9105aa755dfaf8db705b9ed"),
+        "be7f00561fe9f52d5cfe81597bae0d7d1f0ec38238f5fcf631d613de73b109ae"),
     ("halfplane", "sorted", "1/4"): (
         "c4130e43a42e32508f64077e5a33388eca3de783e215e0c3e4cdb9b687d931fe",
-        "eed94ac0b6ea3e44d73b3b8ea51a8950a666a6ccfa1dbf8072c0a10fbe21ceb5"),
+        "5ec1a0cbc20f38f81b1ab766a876281e1544bbd7b30b2159a433d566aafcb158"),
     ("halfplane", "sorted", "1/2"): (
         "721b8e0179d9b5d9a413596d2649f05a65874995255af4023668dc2ac4862ed9",
-        "2fbc768547e1cee9b56df0dbacbafb5d03a025baae972cb5d5c08dd85436252f"),
+        "0c2c6ececfa4e6796f1db3b8f255d79a816f15919d4567fc5a20e3773ea1526c"),
     ("halfplane", "clustered", "1/4"): (
         "2716f0e5ca0e90c6ac0e73b464755d24c02462b780843aa01d00ec2d0e5c6b99",
-        "39a38ee7ab700553f9a95cf82ef91d8292524921948bb81afe08478248cba675"),
+        "14868b0ff5b2116e40643eba96ae8614a0afe69ad64bf2937543372403f3ee70"),
     ("halfplane", "clustered", "1/2"): (
         "b2c0b8f133e5c67f6fdac695e5ab5950bc3055293e6ce5abc8be3e1b684ffd43",
-        "7c2af12b2eb6604698928dda7661b464d32f6751feaa92ede73e64db6fab1a10"),
+        "cedf973fa3cea4364599997f09080fa14264db40a5b455ca603d85bb45be881d"),
     ("halfplane", "duplicates", "1/4"): (
         "9f04d37cb594f039cce5cd2cb569a284f27648b2366ea844fe8a20f49ce18c98",
-        "65746f2cc3db7ef8cfd541dc7f8464a0e1f076a943fcf939edb36d612fb79b45"),
+        "e8bbf1fc281434eb4ffaf8d8a9b36ff0ad5abe2b3b9a7b02793791047d0d32ea"),
     ("halfplane", "duplicates", "1/2"): (
         "d6e72e09612282eb5b35ac16ffef0e051c3576db754a38d7e0323582dba1f2f7",
-        "65746f2cc3db7ef8cfd541dc7f8464a0e1f076a943fcf939edb36d612fb79b45"),
+        "2e39761f59b3fad5c927c3f96d16296d559979dda87f37be496ffe651d89d778"),
     ("quadrant", "uniform", "1/4"): (
         "8728db70c20aa858e64929b642fd1827fdd366096ebf9e299c6310fc3e1193ee",
         "ebeae70031a7d8cc1062b652ac3656d25afcc5e6679062d61140deba5e15c67a"),
@@ -255,11 +262,11 @@ GOLDEN_LARGE = {
     "uniform-256": (
         lambda: make_stream("uniform", 256, seed=SEED),
         "76fb0bac08b6d1a44473f38d3de21ec66ff584e2d33806813876cad2a844a446",
-        "13cfb0dcd34eb4c82b056c506395f422006933d7a69e5cb1f254edc3956c8348"),
+        "be1b52cdf0e36aabca8b80d98459a774eacc6c0e786ab584ac6002c4e263c8b9"),
     "wide-256": (
         lambda: _wide(make_stream("uniform", 256, seed=SEED)),
         "e6f5e810651080d7b665d08744db9453b79b72b770d6058b4dd8d875317512a2",
-        "737147c448c0a9e444601a767db1dc2b28999b3ccccefd16d3921cd29c4acf69"),
+        "86b68ff2417cd4ae5e8f62cf12974021ee2bb9ded463d912b0c81975a9abf6a5"),
 }
 LARGE_SNAPSHOT_SIZES = {"uniform-256": 64, "wide-256": 64}
 
@@ -337,7 +344,9 @@ def test_reductions_roll_back_at_most_one_halving(fam, monkeypatch):
 # recorded before regression depth moved onto one column sweep and the
 # slope statistics onto one pair-slope table.  The halfplane uniform and
 # duplicates digests were re-recorded with the snapshot digests above, and
-# ``STATS_SNAPSHOT_SIZES`` holds the reduced snapshots' sizes from before.
+# ``STATS_SNAPSHOT_SIZES`` holds the reduced snapshots' sizes from before;
+# the halfplane uniform and clustered digests again with the curve
+# pairings, their snapshots within those sizes.
 
 STATS_STYLES = ("uniform", "clustered", "duplicates")
 STATS_SIZES = {"halfplane": 64, "wedge": 32, "dwedge": 16, "vpar": 12, "disk": 24, "slab": 32}
@@ -428,8 +437,8 @@ GOLDEN_STATS = {
         "lattice": "a174933519b9714c4d28784930a40d89f9bbb2dae7ea9033f5ef7152996c5696",
     },
     "halfplane": {
-        "uniform": "ee9f01614d26702ed6ba8c587f0d6f34a794979e3c512c1e8bb50cfa3e0915a4",
-        "clustered": "904edea547b0a1ce56b230f94f05d8e0744a12dbce828bda31a8663a04045c16",
+        "uniform": "16c79edd0e30e14351ccddb6a12932362f2f0f9bb0ed293ea3a5ba6bc46f70d1",
+        "clustered": "7da39a44ea80897e2500309b217f9797d7eb0e1ebd04e123ba3261e88013d2cf",
         "duplicates": "4d17755fef41bb47c471c0b64fb5e473e4e146c724175bbf595c54e24868fe70",
         "exact": "f7ff05848be9b0778fff49b23d09b29969cd63b4d6dc95d1ccdcb7ca850e1e98",
         "lattice": "106a326b802e28e814311a2833676f5ca14873750802fffc2b097d293043ffc6",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsstream import (
     FamilyKind,
@@ -18,9 +20,12 @@ from epsstream import (
 from epsstream.errors import FamilyMismatchError, StreamParseError
 from epsstream.ranges import (
     Disk,
+    DoubleWedge,
     Halfplane,
     Quadrant,
     Slab,
+    VParallelogram,
+    Wedge,
     format_descriptor,
     format_point,
     subsystem_oracle_masks,
@@ -182,3 +187,80 @@ def test_descriptor_validation():
         Disk(0, 0, -1)
     with pytest.raises(StreamParseError):
         parse_descriptor("blob:1,2", 1)
+
+
+# Tokens for near-miss text: numbers, broken numbers, separators and junk.
+_TOKENS = st.sampled_from(("0", "1", "-3", "1/2", "0.25", "1e3", "-1e-2", "1/0", "0/0", "abc",
+                           "", " ", "--1", "1/", "/2", "1.2.3", "nan", "inf", "1_000", "\u0661",
+                           "x", ":", ";", "\n"))
+_KINDS = st.sampled_from([k.value for k in FamilyKind] + ["", "blob", "HALFPLANE", " disk"])
+
+
+def _rejects_only_as_parse_errors(parse, text):
+    try:
+        parse(text)
+    except StreamParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=40),
+                      st.lists(_TOKENS, max_size=4).map(",".join)))
+def test_malformed_point_raises_only_parse_errors(text):
+    _rejects_only_as_parse_errors(lambda t: parse_point(t, 1 << 20), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(max_size=40),
+    st.builds(lambda kind, sep, vals: kind + sep + ",".join(vals),
+              _KINDS, st.sampled_from((":", "", "::", " : ")), st.lists(_TOKENS, max_size=7))))
+def test_malformed_descriptor_raises_only_parse_errors(text):
+    _rejects_only_as_parse_errors(lambda t: parse_descriptor(t, 3), text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(-(1 << 70), 1 << 70), y=st.integers(-(1 << 70), 1 << 70),
+       scale=st.sampled_from((1, 2, 3, 10, 1 << 20)))
+def test_point_format_parse_round_trip(x, y, scale):
+    p = Point2(x, y)
+    assert parse_point(format_point(p, scale), scale) == p
+
+
+_VALUES = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                    st.fractions(min_value=-1000, max_value=1000, max_denominator=50))
+
+
+def _exact(v):
+    return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+def _halfplanes():
+    return st.tuples(_VALUES, _VALUES, _VALUES).filter(lambda v: v[0] or v[1]).map(
+        lambda v: Halfplane(*map(_exact, v)))
+
+
+@st.composite
+def _descriptors(draw):
+    v = lambda: _exact(draw(_VALUES))  # noqa: E731
+    lo_hi = lambda: tuple(sorted((v(), v())))  # noqa: E731
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    if kind is FamilyKind.HALFPLANE:
+        return draw(_halfplanes())
+    if kind is FamilyKind.QUADRANT:
+        return Quadrant(v(), v())
+    if kind is FamilyKind.DISK:
+        return Disk(v(), v(), abs(v()))
+    if kind is FamilyKind.SLAB:
+        return Slab(v(), *lo_hi())
+    if kind is FamilyKind.VPARALLELOGRAM:
+        (x1, x2), a, (b1, b2) = lo_hi(), v(), lo_hi()
+        return VParallelogram(x1, x2, a, b1, b2)
+    pair = (draw(_halfplanes()), draw(_halfplanes()))
+    return Wedge(*pair) if kind is FamilyKind.WEDGE else DoubleWedge(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(desc=_descriptors())
+def test_descriptor_format_parse_round_trip(desc):
+    assert parse_descriptor(format_descriptor(desc), scale=1) == desc

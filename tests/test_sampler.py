@@ -20,11 +20,16 @@ from epsstream import (
 )
 from epsstream import rangesums
 from epsstream.rangesums import halfplane_subset_masks, membership_matrix
+from epsstream import sampler
 from epsstream.sampler import (
     _COSH_CAP,
+    _HILBERT_SHIFT,
     _class_error_deltas,
+    _grid_columns,
     _guidance_masks,
+    _hilbert_keys,
     _paired_coloring,
+    _z_order_keys,
     collapse_duplicates,
     sample_from_json,
     sample_to_json,
@@ -234,14 +239,62 @@ def _reference_class_deltas(signs, scaled, keep_sign):
     return deltas, kept_mass, total
 
 
+def _reference_morton(x, y):
+    """z-order key as first written: interleave bits, x's bit b at 2b."""
+    out = 0
+    bit = 0
+    while x or y:
+        out |= (x & 1) << (2 * bit)
+        out |= (y & 1) << (2 * bit + 1)
+        x >>= 1
+        y >>= 1
+        bit += 1
+    return out
+
+
+def _reference_hilbert(order, x, y):
+    """Hilbert index of (x, y) on the 2^order grid: the textbook xy2d loop."""
+    n = 1 << order
+    d = 0
+    s = n >> 1
+    while s:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        d += s * s * ((3 * rx) ^ ry)
+        if ry == 0:
+            if rx == 1:
+                x, y = n - 1 - x, n - 1 - y
+            x, y = y, x
+        s >>= 1
+    return d
+
+
+def _reference_curve_keys(sample, kind):
+    """Each curve's keys, point by point: coordinates scaled by the lcm of
+    their denominators and shifted to start at 0."""
+    scale = math.lcm(*(Fraction(c).denominator for p in sample.points for c in p))
+    xs = [int(p.x * scale) for p in sample.points]
+    ys = [int(p.y * scale) for p in sample.points]
+    gx = [x - min(xs) for x in xs]
+    gy = [y - min(ys) for y in ys]
+    keys = [[_reference_morton(x, y) for x, y in zip(gx, gy)]]
+    if kind is FamilyKind.HALFPLANE:
+        for shift in (0, _HILBERT_SHIFT):
+            sx, sy = [x + shift for x in gx], [y + shift for y in gy]
+            order = max(sx + sy).bit_length()
+            keys.append([_reference_hilbert(order, x, y) for x, y in zip(sx, sy)])
+    return [np.array(k, dtype=object) for k in keys]
+
+
 def _reference_halve(sample, fam):
     """``halve`` as first written: one measured delta list per coloring and
-    admissible kept class."""
+    admissible kept class.  Halfplanes take the z-order, Hilbert and
+    shifted-Hilbert pairings; every other family the cosh-guided coloring
+    and the z-order pairing."""
     m = len(sample)
-    colorings = [low_discrepancy_coloring(sample, _guidance_masks(fam.kind, sample.points))]
-    paired = _paired_coloring(sample)
-    if paired is not None:
-        colorings.append(paired)
+    colorings = [_paired_coloring(sample, key) for key in _reference_curve_keys(sample, fam.kind)]
+    if fam.kind is not FamilyKind.HALFPLANE:
+        colorings.insert(0, low_discrepancy_coloring(sample, _guidance_masks(fam.kind, sample.points)))
     scaled, _ = sample.scaled_weights
     size_cap = (m + 1) // 2 + 1
     candidates, metas = [], []
@@ -322,8 +375,97 @@ class TestOneMeasurementPerColoring:
         got = halve(sample, fam)
         assert got == want
         assert got[0].eps_bound == sample.eps_bound + got[1]
-        colorings = 1 + (_paired_coloring(sample) is not None)
-        assert measured == [colorings]
+        assert measured == [3 if kind is FamilyKind.HALFPLANE else 2]
+
+
+@st.composite
+def _grids(draw):
+    """Every point of a 2^k x 2^k grid, in shuffled order, as uint64 or as
+    Python-int columns."""
+    k = draw(st.integers(0, 6))
+    cells = [(x, y) for x in range(1 << k) for y in range(1 << k)]
+    draw(st.randoms()).shuffle(cells)
+    dtype = draw(st.sampled_from((np.uint64, object)))
+    return k, np.array([x for x, _ in cells], dtype=dtype), np.array([y for _, y in cells], dtype=dtype)
+
+
+@st.composite
+def _curve_samples(draw):
+    """Points with coordinates up to 2^bits over a small denominator: int64
+    columns (bits <= 29), wide and huge Python ints, and Fractions."""
+    bits = draw(st.sampled_from((3, 29, 31, 40, 90)))
+    den = draw(st.integers(1, 3))
+    coord = st.integers(-(1 << bits), 1 << bits).map(lambda v: Fraction(v, den)).map(
+        lambda f: f.numerator if f.denominator == 1 else f)
+    pts = draw(st.lists(st.builds(Point2, coord, coord), min_size=2, max_size=12))
+    return WeightedSample.uniform(pts)
+
+
+class TestCurveKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=_grids())
+    def test_hilbert_key_walks_the_grid_by_unit_steps(self, grid):
+        k, gx, gy = grid
+        keys = [int(v) for v in _hilbert_keys(gx, gy)]
+        assert sorted(keys) == list(range(1 << 2 * k))
+        walk = sorted(zip(keys, gx.tolist(), gy.tolist()))
+        for (_, x0, y0), (_, x1, y1) in zip(walk, walk[1:]):
+            assert abs(x1 - x0) + abs(y1 - y0) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(sample=_curve_samples())
+    def test_keys_match_the_scalar_references(self, sample):
+        gx, gy = _grid_columns(sample)
+        got = [_z_order_keys(gx, gy), _hilbert_keys(gx, gy),
+               _hilbert_keys(gx + _HILBERT_SHIFT, gy + _HILBERT_SHIFT)]
+        want = _reference_curve_keys(sample, FamilyKind.HALFPLANE)
+        assert [[int(v) for v in k] for k in got] == [k.tolist() for k in want]
+
+    def test_int64_columns_key_in_uint64(self):
+        lim = rangesums._NP_COORD_LIMIT - 1
+        sample = WeightedSample.uniform([Point2(-lim, lim), Point2(lim, -lim), Point2(0, 0)])
+        gx, gy = _grid_columns(sample)
+        assert gx.dtype == gy.dtype == np.uint64
+        assert int(_hilbert_keys(gx + _HILBERT_SHIFT, gy + _HILBERT_SHIFT).max()) < 1 << 64
+
+
+def _halfplane_pairing_cases():
+    """Halfplane samples that stress the pairings: a heavy point, all-distinct
+    geometric weights (every point a leftover), duplicates, Fraction
+    coordinates and coordinates near 2^29."""
+    pts = tuple(Point2(7 * i, (i * i) % 13) for i in range(12))
+    near = 1 << 29
+    return {
+        "heavy": _HALVE_CASES["heavy"],
+        "geometric": WeightedSample(pts, tuple(Fraction(1, 2 ** i) for i in range(12)),
+                                    Fraction(2 ** 12 - 1, 2 ** 11), Fraction(0)),
+        "duplicates": WeightedSample.uniform(pts[:5] * 3),
+        "fractions": WeightedSample.uniform(
+            [Point2(Fraction(i, 3), Fraction(i * i % 7, 5)) for i in range(10)]
+            + [Point2(Fraction(1, 2), 2), Point2(4, Fraction(-9, 4))]),
+        "near-2^29": WeightedSample.uniform(
+            [Point2(near - 1 - 3 * i, -near + 1 + (i * i) % 17) for i in range(10)]
+            + [Point2(-near + 1, near - 1)]),
+    }
+
+
+class TestHalfplanePairings:
+    @pytest.mark.parametrize("case", sorted(_halfplane_pairing_cases()))
+    def test_halving_without_the_cosh_coloring(self, case, monkeypatch):
+        sample = _halfplane_pairing_cases()[case]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the halfplane path ran the cosh coloring")
+
+        monkeypatch.setattr(sampler, "low_discrepancy_coloring", forbidden)
+        monkeypatch.setattr(sampler, "_guidance_masks", forbidden)
+        out, err = halve(sample, HP)
+        m = len(sample)
+        assert 0 < len(out) <= (m + 1) // 2 + 1
+        assert set(out.points) <= set(sample.points)
+        assert out.total_weight == sample.total_weight == sum(out.weights, Fraction(0))
+        assert out.eps_bound == sample.eps_bound + err
+        assert verify_approximation(sample, out, HP, err)
 
 
 def _weighted_samples():
