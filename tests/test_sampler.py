@@ -275,8 +275,9 @@ def _reference_curve_keys(sample, kind):
     scale = math.lcm(*(Fraction(c).denominator for p in sample.points for c in p))
     xs = [int(p.x * scale) for p in sample.points]
     ys = [int(p.y * scale) for p in sample.points]
-    gx = [x - min(xs) for x in xs]
-    gy = [y - min(ys) for y in ys]
+    x0, y0 = min(xs), min(ys)
+    gx = [x - x0 for x in xs]
+    gy = [y - y0 for y in ys]
     keys = [[_reference_morton(x, y) for x, y in zip(gx, gy)]]
     if kind is FamilyKind.HALFPLANE:
         for shift in (0, _HILBERT_SHIFT):
