@@ -12,11 +12,11 @@ measured halving overspends the budget and is rolled back.  The
 certificate attached to a sample is therefore a sum of exactly measured
 quantities.
 
-Halfplane halvings choose among three pairings, in the spirit of the
+Halfplane halvings choose among five pairings, in the spirit of the
 matchings of low crossing number of Matousek, Welzl and Wernisch: points of
-equal weight are paired consecutively along a z-order curve, a Hilbert
-curve and a Hilbert curve with its origin shifted, and each pair gets one
-+1 and one -1 sign.  Pairs that a range contains whole cancel, so only
+equal weight are paired consecutively along a z-order curve and along the
+Hilbert curve in each of its four orientations on the grid, and each pair
+gets one +1 and one -1 sign.  Pairs that a range contains whole cancel, so only
 pairs straddling its boundary count.  Every other family has two
 candidates: a coloring guided by a hyperbolic-cosine potential (method of
 conditional expectations) over projection prefixes, the subsets that lines
@@ -241,16 +241,13 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
     return Coloring(tuple(signs))
 
 
-_HILBERT_SHIFT = 12345  # the second Hilbert curve's origin offset, in grid units
-
-
 def _grid_columns(sample: WeightedSample) -> tuple[np.ndarray, np.ndarray]:
     """The points on a nonnegative integer grid, one array per axis.
 
     Coordinates are scaled by the lcm of their denominators and shifted so
-    each axis starts at 0.  The arrays are uint64 while every coordinate,
-    shifted Hilbert origin included, is below 2^32, so each curve key fits
-    in 64 bits; otherwise they hold exact Python ints (dtype object).
+    each axis starts at 0.  The arrays are uint64 while every coordinate is
+    below 2^32, so each curve key fits in 64 bits; otherwise they hold exact
+    Python ints (dtype object).
     """
     xs, ys, _ = sample.columns
     if xs.dtype == object:
@@ -258,7 +255,7 @@ def _grid_columns(sample: WeightedSample) -> tuple[np.ndarray, np.ndarray]:
         xs, ys = (np.array([v.numerator * (scale // v.denominator) for v in col], dtype=object)
                   for col in (xs, ys))
     gx, gy = xs - xs.min(), ys - ys.min()
-    if max(gx.max(), gy.max()) < (1 << 32) - _HILBERT_SHIFT:
+    if max(gx.max(), gy.max()) < 1 << 32:
         return gx.astype(np.uint64), gy.astype(np.uint64)
     return gx, gy
 
@@ -298,12 +295,19 @@ def _hilbert_keys(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 def _curve_keys(sample: WeightedSample, kind: FamilyKind) -> list[np.ndarray]:
     """The curve keys whose pairings a halving measures: z-order, then for
-    halfplanes the Hilbert curve and the Hilbert curve with a shifted origin."""
+    halfplanes the Hilbert curve in each of its four orientations.
+
+    Mirrored across its grid's vertical midline the Hilbert curve is itself
+    walked backwards, which pairs the same points; the transposed grid, the
+    grid flipped top to bottom, and the grid flipped left to right and then
+    transposed give the other three curves.
+    """
     gx, gy = _grid_columns(sample)
     if kind is not FamilyKind.HALFPLANE:
         return [_z_order_keys(gx, gy)]
-    return [_z_order_keys(gx, gy), _hilbert_keys(gx, gy),
-            _hilbert_keys(gx + _HILBERT_SHIFT, gy + _HILBERT_SHIFT)]
+    top = (1 << _bit_length(gx, gy)) - 1  # the last grid line of the 2^k x 2^k grid
+    return [_z_order_keys(gx, gy), _hilbert_keys(gx, gy), _hilbert_keys(gy, gx),
+            _hilbert_keys(gx, top - gy), _hilbert_keys(gy, top - gx)]
 
 
 def _paired_coloring(sample: WeightedSample, key: np.ndarray) -> Coloring:
@@ -417,7 +421,7 @@ def _class_error_deltas(signs, scaled):
 def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fraction]:
     """One reduction round: color, keep the better class, rescale weights.
 
-    Halfplanes measure the three curve pairings of ``_curve_keys``; every
+    Halfplanes measure the five curve pairings of ``_curve_keys``; every
     other family measures the cosh-guided coloring and the z-order pairing.
     The least error wins, ties going to the earlier coloring and then to
     the +1 class.

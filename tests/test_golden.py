@@ -37,6 +37,13 @@ coloring and the z-order pairing to three curve pairings (z-order,
 Hilbert, shifted Hilbert).  No state digest changed: no level halves at
 these sizes.  ``SNAPSHOT_SIZES`` and ``LARGE_SNAPSHOT_SIZES`` were not
 edited, and every snapshot stays within them.
+
+Eight of them (six small cases and both large ones) and the halfplane
+duplicates statistics digest were re-recorded again when the shifted
+Hilbert pairing gave way to the Hilbert curve's other three orientations
+(transposed, flipped top to bottom, flipped left to right and
+transposed).  The size guards were not edited; the duplicates snapshot at
+eps 1/4 shrank from 24 to 12 points.
 """
 
 import hashlib
@@ -75,22 +82,22 @@ GOLDEN = {
         "be7f00561fe9f52d5cfe81597bae0d7d1f0ec38238f5fcf631d613de73b109ae"),
     ("halfplane", "sorted", "1/4"): (
         "c4130e43a42e32508f64077e5a33388eca3de783e215e0c3e4cdb9b687d931fe",
-        "5ec1a0cbc20f38f81b1ab766a876281e1544bbd7b30b2159a433d566aafcb158"),
+        "0bb4f2a09c2e44a8e96ccfe493e715029cbbc6ed229dce9d030a62faf6843dcd"),
     ("halfplane", "sorted", "1/2"): (
         "721b8e0179d9b5d9a413596d2649f05a65874995255af4023668dc2ac4862ed9",
-        "0c2c6ececfa4e6796f1db3b8f255d79a816f15919d4567fc5a20e3773ea1526c"),
+        "6fc4c930c012c377375913dad574cc683718d1d63fd95c67e4e95762faa9a3bd"),
     ("halfplane", "clustered", "1/4"): (
         "2716f0e5ca0e90c6ac0e73b464755d24c02462b780843aa01d00ec2d0e5c6b99",
-        "14868b0ff5b2116e40643eba96ae8614a0afe69ad64bf2937543372403f3ee70"),
+        "3f4f43548bc484d56ec68e8f201289109557d64253e5c0a792d5419707c9360d"),
     ("halfplane", "clustered", "1/2"): (
         "b2c0b8f133e5c67f6fdac695e5ab5950bc3055293e6ce5abc8be3e1b684ffd43",
-        "cedf973fa3cea4364599997f09080fa14264db40a5b455ca603d85bb45be881d"),
+        "f195f12ff3c0c846793e31eb1adaf34851d00522fdccd4e7597dc071c28ed77a"),
     ("halfplane", "duplicates", "1/4"): (
         "9f04d37cb594f039cce5cd2cb569a284f27648b2366ea844fe8a20f49ce18c98",
-        "e8bbf1fc281434eb4ffaf8d8a9b36ff0ad5abe2b3b9a7b02793791047d0d32ea"),
+        "02afb37b1b43f5744d91bed44bd77a7b2e0b1c5929541aab98f9b3f6479bd74d"),
     ("halfplane", "duplicates", "1/2"): (
         "d6e72e09612282eb5b35ac16ffef0e051c3576db754a38d7e0323582dba1f2f7",
-        "2e39761f59b3fad5c927c3f96d16296d559979dda87f37be496ffe651d89d778"),
+        "02afb37b1b43f5744d91bed44bd77a7b2e0b1c5929541aab98f9b3f6479bd74d"),
     ("quadrant", "uniform", "1/4"): (
         "8728db70c20aa858e64929b642fd1827fdd366096ebf9e299c6310fc3e1193ee",
         "ebeae70031a7d8cc1062b652ac3656d25afcc5e6679062d61140deba5e15c67a"),
@@ -262,11 +269,11 @@ GOLDEN_LARGE = {
     "uniform-256": (
         lambda: make_stream("uniform", 256, seed=SEED),
         "76fb0bac08b6d1a44473f38d3de21ec66ff584e2d33806813876cad2a844a446",
-        "be1b52cdf0e36aabca8b80d98459a774eacc6c0e786ab584ac6002c4e263c8b9"),
+        "4e6f656f8293e4b7c472e8fd52e2dea9f1fe267e6b2572f460c0937b2e12bcee"),
     "wide-256": (
         lambda: _wide(make_stream("uniform", 256, seed=SEED)),
         "e6f5e810651080d7b665d08744db9453b79b72b770d6058b4dd8d875317512a2",
-        "86b68ff2417cd4ae5e8f62cf12974021ee2bb9ded463d912b0c81975a9abf6a5"),
+        "3c624bf8abb5ef47c3b59447f2aaf8b4c3770146826bae61e71387f9f0677659"),
 }
 LARGE_SNAPSHOT_SIZES = {"uniform-256": 64, "wide-256": 64}
 
@@ -439,7 +446,7 @@ GOLDEN_STATS = {
     "halfplane": {
         "uniform": "16c79edd0e30e14351ccddb6a12932362f2f0f9bb0ed293ea3a5ba6bc46f70d1",
         "clustered": "7da39a44ea80897e2500309b217f9797d7eb0e1ebd04e123ba3261e88013d2cf",
-        "duplicates": "4d17755fef41bb47c471c0b64fb5e473e4e146c724175bbf595c54e24868fe70",
+        "duplicates": "5820b6b9e99cab8ec93c9b29de26731a29a5852a94294aeeaed7c23ee4e1fbba",
         "exact": "f7ff05848be9b0778fff49b23d09b29969cd63b4d6dc95d1ccdcb7ca850e1e98",
         "lattice": "106a326b802e28e814311a2833676f5ca14873750802fffc2b097d293043ffc6",
     },

@@ -23,13 +23,11 @@ from epsstream.rangesums import halfplane_subset_masks, membership_matrix
 from epsstream import sampler
 from epsstream.sampler import (
     _COSH_CAP,
-    _HILBERT_SHIFT,
     _class_error_deltas,
     _grid_columns,
     _guidance_masks,
     _hilbert_keys,
     _paired_coloring,
-    _z_order_keys,
     collapse_duplicates,
     sample_from_json,
     sample_to_json,
@@ -280,18 +278,19 @@ def _reference_curve_keys(sample, kind):
     gy = [y - y0 for y in ys]
     keys = [[_reference_morton(x, y) for x, y in zip(gx, gy)]]
     if kind is FamilyKind.HALFPLANE:
-        for shift in (0, _HILBERT_SHIFT):
-            sx, sy = [x + shift for x in gx], [y + shift for y in gy]
-            order = max(sx + sy).bit_length()
-            keys.append([_reference_hilbert(order, x, y) for x, y in zip(sx, sy)])
+        order = max(gx + gy).bit_length()
+        top = (1 << order) - 1
+        for frame in (lambda x, y: (x, y), lambda x, y: (y, x),
+                      lambda x, y: (x, top - y), lambda x, y: (y, top - x)):
+            keys.append([_reference_hilbert(order, *frame(x, y)) for x, y in zip(gx, gy)])
     return [np.array(k, dtype=object) for k in keys]
 
 
 def _reference_halve(sample, fam):
     """``halve`` as first written: one measured delta list per coloring and
-    admissible kept class.  Halfplanes take the z-order, Hilbert and
-    shifted-Hilbert pairings; every other family the cosh-guided coloring
-    and the z-order pairing."""
+    admissible kept class.  Halfplanes take the z-order pairing and the
+    Hilbert pairings in the curve's four orientations; every other family
+    the cosh-guided coloring and the z-order pairing."""
     m = len(sample)
     colorings = [_paired_coloring(sample, key) for key in _reference_curve_keys(sample, fam.kind)]
     if fam.kind is not FamilyKind.HALFPLANE:
@@ -376,7 +375,7 @@ class TestOneMeasurementPerColoring:
         got = halve(sample, fam)
         assert got == want
         assert got[0].eps_bound == sample.eps_bound + got[1]
-        assert measured == [3 if kind is FamilyKind.HALFPLANE else 2]
+        assert measured == [5 if kind is FamilyKind.HALFPLANE else 2]
 
 
 @st.composite
@@ -416,9 +415,7 @@ class TestCurveKeys:
     @settings(max_examples=100, deadline=None)
     @given(sample=_curve_samples())
     def test_keys_match_the_scalar_references(self, sample):
-        gx, gy = _grid_columns(sample)
-        got = [_z_order_keys(gx, gy), _hilbert_keys(gx, gy),
-               _hilbert_keys(gx + _HILBERT_SHIFT, gy + _HILBERT_SHIFT)]
+        got = sampler._curve_keys(sample, FamilyKind.HALFPLANE)
         want = _reference_curve_keys(sample, FamilyKind.HALFPLANE)
         assert [[int(v) for v in k] for k in got] == [k.tolist() for k in want]
 
@@ -427,7 +424,7 @@ class TestCurveKeys:
         sample = WeightedSample.uniform([Point2(-lim, lim), Point2(lim, -lim), Point2(0, 0)])
         gx, gy = _grid_columns(sample)
         assert gx.dtype == gy.dtype == np.uint64
-        assert int(_hilbert_keys(gx + _HILBERT_SHIFT, gy + _HILBERT_SHIFT).max()) < 1 << 64
+        assert all(int(k.max()) < 1 << 64 for k in sampler._curve_keys(sample, FamilyKind.HALFPLANE))
 
 
 def _halfplane_pairing_cases():
