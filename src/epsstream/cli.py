@@ -79,9 +79,13 @@ def _line_flag(text: str) -> tuple[Fraction, Fraction]:
 
 def _scale_of(args) -> int:
     if args.scale is not None:
-        return args.scale
-    env = os.environ.get("EPS_STREAM_SCALE")
-    return _int_from_text(env, "EPS_STREAM_SCALE") if env else DEFAULT_SCALE
+        scale = _int_from_text(args.scale, "--scale")
+    else:
+        env = os.environ.get("EPS_STREAM_SCALE")
+        scale = _int_from_text(env, "EPS_STREAM_SCALE") if env else DEFAULT_SCALE
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    return scale
 
 
 def _int_from_text(text: str, what: str) -> int:
@@ -287,7 +291,7 @@ def _cmd_bench(args, out) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="eps-stream",
                                   description="deterministic geometric stream summaries")
-    top.add_argument("--scale", type=int, default=None,
+    top.add_argument("--scale", default=None,
                      help="coordinate scale (default env EPS_STREAM_SCALE or 2^20)")
     sub = top.add_subparsers(dest="command", required=True)
 

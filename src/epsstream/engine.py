@@ -56,6 +56,8 @@ class EngineConfig:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0, 1)")
+        if self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale}")
 
 
 def make_config(eps, fam, scale=DEFAULT_SCALE) -> EngineConfig:

@@ -31,19 +31,31 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
 (dtype object) above, in the same code.
 - Quadrants {x >= X, y >= Y}: one 2-D suffix sum of the k x X x Y grid of
   deltas over rank-compressed coordinates, in blocks of x-ranks.
-- Disks: per point pair, the bisector events are built and exactly sorted
-  once (``_disk_pair_events``, which LMS location reads too), and every
-  list is read off cumulative sums along them.
-- Slabs: per slope separator (``ranges._slope_separators``), at which no
-  two points tie, one exact sort by y - a*x gives the order; a slab's sum
-  is the difference of two prefix sums along it, taken for all slopes of a
-  block at once.
+- Disks: the bisector events of every point pair are built and sorted
+  once per call, as int64 arrays over blocks of pairs (``_disk_events``,
+  which LMS location reads too), and every list is read off cumulative
+  sums along them.  Event times alpha/beta are sorted by float key: with
+  integer coordinates whose x and y spreads are below 2^25, |alpha| and
+  |beta| stay below 2^53, so both convert exactly, the correctly rounded
+  quotient never inverts the exact order, and only adjacent events with
+  equal float times are compared exactly, in Python ints.
+- Slabs: the distinct pair slopes are reduced int64 (num, den), float
+  sorted and checked exactly; the order at the slope separator just below
+  num/den is the stable sort of the keys y*den - x*num (``_slope_orders``,
+  which LMS regression reads too).  A slab's sum is the difference of two
+  prefix sums along an order, taken for all slopes of a block at once.
+  The int64 pass takes |coordinates| below 2^30, so every key fits.
 - Vertical parallelograms: the same orders, with prefix sums split by
   x-rank, so every x-strip's prefix sums are one difference of two tables.
 - Wedges and double wedges: the halfplane subsets' membership rows are
   built once, and each pair of subsets is one entry of a float matrix
   product, chunked, over the upper triangle of the pairs.  Sums stay exact
   integers below 2^52; larger lists raise ``OverflowError``.
+
+Disks and slabs each keep one Python fallback for inputs outside those
+ranges (Fraction coordinates, larger spreads or coordinates, or Python-int
+delta matrices): the per-pair sweep ``_disk_pair_events`` and the
+Fraction-separator sort ``_slope_orders_py``.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,9 +74,14 @@ _FLOAT_EXACT_LIMIT = 1 << 52
 
 # The int64 halfplane sweep takes |coordinates| below this (see its docstring).
 _NP_COORD_LIMIT = 1 << 30
-# Events per block of apexes in that sweep (rows of 2m events each).  Time
-# is flat from 2^13 up; larger blocks only hold more temporaries at once.
+# Events per block of apexes in that sweep (rows of 2m events each), of
+# point pairs in the disk sweep (rows of m events), and of slopes in the
+# slope orders (rows of m keys).  Time is flat from 2^13 up; larger blocks
+# only hold more temporaries at once.
 _BLOCK_EVENTS = 1 << 14
+# The batched disk sweep takes integer coordinates whose x and y spreads
+# are below this (see ``_disk_events``).
+_DISK_SPREAD_LIMIT = 1 << 25
 # Integer delta matrices, and the int64 halfplane sweep's, are int64 while
 # every list's sum of |deltas| is below this; Python ints from it on.
 _INT64_SUM_LIMIT = 1 << 62
@@ -407,6 +424,9 @@ def _disk_pair_events(pts: Sequence[Point2], i: int, j: int):
     beta*t >= alpha (on the line AB, beta = 0, for all t or none).  Returns
     the indices inside at t = -inf, the events (alpha, beta, index) off the
     line, exactly sorted by time alpha/beta, and each group's last position.
+
+    This per-pair Python form is the fallback of the batched sweep
+    (``_disk_events``) for inputs outside its range.
     """
     A, B = pts[i], pts[j]
     ux, uy = A.y - B.y, B.x - A.x
@@ -432,20 +452,115 @@ def _disk_pair_events(pts: Sequence[Point2], i: int, j: int):
     return start, events, ends
 
 
-def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
-    """Radius-0 disks, the whole set, and the disks through each pair A, B.
+def _disk_columns(pts: Sequence[Point2]):
+    """int64 x and y columns, shifted to start at 0, for the batched disk
+    sweep; None if a coordinate is not an int or the x or y spread reaches
+    ``_DISK_SPREAD_LIMIT``."""
+    if not all(isinstance(p.x, int) and isinstance(p.y, int) for p in pts):
+        return None
+    x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
+    if max(max(p.x - x0, p.y - y0) for p in pts) >= _DISK_SPREAD_LIMIT:
+        return None
+    return (np.array([p.x - x0 for p in pts], dtype=np.int64),
+            np.array([p.y - y0 for p in pts], dtype=np.int64))
 
-    Each pair's events (``_disk_pair_events``) are built and exactly sorted
-    once; every list then reads the sum before each group of equal times,
-    after the group's entering points, and after the whole group, off two
-    cumulative sums along the sorted events.
+
+class _DiskEvents(NamedTuple):
+    """The bisector sweeps of a block of P point pairs over n points.
+
+    Row r is pair (i[r], j[r]).  ``alpha``, ``beta`` and ``start`` are
+    indexed by point; ``order`` lists the points by event time, the events
+    (beta != 0) first, and the other arrays follow that order.  ``end``
+    marks the last event of each group of equal times.
     """
-    pts, delta_lists = _collapse_multi(pts, delta_lists)
-    k = len(delta_lists)
-    if not pts or not k:
-        return [0] * k
-    n = len(pts)
-    deltas = _delta_matrix(delta_lists, n)
+
+    alpha: np.ndarray   # P x n int64, (C - A).(C - B)
+    beta: np.ndarray    # P x n int64, 2 (C - A).u
+    start: np.ndarray   # P x n bool, inside at t = -inf
+    order: np.ndarray   # P x n intp
+    time: np.ndarray    # P x n float64, alpha/beta; inf past the events
+    enters: np.ndarray  # P x n bool, beta > 0
+    leaves: np.ndarray  # P x n bool, beta < 0
+    end: np.ndarray     # P x n bool
+
+
+def _disk_pair_rows(n: int) -> int:
+    """Pairs per block of the batched disk sweep: ``_BLOCK_EVENTS`` events."""
+    return max(1, _BLOCK_EVENTS // n)
+
+
+def _disk_times(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Float event times alpha/beta, inf where beta = 0.  ``_disk_events``
+    needs only that they never invert the exact order."""
+    return np.divide(alpha, beta, out=np.full(alpha.shape, np.inf), where=beta != 0)
+
+
+def _disk_events(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> _DiskEvents:
+    """``_disk_pair_events`` for every pair (i[r], j[r]) at once, on columns
+    from ``_disk_columns``.
+
+    alpha = (C - A).(C - B) and beta = 2 (C - A).u do not depend on the
+    origin.  With x and y spreads at most D < 2^25, every component of
+    C - A, C - B and u is at most D in magnitude, so |alpha| <= 2 D^2 < 2^51
+    and |beta| <= 4 D^2 < 2^52: both convert to float64 exactly.  The
+    quotient alpha/beta is then correctly rounded, and rounding is monotone,
+    so a strict order of the float times is the exact order.  Each row is
+    sorted stably by float time (inf where beta = 0, so those points come
+    last), and only adjacent events with bitwise equal times are compared
+    exactly, in Python ints: a run of them is re-sorted exactly, and its
+    group ends are where the exact times change.  Within a group the order
+    is left as it falls, since every consumer reads a group's sums or its
+    set of points.
+    """
+    ax, ay = xs[i, None], ys[i, None]
+    bx, by = xs[j, None], ys[j, None]
+    cx, cy = xs - ax, ys - ay
+    alpha = cx * (xs - bx) + cy * (ys - by)
+    beta = 2 * (cx * (ay - by) + cy * (bx - ax))
+    key = _disk_times(alpha, beta)
+    order = np.argsort(key, axis=1, kind="stable")
+    time = np.take_along_axis(key, order, axis=1)
+    same = (time[:, 1:] == time[:, :-1]) & np.isfinite(time[:, 1:])
+    end = np.isfinite(time)
+    end[:, :-1] &= ~same
+    rows, cols = np.nonzero(same)
+    a = 0
+    while a < len(rows):  # runs of equal float times, settled exactly
+        r, lo = rows[a], cols[a]
+        b = a
+        while b + 1 < len(rows) and rows[b + 1] == r and cols[b + 1] == cols[b] + 1:
+            b += 1
+        hi = cols[b] + 2
+        run = sorted((Fraction(int(alpha[r, c]), int(beta[r, c])), c) for c in order[r, lo:hi])
+        order[r, lo:hi] = [c for _, c in run]
+        end[r, lo:hi - 1] = [t != u for (t, _), (u, _) in zip(run, run[1:])]
+        a = b + 1
+    sbeta = np.take_along_axis(beta, order, axis=1)
+    return _DiskEvents(alpha, beta, (beta < 0) | ((beta == 0) & (alpha <= 0)), order, time,
+                       sbeta > 0, sbeta < 0, end)
+
+
+def _max_disk_sums_np(xs: np.ndarray, ys: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The batched sweep's sums: at the start and just past each group."""
+    n = deltas.shape[1]
+    best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
+    ia, ib = np.triu_indices(n, 1)
+    rows = _disk_pair_rows(n)
+    for lo in range(0, len(ia), rows):
+        ev = _disk_events(xs, ys, ia[lo:lo + rows], ib[lo:lo + rows])
+        state = (deltas @ ev.start.T.astype(np.int64))[..., None]
+        cols = deltas[:, ev.order]
+        past = state + np.cumsum(np.where(ev.enters, cols, np.where(ev.leaves, -cols, 0)), axis=2)
+        past = np.where(ev.end, past, state)
+        best = np.maximum(best, np.maximum(np.abs(past.max(axis=2)),
+                                           np.abs(past.min(axis=2))).max(axis=1))
+    return best
+
+
+def _max_disk_sums_py(pts: Sequence[Point2], deltas: np.ndarray) -> np.ndarray:
+    """The per-pair fallback: each pair's ``_disk_pair_events``, read off two
+    cumulative sums along its sorted events."""
+    k, n = deltas.shape
     best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
     zero = np.zeros((k, 1), dtype=deltas.dtype)
     for i in range(n):
@@ -463,7 +578,32 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
             entering = entered - np.concatenate([zero, entered[:, :-1]], axis=1)
             sums = state + np.concatenate([zero, run, before + entering], axis=1)
             best = np.maximum(best, np.abs(sums).max(axis=1))
-    return [int(v) for v in best]
+    return best
+
+
+def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
+    """Radius-0 disks, the whole set, and the disks through each pair A, B.
+
+    Every pair's bisector events are sorted once per call, in blocks of
+    pairs (``_disk_events``); every list then reads the sum just past each
+    group of equal times off one cumulative sum along the sorted events.
+    The closed circle of a group (the sum before it plus its entering
+    points) needs no read of its own: for the pair of two points adjacent
+    on that circle, every other point on it lies on one side of their
+    line, so the whole group enters, or leaves, at once, and the closed
+    circle's sum is the sum just past the group or just before it.  Int64
+    delta matrices on ``_disk_columns``' range take the batched sweep;
+    others take the per-pair fallback, which reads every group's circle.
+    """
+    pts, delta_lists = _collapse_multi(pts, delta_lists)
+    k = len(delta_lists)
+    if not pts or not k:
+        return [0] * k
+    deltas = _delta_matrix(delta_lists, len(pts))
+    columns = _disk_columns(pts)
+    if columns is None or deltas.dtype == object:
+        return [int(v) for v in _max_disk_sums_py(pts, deltas)]
+    return [int(v) for v in _max_disk_sums_np(*columns, deltas)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +612,83 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
 # ---------------------------------------------------------------------------
 
 
-def _slope_orders(pts: Sequence[Point2], slopes: Sequence[Fraction]) -> np.ndarray:
-    """The S x m exact orders of distinct points by y - a*x, one per slope
-    separator a (``ranges._slope_separators``) of their pair slopes
-    ``slopes`` (``ranges._pair_slopes(pts)``), where no two keys tie.
-    Keys tie only at a pair slope, and every run of key groups there is a
-    run of the order at the separator just below it; so every slab subset
-    is a run of one of these orders."""
+def _slope_orders_py(pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
+    """``_slope_orders`` in Python numbers: the fallback for Fraction or
+    large coordinates.  Each order sorts the keys y - a*x at a slope
+    separator a (``ranges._slope_separators``), where no two keys tie."""
+    slopes = _pair_slopes(pts)
     orders = []
     coords = [(p.x, p.y) for p in pts]
     for a in _slope_separators(slopes):
         num, den = a.numerator, a.denominator
         keys = [y * den - x * num for x, y in coords]
         orders.append(sorted(range(len(keys)), key=keys.__getitem__))
-    return np.array(orders, dtype=np.intp)
+    return (np.array([(a.numerator, a.denominator) for a in slopes], dtype=object).reshape(-1, 2),
+            np.array(orders, dtype=np.intp))
+
+
+def _slope_orders_np(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_slope_orders`` on int64 columns with |coordinate| below 2^30.
+
+    The points are taken in (x, y) order, so the pair slopes are reduced
+    (num, den) with den > 0, and |num| and den are below 2^31: they convert
+    to float64 exactly, a strict order of the float slopes is the exact
+    order, and the cross products that settle equal floats stay below 2^62.
+    Every key y*den - x*num stays below 2^62 in magnitude, and at the top
+    row, num + den over den, below 2^63.
+    """
+    m = len(xs)
+    by_x = np.lexsort((ys, xs))
+    xs, ys = xs[by_x], ys[by_x]
+    i, j = np.triu_indices(m, 1)
+    dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+    off = dx != 0
+    dx, dy = dx[off], dy[off]
+    g = np.gcd(dy, dx)
+    num, den = dy // g, dx // g
+    pick = np.lexsort((den, num, num / den))
+    num, den = num[pick], den[pick]
+    new = np.ones(len(num), dtype=bool)
+    new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+    num, den = num[new], den[new]
+    if (num[1:] * den[:-1] < num[:-1] * den[1:]).any():  # equal floats, misordered
+        exact = sorted(zip(num.tolist(), den.tolist()), key=lambda s: Fraction(*s))
+        num, den = (np.array(v, dtype=np.int64) for v in zip(*exact))
+    slopes = np.stack([num, den], axis=1)
+    rows = (np.concatenate([slopes, [[num[-1] + den[-1], den[-1]]]]) if len(slopes)
+            else np.array([[0, 1]], dtype=np.int64))
+    orders = np.empty((len(rows), m), dtype=np.intp)
+    step = max(1, _BLOCK_EVENTS // m)
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        orders[lo:lo + step] = by_x[np.argsort(ys * r[:, 1:] - xs * r[:, :1], axis=1,
+                                               kind="stable")]
+    return slopes, orders
+
+
+def _slope_orders(pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair slopes of collapsed points, and their slab orders.
+
+    Returns the S x 2 array of the non-vertical pair slopes as reduced
+    (num, den), ascending, and the (S + 1) x m orders of the points: row s
+    < S is the order at the slope separator just below slope s, the last
+    row the order above every slope ([0] is the one separator if S = 0).
+    No two keys tie at a separator.  Keys tie only at a pair slope, and
+    every run of key groups there is a run of the order just below it; so
+    every slab subset is a run of one of these orders.
+
+    Just below num/den, the keys y*den - x*num of points tied at num/den
+    order by ascending x: so that order is the stable sort of the keys at
+    num/den over the points in (x, y) order, which is ``_collapse_multi``'s.
+    Integer coordinates below ``_NP_COORD_LIMIT`` in magnitude take the
+    int64 pass ``_slope_orders_np``; others the Python sort
+    ``_slope_orders_py``, whose slope array holds Python ints.
+    """
+    if all(isinstance(p.x, int) and isinstance(p.y, int)
+           and max(abs(p.x), abs(p.y)) < _NP_COORD_LIMIT for p in pts):
+        return _slope_orders_np(np.array([p.x for p in pts], dtype=np.int64),
+                                np.array([p.y for p in pts], dtype=np.int64))
+    return _slope_orders_py(pts)
 
 
 def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
@@ -497,7 +700,7 @@ def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
         return [0] * k
     m = len(pts)
     deltas = _delta_matrix(delta_lists, m)
-    orders = _slope_orders(pts, _pair_slopes(pts))
+    _, orders = _slope_orders(pts)
     best = np.zeros(k, dtype=deltas.dtype)
     step = max(1, _BLOCK_CELLS // (k * m))
     for lo in range(0, len(orders), step):
@@ -523,7 +726,7 @@ def max_vpar_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
     xr = _ranks([p.x for p in pts])
     nx = int(xr.max()) + 1
     below = xr[:, None] < np.arange(nx + 1)  # m x (X + 1)
-    orders = _slope_orders(pts, _pair_slopes(pts))
+    _, orders = _slope_orders(pts)
     best = np.zeros(k, dtype=deltas.dtype)
     step = max(1, _BLOCK_CELLS // (k * m * (nx + 1)))
     for s in range(0, len(orders), step):

@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from . import rangesums
 from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
-from .ranges import FamilyKind, Point2, _pair_slopes
-from .rangesums import (_apex_sweep, _collapse_multi, _disk_pair_events, _primitive,
-                        _slope_orders, _sorted_directions)
+from .ranges import FamilyKind, Point2
+from .rangesums import (_apex_sweep, _collapse_multi, _disk_columns, _disk_events,
+                        _disk_pair_events, _disk_pair_rows, _primitive, _slope_orders,
+                        _sorted_directions)
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -496,26 +500,71 @@ class LmsDisk:
     radius2: Fraction
 
 
-def lms_location(snap: Snapshot) -> LmsDisk:
-    """Smallest canonical disk holding a (1/2 + eps) fraction of the snapshot.
+# Float r^2 and width screens are within 2^-50 relative of the exact values;
+# candidates within this factor of the least are settled exactly.
+_SCREEN = 1 + 2.0 ** -40
 
-    Such a disk holds at least half of the true stream mass.  Past radius 0,
-    each pair's bisector sweep (``rangesums._disk_pair_events``) gives its
-    diametral disk (t = 0) and circumcircles (one per group of equal event
-    times, holding the mass before the group plus its entering points), on
-    the integer scaled weights: O(m^3 log m).  The least squared radius
-    wins; ties go to radius 0 by (x, y), then to diametral disks by pair
-    (i, j), then to circumcircles by the least index triple on the circle.
-    """
-    _require(snap, FamilyKind.DISK, "lms_location")
-    if snap.eps >= Fraction(1, 2):
-        raise ValueError("lms_location needs eps < 1/2")
-    ints, denom = snap.sample.scaled_weights
-    pts, (gs,) = _collapse_multi(snap.sample.points, [ints])
-    need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
-    heavy = [p for p, g in zip(pts, gs) if g >= need]
-    if heavy:
-        return LmsDisk((Fraction(heavy[0].x), Fraction(heavy[0].y)), Fraction(0))
+
+def _lms_disks_np(pts, gs, need: int, xs, ys) -> tuple:
+    """``lms_location``'s least key over the batched bisector sweeps
+    (``rangesums._disk_events``) of the pairs, in blocks in |AB|^2 order."""
+    g = np.array(gs, dtype=np.int64)
+    n = len(g)
+    ia, ib = np.triu_indices(n, 1)
+    ab2 = (xs[ib] - xs[ia]) ** 2 + (ys[ib] - ys[ia]) ** 2
+    by = np.argsort(ab2, kind="stable")
+    ia, ib, ab2 = ia[by], ib[by], ab2[by]
+    rows = _disk_pair_rows(n)
+    pos = np.arange(n)
+    best = (math.inf,)
+    for lo in range(0, len(ab2), rows):
+        if int(ab2[lo]) > 4 * best[0]:
+            break  # every disk through these pairs is larger
+        i, j, b2 = ia[lo:lo + rows], ib[lo:lo + rows], ab2[lo:lo + rows]
+        ev = _disk_events(xs, ys, i, j)
+        entering = np.where(ev.enters, g[ev.order], 0)
+        leaving = np.where(ev.leaves, g[ev.order], 0)
+        start = ev.start @ g
+        # mass at each group's time: before the group, plus its entering points
+        first = np.ones(ev.end.shape, dtype=bool)
+        first[:, 1:] = ev.end[:, :-1]
+        gstart = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+        left_before = np.cumsum(leaving, axis=1) - leaving
+        at = (start[:, None] + np.cumsum(entering, axis=1)
+              - np.take_along_axis(left_before, gstart, axis=1))
+        feasible = ev.end & (at >= need)
+        below = np.where(feasible & (ev.time < 0), pos, -1).max(axis=1)
+        above = np.where(feasible & (ev.time > 0), pos, n).min(axis=1)
+        at_zero = (start + np.where(ev.time <= 0, entering, 0).sum(axis=1)
+                   - np.where(ev.time < 0, leaving, 0).sum(axis=1))
+        r2 = [np.where(at_zero >= need, b2 / 4, np.inf)]
+        for p, ok in ((below, below >= 0), (above, above < n)):
+            t = np.take_along_axis(ev.time, np.minimum(p, n - 1)[:, None], axis=1)[:, 0]
+            r2.append(np.where(ok, b2 * (0.25 + t * t), np.inf))
+        limit = min(min(v.min() for v in r2), float(best[0])) * _SCREEN
+        if limit == np.inf:
+            continue
+        for r in np.flatnonzero(r2[0] <= limit):
+            ii, jj = int(i[r]), int(j[r])
+            A, B = pts[ii], pts[jj]
+            best = min(best, (Fraction(int(b2[r]), 4), 1, (ii, jj),
+                              (Fraction(A.x + B.x, 2), Fraction(A.y + B.y, 2))))
+        for p, v in ((below, r2[1]), (above, r2[2])):
+            for r in np.flatnonzero(v <= limit):
+                ii, jj, e = int(i[r]), int(j[r]), int(p[r])
+                A, B = pts[ii], pts[jj]
+                group = ev.order[r, gstart[r, e]:e + 1].tolist()
+                t = Fraction(int(ev.alpha[r, group[0]]), int(ev.beta[r, group[0]]))
+                circle = tuple(sorted({ii, jj, *group})[:3])
+                best = min(best, (int(b2[r]) * (Fraction(1, 4) + t * t), 2, circle,
+                                  (Fraction(A.x + B.x, 2) + t * (A.y - B.y),
+                                   Fraction(A.y + B.y, 2) + t * (B.x - A.x))))
+    return best
+
+
+def _lms_disks_py(pts, gs, need: int) -> tuple:
+    """``lms_location``'s least key, pair by pair over the fallback sweep
+    ``rangesums._disk_pair_events``."""
     best = (math.inf,)  # (r2, 1 diametral or 2 circumcircle, index key, center)
     for ab2, i, j in sorted(((q.x - p.x) ** 2 + (q.y - p.y) ** 2, i, j)
                             for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j):
@@ -544,33 +593,98 @@ def lms_location(snap: Snapshot) -> LmsDisk:
             circle = tuple(sorted({i, j, *(c for _, _, c in group)})[:3])
             best = min(best, (ab2 * (Fraction(1, 4) + t * t), 2, circle,
                               (mx + t * (A.y - B.y), my + t * (B.x - A.x))))
+    return best
+
+
+def lms_location(snap: Snapshot) -> LmsDisk:
+    """Smallest canonical disk holding a (1/2 + eps) fraction of the snapshot.
+
+    Such a disk holds at least half of the true stream mass.  Past radius 0,
+    each pair's bisector sweep gives its diametral disk (t = 0) and
+    circumcircles (one per group of equal event times, holding the mass
+    before the group plus its entering points), on the integer scaled
+    weights.  Of the circles, only the last feasible one before t = 0 and
+    the first after it can be least.  The least squared radius wins; ties
+    go to radius 0 by (x, y), then to diametral disks by pair (i, j), then
+    to circumcircles by the least index triple on the circle.
+
+    Pairs are taken in order of |AB|^2, and none past 4 times the best
+    squared radius is swept.  Integer supports on the disk measure's range
+    (``rangesums._disk_columns``) with weights summing below 2^62 sweep
+    blocks of pairs in int64 (``rangesums._disk_events``), O(m^3 log m)
+    numpy work, and stop at the first block past that bound; candidates
+    are screened by float r^2 and settled in Fractions.  Other supports
+    sweep pair by pair in Python (``rangesums._disk_pair_events``).
+    """
+    _require(snap, FamilyKind.DISK, "lms_location")
+    if snap.eps >= Fraction(1, 2):
+        raise ValueError("lms_location needs eps < 1/2")
+    ints, denom = snap.sample.scaled_weights
+    pts, (gs,) = _collapse_multi(snap.sample.points, [ints])
+    need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
+    heavy = [p for p, g in zip(pts, gs) if g >= need]
+    if heavy:
+        return LmsDisk((Fraction(heavy[0].x), Fraction(heavy[0].y)), Fraction(0))
+    columns = _disk_columns(pts)
+    if columns is not None and sum(gs) < rangesums._INT64_SUM_LIMIT:
+        best = _lms_disks_np(pts, gs, need, *columns)
+    else:
+        best = _lms_disks_py(pts, gs, need)
     if best[0] == math.inf:
         raise EpsStreamError("no feasible disk (internal)")
     return LmsDisk(best[3], best[0])
 
 
-def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
-    """Minimum-vertical-width slab holding a (1/2 + eps) fraction; returns
-    its central line and the width.
+def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, orders: np.ndarray) -> tuple:
+    """``lms_regression``'s least (width, slope, lower intercept) over int64
+    windows, in blocks of ``rangesums._BLOCK_EVENTS`` keys.
 
-    Per support pair slope a = num/den (0 if there is none), the slab
-    measure's order at the separator just below it
-    (``rangesums._slope_orders``) sorts the integer keys den*y - num*x, so
-    one window along it on the integer scaled weights finds the narrowest
-    slabs.  Ties go to the least (width, slope, lower intercept).
+    Along row r the keys den*y - num*x ascend.  Prefix masses of the rows
+    of a block, offset by row so the block is one ascending array, give
+    every window start at once: the last start whose prefix is at most the
+    end's prefix minus ``need``.  Each row keeps its least (width, low
+    key); rows whose float width is within ``_SCREEN`` of the least are
+    settled in Fractions.
     """
-    _require(snap, FamilyKind.SLAB, "lms_regression")
-    if snap.eps >= Fraction(1, 2):
-        raise ValueError("lms_regression needs eps < 1/2")
-    ints, denom = snap.sample.scaled_weights
-    pts, (gs,) = _collapse_multi(snap.sample.points, [ints])
-    if len(pts) < 2:
-        raise EpsStreamError("need at least 2 distinct support points")
-    need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
+    m = len(pts)
+    xs = np.array([p.x for p in pts], dtype=np.int64)
+    ys = np.array([p.y for p in pts], dtype=np.int64)
+    g = np.array(gs, dtype=np.int64)
+    total = int(g.sum())
+    step = max(1, min(rangesums._BLOCK_EVENTS // m, ((1 << 63) - 1) // (total + 1)))
+    top = np.iinfo(np.int64).max
+    best = (math.inf,)
+    for lo in range(0, len(slopes), step):
+        num, den = slopes[lo:lo + step, :1], slopes[lo:lo + step, 1:]
+        order = orders[lo:lo + step]
+        keys = ys[order] * den - xs[order] * num
+        row = np.arange(len(order))[:, None]
+        prefix = np.zeros((len(order), m + 1), dtype=np.int64)
+        np.cumsum(g[order], axis=1, out=prefix[:, 1:])
+        target = prefix[:, 1:] - need
+        shift = row * (total + 1)  # rows apart, in one ascending array
+        first = np.searchsorted((prefix + shift).ravel(), (target + shift).ravel(), side="right")
+        first = first.reshape(target.shape) - 1 - row * (m + 1)
+        low = np.take_along_axis(keys, np.clip(first, 0, m - 1), axis=1)
+        width = np.where(target >= 0, keys - low, top)
+        least = width.min(axis=1)
+        low = np.where(width == least[:, None], low, top).min(axis=1)
+        widths = np.where(least < top, least / den[:, 0], np.inf)
+        limit = min(widths.min(), float(best[0])) * _SCREEN
+        if limit == np.inf:
+            continue
+        for r in np.flatnonzero(widths <= limit):
+            d = int(den[r, 0])
+            best = min(best, (Fraction(int(least[r]), d), Fraction(int(num[r, 0]), d),
+                              Fraction(int(low[r]), d)))
+    return best
+
+
+def _lms_slabs_py(pts, gs, need: int, slopes: np.ndarray, orders: np.ndarray) -> tuple:
+    """``lms_regression``'s least (width, slope, lower intercept) by one
+    Python window per slope: the fallback for exact numbers."""
     cands = []
-    slopes = _pair_slopes(pts)
-    for a, order in zip(slopes or [Fraction(0)], _slope_orders(pts, slopes).tolist()):
-        num, den = a.numerator, a.denominator
+    for (num, den), order in zip(slopes.tolist(), orders.tolist()):
         keys = [pts[i].y * den - pts[i].x * num for i in order]
         spans = []
         lo = run = 0
@@ -583,8 +697,37 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
                 spans.append((keys[hi] - keys[lo], keys[lo]))
         if spans:
             width, blo = min(spans)
-            cands.append((Fraction(width, den), a, Fraction(blo, den)))
-    if not cands:
+            cands.append((Fraction(width, den), Fraction(num, den), Fraction(blo, den)))
+    return min(cands, default=(math.inf,))
+
+
+def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
+    """Minimum-vertical-width slab holding a (1/2 + eps) fraction; returns
+    its central line and the width.
+
+    Per support pair slope a = num/den (0 if there is none), the slab
+    measure's order at the separator just below it
+    (``rangesums._slope_orders``) sorts the integer keys den*y - num*x, so
+    one window along it on the integer scaled weights finds the narrowest
+    slabs.  Ties go to the least (width, slope, lower intercept).  With
+    integer coordinates below 2^30 in magnitude and weights summing below
+    2^62, the windows of all O(m^2) slopes run in int64 numpy blocks
+    (``_lms_slabs_np``), O(m^3 log m) in all; other supports take one
+    Python window per slope.
+    """
+    _require(snap, FamilyKind.SLAB, "lms_regression")
+    if snap.eps >= Fraction(1, 2):
+        raise ValueError("lms_regression needs eps < 1/2")
+    ints, denom = snap.sample.scaled_weights
+    pts, (gs,) = _collapse_multi(snap.sample.points, [ints])
+    if len(pts) < 2:
+        raise EpsStreamError("need at least 2 distinct support points")
+    need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
+    slopes, orders = _slope_orders(pts)
+    rows = slopes if len(slopes) else np.array([[0, 1]], dtype=slopes.dtype)
+    batched = slopes.dtype != object and sum(gs) < rangesums._INT64_SUM_LIMIT
+    window = _lms_slabs_np if batched else _lms_slabs_py
+    width, a, blo = window(pts, gs, need, rows, orders[:len(rows)])
+    if width == math.inf:
         raise EpsStreamError("no feasible slab (internal)")
-    width, a, blo = min(cands)
     return FitLine(a, blo + width / 2), width

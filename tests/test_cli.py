@@ -215,6 +215,45 @@ def test_env_scale_unparseable_is_a_parse_error(tmp_path, monkeypatch, capsys):
     assert "EPS_STREAM_SCALE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,env,code", [
+    (["--scale=0"], None, 3),
+    (["--scale=-5"], None, 3),
+    (["--scale", "abc"], None, 2),
+    ([], "0", 3),
+    ([], "-5", 3),
+])
+def test_scale_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, flag, env, code):
+    """A scale below 1 would map every coordinate to 0 or mirror the input."""
+    path = tmp_path / "p.txt"
+    path.write_text("1,1\n2,2\n3,0\n")
+    snap = tmp_path / "s.json"
+    if env is not None:
+        monkeypatch.setenv("EPS_STREAM_SCALE", env)
+    assert run_cli([*flag, "build", "--input", str(path), "--family", "quadrant",
+                    "--eps", "1/2", "--snapshot", str(snap)]) == (code, "")
+    assert not snap.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "scale" in err
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "state"])
+def test_header_with_scale_zero_is_a_config_error(tmp_path, three_points, capsys, kind):
+    saved = tmp_path / f"{kind}.json"
+    assert run_cli(["--scale", "1", "build", "--input", str(three_points), "--family",
+                    "halfplane", "--eps", "1/2", f"--{kind}", str(saved)])[0] == 0
+    data = json.loads(saved.read_text())
+    header = data["snapshot"] if kind == "snapshot" else data["config"]
+    header["scale"] = 0
+    saved.write_text(json.dumps(data))
+    if kind == "snapshot":
+        args = ["net", "--snapshot", str(saved)]
+    else:
+        args = ["build", "--input", str(three_points), "--family", "halfplane", "--eps", "1/2",
+                "--resume", str(saved)]
+    assert run_cli(["--scale", "1", *args]) == (3, "")
+    assert "scale must be a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale,flags", [
     ("1", ["--family", "disk", "--eps", "1/4"]),
     ("1", ["--family", "halfplane", "--eps", "1/2"]),

@@ -20,13 +20,15 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epsstream import FamilyKind, Point2, family
 from epsstream import rangesums
-from epsstream.ranges import _slope_candidates, subsystem_oracle_masks
+from epsstream.ranges import (_pair_slopes, _slope_candidates, _slope_separators,
+                              subsystem_oracle_masks)
 from epsstream.rangesums import (
     _dir_less,
     _exact_resort,
@@ -465,8 +467,8 @@ def test_wedge_measures_refuse_sums_from_two_to_the_fifty_two(kind):
 @pytest.mark.parametrize("kind,name", [
     (FamilyKind.WEDGE, "halfplane_subset_masks"),
     (FamilyKind.DOUBLE_WEDGE, "halfplane_subset_masks"),
-    (FamilyKind.SLAB, "_slope_separators"),
-    (FamilyKind.VPARALLELOGRAM, "_slope_separators"),
+    (FamilyKind.SLAB, "_slope_orders"),
+    (FamilyKind.VPARALLELOGRAM, "_slope_orders"),
 ], ids=lambda v: getattr(v, "value", v))
 def test_four_lists_share_one_geometry(kind, name, monkeypatch):
     """The delta-independent enumeration runs once per call, not per list."""
@@ -483,3 +485,177 @@ def test_four_lists_share_one_geometry(kind, name, monkeypatch):
     assert len(dls) == 4
     assert max_range_sums(kind, pts, dls) == _reference(kind, pts, dls)
     assert len(calls) == 1
+
+
+# -- the batched disk and slope sweeps -------------------------------------------
+
+_CIRCLE25 = [Point2(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+
+
+@st.composite
+def _sweep_points(draw, coord=st.integers(-6, 6)):
+    """Cocircular lattice points (the 12 of x^2 + y^2 = 25), collinear runs,
+    free points and duplicates, before collapse."""
+    circle = st.lists(st.sampled_from(_CIRCLE25), min_size=1, max_size=8)
+    run = st.builds(lambda x, y, dx, dy, n: [Point2(x + t * dx, y + t * dy) for t in range(n)],
+                    coord, coord, st.integers(-2, 2), st.integers(-2, 2), st.integers(2, 5))
+    free = st.lists(st.builds(Point2, coord, coord), min_size=1, max_size=4)
+    groups = draw(st.lists(st.one_of(circle, run, free), min_size=1, max_size=4))
+    pts = [p for g in groups for p in g]
+    return pts + [pts[i % len(pts)] for i in draw(st.lists(st.integers(0, 99), max_size=3))]
+
+
+def _reference_groups(pts, i, j):
+    start, events, ends = rangesums._disk_pair_events(pts, i, j)
+    groups, lo = [], 0
+    for end in ends:
+        groups.append({e[2] for e in events[lo:end + 1]})
+        lo = end + 1
+    return set(start), groups
+
+
+def _batched_groups(pts):
+    """Per pair (i, j): the start set and the ordered group sets of the
+    batched sweep."""
+    xs, ys = rangesums._disk_columns(pts)
+    ia, ib = np.triu_indices(len(pts), 1)
+    rows = rangesums._disk_pair_rows(len(pts))
+    out = {}
+    for lo in range(0, len(ia), rows):
+        ev = rangesums._disk_events(xs, ys, ia[lo:lo + rows], ib[lo:lo + rows])
+        for r, order in enumerate(ev.order.tolist()):
+            groups, first = [], 0
+            for e in np.flatnonzero(ev.end[r]).tolist():
+                groups.append(set(order[first:e + 1]))
+                first = e + 1
+            assert np.isinf(ev.time[r, first:]).all()  # no event after the last group
+            out[int(ia[lo + r]), int(ib[lo + r])] = (set(np.flatnonzero(ev.start[r]).tolist()),
+                                                     groups)
+    return out
+
+
+def _coarse_times(real):
+    """A monotone coarsening of the float times: it never inverts the exact
+    order, so the exact settling of equal floats must restore every group.
+    Non-events keep their infinite time."""
+
+    def coarse(alpha, beta):
+        times = real(alpha, beta)
+        return np.where(np.isinf(times), times, np.sign(times))
+
+    return coarse
+
+
+@pytest.mark.parametrize("patch", ["none", "block", "coarse"])
+@settings(max_examples=60, deadline=None)
+@given(pts=_sweep_points())
+def test_batched_disk_events_match_the_per_pair_sweep(patch, pts):
+    """Same groups in the same order, same index set per group, same start set;
+    with one pair per block, and with float times that tie far more often."""
+    pts, _ = rangesums._collapse_multi(pts, [])
+    assume(len(pts) >= 2)
+    with pytest.MonkeyPatch.context() as mp:
+        if patch == "block":
+            mp.setattr(rangesums, "_BLOCK_EVENTS", 1)
+        elif patch == "coarse":
+            mp.setattr(rangesums, "_disk_times", _coarse_times(rangesums._disk_times))
+        batched = _batched_groups(pts)
+    assert batched == {(i, j): _reference_groups(pts, i, j)
+                       for i in range(len(pts)) for j in range(i + 1, len(pts))}
+
+
+def test_batched_disk_events_at_the_spread_limit():
+    """Spreads of 2^25 - 1 keep |alpha| < 2^51 and |beta| < 2^52."""
+    top = (1 << 25) - 1
+    pts, _ = rangesums._collapse_multi([Point2(0, 0), Point2(top, 0), Point2(0, top),
+                                        Point2(top, top), Point2(top // 2, top // 3),
+                                        Point2(1, top - 1), Point2(top - 1, 1)], [])
+    assert rangesums._disk_columns(pts) is not None
+    assert _batched_groups(pts) == {(i, j): _reference_groups(pts, i, j)
+                                    for i in range(len(pts)) for j in range(i + 1, len(pts))}
+
+
+def _reference_slope_orders(pts):
+    """The orders at the Fraction slope separators, sorted in Python."""
+    slopes = _pair_slopes(pts)
+    return np.array([sorted(range(len(pts)), key=lambda i: pts[i].y - a * pts[i].x)
+                     for a in _slope_separators(slopes)], dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=st.one_of(_sweep_points(), _point_sets()))
+def test_slope_orders_match_the_fraction_separators(pts):
+    """Integer pair slopes equal ``ranges._pair_slopes``, and the orders equal
+    the Fraction separators' on tie-rich grids and near the 2^30 limit."""
+    pts, _ = rangesums._collapse_multi(pts, [])
+    slopes, orders = rangesums._slope_orders(pts)
+    assert slopes.dtype == np.int64
+    assert [Fraction(int(num), int(den)) for num, den in slopes] == _pair_slopes(pts)
+    assert orders.tolist() == _reference_slope_orders(pts).tolist()
+    py_slopes, py_orders = rangesums._slope_orders_py(pts)
+    assert py_slopes.tolist() == slopes.tolist() and py_orders.tolist() == orders.tolist()
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.DISK, FamilyKind.SLAB, FamilyKind.VPARALLELOGRAM],
+                         ids=lambda k: k.value)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batched_measures_match_the_oracle_on_cocircular_points(kind, data):
+    pts = data.draw(_sweep_points(st.integers(-3, 3)))[:_ORACLE_SIZE[kind]]
+    dls = [data.draw(st.lists(st.integers(-6, 6), min_size=len(pts), max_size=len(pts)))
+           for _ in range(data.draw(st.integers(1, 3)))]
+    expected = _brute(kind, pts, dls)
+    assert max_range_sums(kind, pts, dls) == expected
+    with mock.patch.multiple(rangesums, _BLOCK_EVENTS=1, _BLOCK_CELLS=1):
+        assert max_range_sums(kind, pts, dls) == expected
+
+
+# -- which path ran ----------------------------------------------------------------
+
+
+def _no_fallback(*_args):
+    raise AssertionError("fallback sweep ran")
+
+
+def _benchmark_range_case(seed=7, m=40):
+    """Integer points with |c| <= 2^21, as the benchmark draws them, with
+    cocircular and collinear ties mixed in."""
+    rng = random.Random(seed)
+    c = 1 << 21
+    pts = [Point2(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(m)]
+    pts += [Point2(c - 5 + p.x, p.y) for p in _CIRCLE25] + [Point2(-c, -c + 3 * t) for t in range(4)]
+    dls = [[rng.randint(-9, 9) for _ in pts] for _ in range(3)]
+    return pts, dls
+
+
+@pytest.mark.parametrize("measure", ["max_disk_sum", "max_slab_sum", "max_vpar_sum"])
+def test_benchmark_coordinates_stay_on_the_batched_sweeps(measure, monkeypatch):
+    pts, dls = _benchmark_range_case(m=40 if measure != "max_vpar_sum" else 8)
+    fn = getattr(rangesums, measure)
+    expected = fn(pts, dls)
+    for name in ("_disk_pair_events", "_max_disk_sums_py", "_slope_orders_py"):
+        monkeypatch.setattr(rangesums, name, _no_fallback)
+    assert fn(pts, dls) == expected
+
+
+_TIES = [Point2(x, y) for x, y in [(0, 0), (3, 4), (4, 3), (-5, 0), (0, 5), (1, 1), (2, 2),
+                                   (3, 3), (-3, 1), (5, 0), (0, -5), (3, 4)]]
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28])
+def test_far_or_fraction_coordinates_take_the_fallbacks(scale, monkeypatch):
+    """Scaling the points scales every disk and slab, so each measure must
+    give the unscaled answer; from a spread of 2^25 (disks), |c| of 2^30
+    (slopes) or Fraction coordinates the fallbacks give it."""
+    dls = [[(-1) ** i * (i + 1) for i in range(len(_TIES))], [1, -2] * (len(_TIES) // 2)]
+    expected = {fn: fn(_TIES, dls) for fn in (rangesums.max_disk_sum, rangesums.max_slab_sum)}
+    scaled = [Point2(p.x * scale, p.y * scale) for p in _TIES]
+    calls = []
+    for name in ("_max_disk_sums_py", "_slope_orders_py"):
+        real = getattr(rangesums, name)
+        monkeypatch.setattr(rangesums, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for fn, want in expected.items():
+        assert fn(scaled, dls) == want
+    assert calls == (["_max_disk_sums_py", "_slope_orders_py"] if scale != 1 << 23
+                     else ["_max_disk_sums_py"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epsstream import Point2, StreamState, WeightedSample, make_config
+from epsstream import Point2, StreamState, WeightedSample, make_config, rangesums, stats
 from epsstream.engine import Snapshot, snapshot_of_exact
 from epsstream.errors import EpsStreamError, FamilyMismatchError
 from epsstream.oracles import (
@@ -883,8 +883,76 @@ def test_theil_sen_matches_rescan_reference(inp, data):
                     min_size=1, max_size=10, unique=True))
 def test_slope_orders_sort_the_keys_at_each_pair_slope(pts):
     slopes = _pair_slopes(pts)
-    orders = _slope_orders(pts, slopes)
+    pairs, orders = _slope_orders(pts)
+    assert [Fraction(int(num), int(den)) for num, den in pairs] == slopes
     assert len(orders) == len(slopes) + 1
     for a, order in zip(slopes or [Fraction(0)], orders):
         keys = [pts[i].y - a * pts[i].x for i in order]
         assert keys == sorted(keys)
+
+
+# -- which LMS path ran ------------------------------------------------------------
+
+
+def _no_fallback(*_args):
+    raise AssertionError("fallback sweep ran")
+
+
+def _lms_snapshots(pts, eps=Fraction(1, 8)):
+    weights = [1 + i % 3 for i in range(len(pts))]
+    return (_weighted_snapshot(pts, weights, "disk", eps),
+            _weighted_snapshot(pts, weights, "slab", eps))
+
+
+_LMS_TIES = [(0, 0), (3, 4), (4, 3), (-5, 0), (0, 5), (1, 1), (2, 2), (3, 3), (-3, 1), (5, 0),
+             (0, -5), (3, 4), (-4, -3), (2, -1)]
+
+
+def test_lms_at_benchmark_coordinates_stays_on_the_batched_sweeps(monkeypatch):
+    """With |c| <= 2^21, as the benchmark draws them, neither statistic may
+    fall back to its per-pair or per-slope Python path."""
+    rng = random.Random(11)
+    c = 1 << 21
+    pts = [Point2(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(30)]
+    pts += [Point2(c - 5 + x, y) for x, y in _LMS_TIES]
+    disk_snap, slab_snap = _lms_snapshots(pts)
+    expected = lms_location(disk_snap), lms_regression(slab_snap)
+    for owner, name in ((rangesums, "_disk_pair_events"), (stats, "_disk_pair_events"),
+                        (rangesums, "_slope_orders_py"), (stats, "_lms_disks_py"),
+                        (stats, "_lms_slabs_py")):
+        monkeypatch.setattr(owner, name, _no_fallback)
+    assert (lms_location(disk_snap), lms_regression(slab_snap)) == expected
+
+
+def test_lms_with_one_pair_or_slope_per_block(monkeypatch):
+    """Results carried from block to block count, and the |AB|^2 pruning
+    stops at a block boundary."""
+    disk_snap, slab_snap = _lms_snapshots([Point2(x, y) for x, y in _LMS_TIES])
+    expected = lms_location(disk_snap), lms_regression(slab_snap)
+    monkeypatch.setattr(rangesums, "_BLOCK_EVENTS", 1)
+    for name in ("_lms_disks_py", "_lms_slabs_py"):
+        monkeypatch.setattr(stats, name, _no_fallback)
+    assert (lms_location(disk_snap), lms_regression(slab_snap)) == expected
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28])
+def test_lms_far_or_fraction_coordinates_take_the_fallbacks(scale, monkeypatch):
+    """Scaling the support by s scales the least disk's center by s and its
+    radius^2 by s^2, and the narrowest slab's intercept and width by s; the
+    fallbacks must give those answers where the batched sweeps cannot run."""
+    pts = [Point2(x, y) for x, y in _LMS_TIES]
+    disk, (fit, width) = (lms_location(_lms_snapshots(pts)[0]),
+                          lms_regression(_lms_snapshots(pts)[1]))
+    calls = []
+    for name in ("_lms_disks_py", "_lms_slabs_py"):
+        real = getattr(stats, name)
+        monkeypatch.setattr(stats, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    disk_snap, slab_snap = _lms_snapshots([Point2(p.x * scale, p.y * scale) for p in pts])
+    got = lms_location(disk_snap)
+    assert (got.center, got.radius2) == ((disk.center[0] * scale, disk.center[1] * scale),
+                                         disk.radius2 * scale * scale)
+    assert lms_regression(slab_snap) == (FitLine(fit.slope, fit.intercept * scale),
+                                         width * scale)
+    assert calls == (["_lms_disks_py", "_lms_slabs_py"] if scale != 1 << 23
+                     else ["_lms_disks_py"])
