@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +75,9 @@ _FLOAT_EXACT_LIMIT = 1 << 52
 # The int64 halfplane sweep takes |coordinates| below this (see its docstring).
 _NP_COORD_LIMIT = 1 << 30
 # Events per block of apexes in that sweep (rows of 2m events each), of
-# point pairs in the disk sweep (rows of m events), and of slopes in the
-# slope orders (rows of m keys).  Time is flat from 2^13 up; larger blocks
-# only hold more temporaries at once.
+# point pairs in the disk sweep (rows of m events), and of slopes in LMS
+# regression's windows (rows of m keys).  Time is flat from 2^13 up; larger
+# blocks only hold more temporaries at once.
 _BLOCK_EVENTS = 1 << 14
 # The batched disk sweep takes integer coordinates whose x and y spreads
 # are below this (see ``_disk_events``).
@@ -86,8 +86,12 @@ _DISK_SPREAD_LIMIT = 1 << 25
 # every list's sum of |deltas| is below this; Python ints from it on.
 _INT64_SUM_LIMIT = 1 << 62
 # Entries per block of the quadrant grid and of the slab and vpar prefix
-# tables, and per float product chunk of the wedge measures.
-_BLOCK_CELLS = 1 << 20
+# tables (whose slope orders are sorted block by block), and per float
+# product chunk of the wedge measures.  Three delta lists of uniform points,
+# best of 3 on one CPU, at 2^14 / 2^16 / 2^18 / 2^20 cells: slab m = 256
+# 0.85 / 0.70 / 0.77 / 0.85 s, vpar m = 48 1.13 / 0.67 / 0.76 / 0.75 s,
+# quadrant m = 2048 0.196 / 0.105 / 0.108 / 0.129 s.
+_BLOCK_CELLS = 1 << 16
 _CHUNK_CELLS = 1 << 22
 # Masks per block of a membership matrix.  Each block is transposed while
 # it is small: one transposing copy of the whole m x R matrix took 3-4x as
@@ -627,7 +631,8 @@ def _slope_orders_py(pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
             np.array(orders, dtype=np.intp))
 
 
-def _slope_orders_np(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slope_orders_np(xs: np.ndarray, ys: np.ndarray,
+                     rows: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """``_slope_orders`` on int64 columns with |coordinate| below 2^30.
 
     The points are taken in (x, y) order, so the pair slopes are reduced
@@ -655,24 +660,26 @@ def _slope_orders_np(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
         exact = sorted(zip(num.tolist(), den.tolist()), key=lambda s: Fraction(*s))
         num, den = (np.array(v, dtype=np.int64) for v in zip(*exact))
     slopes = np.stack([num, den], axis=1)
-    rows = (np.concatenate([slopes, [[num[-1] + den[-1], den[-1]]]]) if len(slopes)
+    seps = (np.concatenate([slopes, [[num[-1] + den[-1], den[-1]]]]) if len(slopes)
             else np.array([[0, 1]], dtype=np.int64))
-    orders = np.empty((len(rows), m), dtype=np.intp)
-    step = max(1, _BLOCK_EVENTS // m)
-    for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step]
-        orders[lo:lo + step] = by_x[np.argsort(ys * r[:, 1:] - xs * r[:, :1], axis=1,
-                                               kind="stable")]
-    return slopes, orders
+
+    def blocks():
+        for lo in range(0, len(seps), rows):
+            r = seps[lo:lo + rows]
+            yield by_x[np.argsort(ys * r[:, 1:] - xs * r[:, :1], axis=1, kind="stable")]
+
+    return slopes, blocks()
 
 
-def _slope_orders(pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
+def _slope_orders(pts: Sequence[Point2], rows: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """The distinct pair slopes of collapsed points, and their slab orders.
 
     Returns the S x 2 array of the non-vertical pair slopes as reduced
-    (num, den), ascending, and the (S + 1) x m orders of the points: row s
-    < S is the order at the slope separator just below slope s, the last
-    row the order above every slope ([0] is the one separator if S = 0).
+    (num, den), ascending, and the (S + 1) x m orders of the points, as
+    consecutive blocks of at most ``rows`` orders, each sorted when it is
+    reached, so a consumer holds one block at a time: order s < S is the
+    order at the slope separator just below slope s, the last the order
+    above every slope ([0] is the one separator if S = 0).
     No two keys tie at a separator.  Keys tie only at a pair slope, and
     every run of key groups there is a run of the order just below it; so
     every slab subset is a run of one of these orders.
@@ -682,13 +689,15 @@ def _slope_orders(pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
     num/den over the points in (x, y) order, which is ``_collapse_multi``'s.
     Integer coordinates below ``_NP_COORD_LIMIT`` in magnitude take the
     int64 pass ``_slope_orders_np``; others the Python sort
-    ``_slope_orders_py``, whose slope array holds Python ints.
+    ``_slope_orders_py``, whose slope array holds Python ints and whose
+    orders are all sorted at once.
     """
     if all(isinstance(p.x, int) and isinstance(p.y, int)
            and max(abs(p.x), abs(p.y)) < _NP_COORD_LIMIT for p in pts):
         return _slope_orders_np(np.array([p.x for p in pts], dtype=np.int64),
-                                np.array([p.y for p in pts], dtype=np.int64))
-    return _slope_orders_py(pts)
+                                np.array([p.y for p in pts], dtype=np.int64), rows)
+    slopes, orders = _slope_orders_py(pts)
+    return slopes, (orders[lo:lo + rows] for lo in range(0, len(orders), rows))
 
 
 def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
@@ -700,11 +709,10 @@ def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
         return [0] * k
     m = len(pts)
     deltas = _delta_matrix(delta_lists, m)
-    _, orders = _slope_orders(pts)
+    _, blocks = _slope_orders(pts, max(1, _BLOCK_CELLS // (k * m)))
     best = np.zeros(k, dtype=deltas.dtype)
-    step = max(1, _BLOCK_CELLS // (k * m))
-    for lo in range(0, len(orders), step):
-        prefix = np.cumsum(deltas[:, orders[lo:lo + step]], axis=2)
+    for order in blocks:
+        prefix = np.cumsum(deltas[:, order], axis=2)
         best = np.maximum(best, _window(prefix, 2).max(axis=1))
     return [int(v) for v in best]
 
@@ -726,11 +734,9 @@ def max_vpar_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
     xr = _ranks([p.x for p in pts])
     nx = int(xr.max()) + 1
     below = xr[:, None] < np.arange(nx + 1)  # m x (X + 1)
-    _, orders = _slope_orders(pts)
+    _, blocks = _slope_orders(pts, max(1, _BLOCK_CELLS // (k * m * (nx + 1))))
     best = np.zeros(k, dtype=deltas.dtype)
-    step = max(1, _BLOCK_CELLS // (k * m * (nx + 1)))
-    for s in range(0, len(orders), step):
-        order = orders[s:s + step]
+    for order in blocks:
         table = deltas[:, order, None] * below[order]
         np.cumsum(table, axis=2, out=table)
         for lo in range(nx):

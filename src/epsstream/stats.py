@@ -9,11 +9,9 @@ fits).  All arithmetic is exact; additive bounds quote the snapshot's eps.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -127,6 +125,19 @@ def _lex_order(u, v) -> int:
     return (u[0] * v[2] - v[0] * u[2]) or (u[1] * v[2] - v[1] * u[2])
 
 
+# A float side a*x + b*y - t at a vertex is within 2^-50 (|a*x| + |b*y| +
+# |t|) of the exact side, so below minus this share the vertex holds.
+_SIDE_SLACK = 2.0 ** -48
+
+
+def _floats(values) -> np.ndarray:
+    """float64 copies of exact numbers; NaN, never screened, on overflow."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.full(len(values), np.nan)
+
+
 def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     """A point maximizing snapshot depth; its depth is within eps of the
     stream's maximum depth and at least 1/3.
@@ -135,7 +146,8 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     the box around the support clipped to one halfplane per support-pair
     normal, in integer lines (coordinates scaled by the lcm of their
     denominators).  The lexicographically least vertex of the deepest
-    region is returned.
+    region is returned.  Projections are int64 (scaled |coordinates| below
+    2^30) or Python ints; a float screen spares exact clipping of most lines.
     """
     _require(snap, FamilyKind.HALFPLANE, "tukey_median")
     pts = snap.sample.points
@@ -147,74 +159,62 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
         return base, DepthValue(Fraction(1), snap.eps)
     collinear = all((p.x - base.x) * (ref.y - base.y) == (p.y - base.y) * (ref.x - base.x)
                     for p in pts)
-    if collinear:
-        best = None
-        for p in pts:
-            d = _depth_of(snap, p)
-            if best is None or d > best[1] or (d == best[1] and p < best[0]):
-                best = (p, d)
-        return best[0], DepthValue(best[1], snap.eps)
+    if collinear:  # the deepest support point, the least of equals
+        best = min(pts, key=lambda p: (-_depth_of(snap, p), p))
+        return best, DepthValue(_depth_of(snap, best), snap.eps)
 
     scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-    coords = [(p.x.numerator * (scale // p.x.denominator),
-               p.y.numerator * (scale // p.y.denominator)) for p in pts]
-    # normals to all support directions, both orientations
-    normals: set[tuple[int, int]] = set()
-    for i, (px, py) in enumerate(coords):
-        for qx, qy in coords[i + 1:]:
-            if (qx, qy) == (px, py):
-                continue  # coincident copies span no direction
-            d = _primitive(qx - px, qy - py)
-            normals.add((-d[1], d[0]))
-            normals.add((d[1], -d[0]))
-    # per normal: descending projection values with suffix masses, summed
-    # as the integers w * lcm(weight denominators); the level order is the same
-    masses, _ = snap.sample.scaled_weights
-    tables = {}
-    depth_values: set[int] = set()
-    for u in normals:
-        flip = tables.get((-u[0], -u[1]))
-        if flip:  # the table of -u read from its other end
-            vals, suffix = flip
-            vals = [-v for v in reversed(vals)]
-            suffix = [suffix[-1] - s for s in reversed(suffix[:-1])] + [suffix[-1]]
-        else:
-            proj: dict = {}
-            for (x, y), g in zip(coords, masses):
-                v = u[0] * x + u[1] * y
-                proj[v] = proj.get(v, 0) + g
-            vals = sorted(proj, reverse=True)
-            suffix = list(itertools.accumulate(proj[v] for v in vals))
-        tables[u] = (vals, suffix)
-        depth_values.update(suffix)
-
-    levels = sorted(depth_values)
-    lo_x = min(x for x, _ in coords) - scale
-    hi_x = max(x for x, _ in coords) + scale
-    lo_y = min(y for _, y in coords) - scale
-    hi_y = max(y for _, y in coords) + scale
+    sx = [p.x.numerator * (scale // p.x.denominator) for p in pts]
+    sy = [p.y.numerator * (scale // p.y.denominator) for p in pts]
+    coord = np.int64 if max(map(abs, sx + sy)) < rangesums._NP_COORD_LIMIT else object
+    xs, ys = np.array(sx, dtype=coord), np.array(sy, dtype=coord)
+    # normals of all support directions, both ways (parallel ones bound the same halfplanes)
+    i, j = np.triu_indices(len(pts), 1)
+    spans = (xs[i] != xs[j]) | (ys[i] != ys[j])
+    i, j = np.concatenate([i[spans], j[spans]]), np.concatenate([j[spans], i[spans]])
+    ux, uy = ys[i] - ys[j], xs[j] - xs[i]
+    # per normal, projections descending and their running masses; the
+    # levels are the masses ending runs of equal values (every row ends at
+    # the total), deduplicated by hand (np.unique hashes, far slower), and a
+    # level's threshold is the value where the running mass first reaches it
+    proj = ux[:, None] * xs + uy[:, None] * ys
+    order = np.argsort(-proj, axis=1, kind="stable")
+    vals = np.take_along_axis(proj, order, axis=1)
+    run = np.cumsum(snap.sample.columns[2][order], axis=1)
+    levels = np.sort(np.append(run[:, :-1][vals[:, 1:] != vals[:, :-1]], run[0, -1]))
+    levels = levels[np.append(True, levels[1:] != levels[:-1])]
+    rows, uxf, uyf = np.arange(len(ux)), _floats(ux), _floats(uy)
+    lo_x, hi_x = min(sx) - scale, max(sx) + scale
+    lo_y, hi_y = min(sy) - scale, max(sy) + scale
     box = [(lo_x, lo_y, 1, (0, 1, lo_y)), (hi_x, lo_y, 1, (1, 0, hi_x)),
            (hi_x, hi_y, 1, (0, 1, hi_y)), (lo_x, hi_y, 1, (1, 0, lo_x))]
 
-    def region(tau: int):
-        poly = box
-        for u, (vals, suffix) in tables.items():
-            k = bisect.bisect_left(suffix, tau)
-            if k == len(suffix):
-                return []
-            poly = _clip(poly, (u[0], u[1], vals[k]))
-            if not poly:
-                return []
+    def region(tau):
+        t = vals[rows, (run < tau).sum(axis=1)]
+        poly, live, af, bf, tf = box, rows, uxf, uyf, _floats(t)
+        while poly and len(live):
+            vx, vy, vw = (_floats([v[c] for v in poly]) for c in range(3))
+            with np.errstate(invalid="ignore", over="ignore"):
+                ax, by = af[:, None] * (vx / vw), bf[:, None] * (vy / vw)
+                side = ax + by - tf[:, None]
+                keep = ~(side < -_SIDE_SLACK * (abs(ax) + abs(by) + abs(tf[:, None]))).all(axis=1)
+            live, side, af, bf, tf = live[keep], side[keep], af[keep], bf[keep], tf[keep]
+            if not len(live):
+                break
+            finite = np.isfinite(side)
+            clip = ~finite.all(axis=1)
+            clip[np.argmax(np.where(finite, side, np.inf), axis=0)] = True
+            for r in live[clip].tolist():
+                poly = poly and _clip(poly, (int(ux[r]), int(uy[r]), int(t[r])))
+            live, af, bf, tf = live[~clip], af[~clip], bf[~clip], tf[~clip]
         return poly
 
-    lo, hi = 0, len(levels) - 1
-    best_poly = None
+    lo, hi, best_poly = 0, len(levels) - 1, None
     while lo <= hi:
         mid = (lo + hi) // 2
         poly = region(levels[mid])
         if poly:
-            best_poly = poly
-            lo = mid + 1
+            best_poly, lo = poly, mid + 1
         else:
             hi = mid - 1
     if best_poly is None:
@@ -306,97 +306,96 @@ def simplicial_depth_estimate(snap: Snapshot, q: Point2,
 # ---------------------------------------------------------------------------
 
 
-def _least_swept_masses(pts: Sequence[Point2], gs: Sequence[int], lines) -> list[int]:
-    """Per line (slope, intercept), the least integer mass swept when
-    rotating the line to vertical about any pivot, on integer masses gs.
+def _column_masses(mask: np.ndarray, xs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per row of a mask over points in x order (coordinates xs, masses g),
+    the mass of the masked points in the first c x columns, c = 0 .. C."""
+    ends = np.flatnonzero(np.append(xs[1:] != xs[:-1], True))
+    out = np.zeros((len(mask), len(ends) + 1), dtype=g.dtype)
+    out[:, 1:] = np.cumsum(np.where(mask, g, 0), axis=1)[:, ends]
+    return out
+
+
+def _least_swept(up: np.ndarray, down: np.ndarray, on) -> np.ndarray:
+    """Per line, the least mass swept when rotating it to vertical about any
+    pivot, from its column masses above, below and on it.
 
     Points on the line (outside the pivot column) always count: the motion
-    starts on them.  The support is grouped into x columns of (above, below,
-    on) mass, and each pivot reads prefix sums of the sorted columns.  Only
-    pivots on columns are read: turning either way, a pivot on a column next
-    to a gap sweeps part of what a pivot in the gap sweeps.  At slope a/b and
-    intercept c/d, the residual of (x, y) has the sign of b*d*y - a*d*x - b*c.
+    starts on them.  Only pivots on columns are read: turning either way, a
+    pivot on a column next to a gap sweeps part of what a pivot in the gap
+    sweeps.  About column j, rising sweeps the mass above on the right and
+    below on the left (falling the other two), and every point on the line
+    off the column: prefix masses before column j, suffix masses after it.
     """
-    rank = {x: i + 1 for i, x in enumerate(sorted({p.x for p in pts}))}
-    cols = [rank[p.x] for p in pts]
-    out = []
-    for slope, inter in lines:
-        a, b = slope.numerator, slope.denominator
-        c, d = inter.numerator, inter.denominator
-        bd, ad, bc = b * d, a * d, b * c
-        up, down, on = [0] * (len(rank) + 1), [0] * (len(rank) + 1), [0] * (len(rank) + 1)
-        for p, g, j in zip(pts, gs, cols):
-            r = bd * p.y - ad * p.x - bc
-            if r > 0:
-                up[j] += g
-            elif r < 0:
-                down[j] += g
-            else:
-                on[j] += g
-        up, down, on = (list(itertools.accumulate(v)) for v in (up, down, on))
-        # about column j, rising sweeps the mass above on the right and below
-        # on the left (falling the other two), and every point on the line
-        # off the column: prefix sums before column j, suffix sums after it
-        up_on, down_on = list(map(operator.add, up, on)), list(map(operator.add, down, on))
-        out.append(min(up[-1] + on[-1] + min(map(operator.sub, down_on, up_on[1:])),
-                       down[-1] + on[-1] + min(map(operator.sub, up_on, down_on[1:]))))
-    return out
+    up_on, down_on = up + on, down + on
+    return np.minimum(up_on[:, -1] + (down_on[:, :-1] - up_on[:, 1:]).min(axis=1),
+                      down_on[:, -1] + (up_on[:, :-1] - down_on[:, 1:]).min(axis=1))
 
 
 def regression_depth(snap: Snapshot, line: FitLine) -> DepthValue:
     """Minimum mass swept when rotating the line to vertical about any pivot
-    (``_least_swept_masses``), over the stream mass."""
+    (``_least_swept``), over the stream mass.  At slope a/b and intercept
+    c/d, the residual of (x, y) has the sign of b*d*y - a*d*x - b*c."""
     _require(snap, FamilyKind.DOUBLE_WEDGE, "regression_depth")
     if line.slope is None:
         raise ValueError("vertical lines are nonfits")
-    ints, denom = snap.sample.scaled_weights
-    mass, = _least_swept_masses(snap.sample.points, ints,
-                                [(Fraction(line.slope), Fraction(line.intercept))])
-    return DepthValue(Fraction(mass, denom * snap.n), snap.eps)
+    slope, inter = Fraction(line.slope), Fraction(line.intercept)
+    a, b, c, d = slope.numerator, slope.denominator, inter.numerator, inter.denominator
+    xs, _, g = snap.sample.columns
+    order = np.argsort(xs, kind="stable")
+    res = np.array([b * d * p.y - a * d * p.x - b * c for p in snap.sample.points])[order]
+    mass, = _least_swept(*_column_masses(np.stack([res > 0, res < 0, res == 0]), xs[order],
+                                         g[order])[:, None])
+    return DepthValue(Fraction(int(mass), snap.sample.scaled_weights[1] * snap.n), snap.eps)
 
 
 def max_regression_depth_fit(snap: Snapshot) -> tuple[FitLine, DepthValue]:
     """Deepest fit over lines through support pairs and nearby perturbations;
-    ties go to the least (slope, intercept)."""
+    ties go to the least (slope, intercept).
+
+    A pair's line shares its residual signs (int64 on int64 columns) with
+    its nudges by the least nonzero |residual| g (intercept -g/2, slope
+    -g/(2 (max |x| + 1)) or -1/2) but on the line, whose points go above
+    the lowered line and to sign(x) of the turned one.  The raising nudges
+    never win: moving points off a line never deepens it, and they sort
+    above their line in (slope, intercept).  Fractions are built only for
+    the deepest lines.  A vertical support takes horizontal lines.
+    """
     _require(snap, FamilyKind.DOUBLE_WEDGE, "max_regression_depth_fit")
-    pts = snap.sample.points
-    if len(pts) < 2:
+    if len(snap.sample.points) < 2:
         raise EpsStreamError("need at least 2 support points")
-    candidates: set[tuple[Fraction, Fraction]] = set()
-    m = len(pts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            p, q = pts[i], pts[j]
-            if p.x == q.x:
-                continue
-            slope = Fraction(q.y - p.y, q.x - p.x)
-            inter = p.y - slope * p.x
-            candidates.add((slope, inter))
-    if not candidates:
-        # all support on one vertical column: any horizontal line through a point
-        candidates = {(Fraction(0), Fraction(p.y)) for p in pts}
-    spanx = max(abs(p.x) for p in pts) + 1
-    enriched: set[tuple[Fraction, Fraction]] = set()
-    for slope, inter in candidates:
-        enriched.add((slope, inter))
-        # the least nonzero |residual|, scaled by b*d as in _least_swept_masses
-        a, b = slope.numerator, slope.denominator
-        c, d = inter.numerator, inter.denominator
-        gap = min((r for r in (abs(b * d * p.y - a * d * p.x - b * c) for p in pts) if r),
-                  default=0)
-        if gap:
-            db = Fraction(gap, 2 * b * d)
-            enriched.add((slope, inter + db))
-            enriched.add((slope, inter - db))
-        da = Fraction(gap, 2 * b * d * spanx) if gap else Fraction(1, 2)
-        for ds in (da, -da):
-            enriched.add((slope + ds, inter))
-    lines = list(enriched)
-    ints, denom = snap.sample.scaled_weights
-    masses = _least_swept_masses(pts, ints, lines)
-    deepest = max(masses)
-    slope, inter = min(line for line, g in zip(lines, masses) if g == deepest)
-    return FitLine(slope, inter), DepthValue(Fraction(deepest, denom * snap.n), snap.eps)
+    order = np.argsort(snap.sample.columns[0], kind="stable")
+    xs, ys, g = (col[order] for col in snap.sample.columns)
+    i, j = np.triu_indices(len(xs), 1)
+    i, j = i[xs[j] != xs[i]], j[xs[j] != xs[i]]
+    dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+    if not len(i):
+        i, dx, dy = np.arange(len(xs)), np.ones_like(xs), np.zeros_like(xs)
+    rows = max(1, rangesums._BLOCK_EVENTS // len(xs))
+    masses = []
+    for lo in range(0, len(i), rows):
+        blk = slice(lo, lo + rows)
+        res = dx[blk, None] * (ys - ys[i[blk], None]) - dy[blk, None] * (xs - xs[i[blk], None])
+        up, down = _column_masses(res > 0, xs, g), _column_masses(res < 0, xs, g)
+        on, pos, neg = (_column_masses((res == 0) & side, xs, g) for side in (True, xs > 0, xs < 0))
+        gapped = (res != 0).any(axis=1)  # a line through every point has no intercept nudge
+        masses.append(np.stack([_least_swept(up, down, on),
+                                np.where(gapped, _least_swept(up + on, down, 0), -1),
+                                _least_swept(up + pos, down + neg, on - pos - neg)]))
+    masses = np.concatenate(masses, axis=1)
+    deepest = masses.max()
+    xl, yl, il, dxl, dyl = (v.tolist() for v in (xs, ys, i, dx, dy))
+    spanx = max(map(abs, xl)) + 1
+    lines = set()
+    for kind, r in zip(*np.nonzero(masses == deepest)):
+        px, py, run, rise = xl[il[r]], yl[il[r]], dxl[r], dyl[r]
+        slope = Fraction(rise, run)
+        inter = py - slope * px
+        gap = Fraction(min((v for v in (abs(run * (y - py) - rise * (x - px))
+                                        for x, y in zip(xl, yl)) if v), default=0), run)
+        da = gap / (2 * spanx) if gap else Fraction(1, 2)
+        lines.add(((slope, inter), (slope, inter - gap / 2), (slope - da, inter))[kind])
+    return FitLine(*min(lines)), DepthValue(
+        Fraction(int(deepest), snap.sample.scaled_weights[1] * snap.n), snap.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +634,9 @@ def lms_location(snap: Snapshot) -> LmsDisk:
     return LmsDisk(best[3], best[0])
 
 
-def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, orders: np.ndarray) -> tuple:
+def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, blocks, step: int) -> tuple:
     """``lms_regression``'s least (width, slope, lower intercept) over int64
-    windows, in blocks of ``rangesums._BLOCK_EVENTS`` keys.
+    windows, in the blocks of ``step`` slopes that ``blocks`` orders.
 
     Along row r the keys den*y - num*x ascend.  Prefix masses of the rows
     of a block, offset by row so the block is one ascending array, give
@@ -651,12 +650,11 @@ def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, orders: np.ndarray) ->
     ys = np.array([p.y for p in pts], dtype=np.int64)
     g = np.array(gs, dtype=np.int64)
     total = int(g.sum())
-    step = max(1, min(rangesums._BLOCK_EVENTS // m, ((1 << 63) - 1) // (total + 1)))
     top = np.iinfo(np.int64).max
     best = (math.inf,)
-    for lo in range(0, len(slopes), step):
+    for lo, order in zip(range(0, len(slopes), step), blocks):
         num, den = slopes[lo:lo + step, :1], slopes[lo:lo + step, 1:]
-        order = orders[lo:lo + step]
+        order = order[:len(num)]  # the last block may end with the order above every slope
         keys = ys[order] * den - xs[order] * num
         row = np.arange(len(order))[:, None]
         prefix = np.zeros((len(order), m + 1), dtype=np.int64)
@@ -680,11 +678,11 @@ def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, orders: np.ndarray) ->
     return best
 
 
-def _lms_slabs_py(pts, gs, need: int, slopes: np.ndarray, orders: np.ndarray) -> tuple:
+def _lms_slabs_py(pts, gs, need: int, slopes: np.ndarray, blocks) -> tuple:
     """``lms_regression``'s least (width, slope, lower intercept) by one
     Python window per slope: the fallback for exact numbers."""
     cands = []
-    for (num, den), order in zip(slopes.tolist(), orders.tolist()):
+    for (num, den), order in zip(slopes.tolist(), (o for b in blocks for o in b.tolist())):
         keys = [pts[i].y * den - pts[i].x * num for i in order]
         spans = []
         lo = run = 0
@@ -723,11 +721,12 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
     need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
-    slopes, orders = _slope_orders(pts)
+    step = max(1, min(rangesums._BLOCK_EVENTS // len(pts), ((1 << 63) - 1) // (sum(gs) + 1)))
+    slopes, blocks = _slope_orders(pts, step)
     rows = slopes if len(slopes) else np.array([[0, 1]], dtype=slopes.dtype)
     batched = slopes.dtype != object and sum(gs) < rangesums._INT64_SUM_LIMIT
-    window = _lms_slabs_np if batched else _lms_slabs_py
-    width, a, blo = window(pts, gs, need, rows, orders[:len(rows)])
+    width, a, blo = (_lms_slabs_np(pts, gs, need, rows, blocks, step) if batched
+                     else _lms_slabs_py(pts, gs, need, rows, blocks))
     if width == math.inf:
         raise EpsStreamError("no feasible slab (internal)")
     return FitLine(a, blo + width / 2), width

@@ -1,5 +1,8 @@
+import copy
+import functools
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epsstream
 from epsstream.cli import REQUIRED_FLAGS, main
@@ -501,3 +506,75 @@ def test_missing_required_flag_is_config_error(tmp_path, stream_file, capsys, co
     assert run_cli(["--scale", "1", command, stat] + source) == (3, "")
     flag = REQUIRED_FLAGS[(command, stat)]
     assert f"{stat} needs --{flag}" in capsys.readouterr().err
+
+
+# -- mutated files -----------------------------------------------------------------
+
+# Values no field of a snapshot or state file accepts.
+_JUNK = st.sampled_from([None, "", "abc", "1/0", {}, [[]]])
+
+
+def _json_paths(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_text(draw, doc):
+    """The JSON text of ``doc`` with one value (or the whole document)
+    replaced by junk, one key or list item deleted, or cut short."""
+    text = json.dumps(doc)
+    how = draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_json_paths(doc))[how == "delete":]))
+    if not path:
+        return json.dumps(draw(_JUNK))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if how == "replace":
+        parent[path[-1]] = draw(_JUNK)
+    else:
+        del parent[path[-1]]
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved")
+    stream = root / "pts.txt"
+    stream.write_text("".join(f"{p.x},{p.y}\n" for p in make_stream("uniform", 48, seed=1)))
+    state, snap, queries = root / "state.json", root / "snap.json", root / "q.txt"
+    assert run_cli(["--scale", "1", "build", "--input", str(stream), "--family", "halfplane",
+                    "--eps", "1/4", "--state", str(state), "--snapshot", str(snap)])[0] == 0
+    queries.write_text("net\ncount halfplane:1,0,0\n")
+    return root, stream, json.loads(state.read_text()), json.loads(snap.read_text()), queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_snapshot_exits_2_or_3(saved_files, data):
+    """A snapshot file broken anywhere is a parse (2) or validation (3)
+    error for every command that loads one, never a traceback."""
+    root, _, _, snap, queries = saved_files
+    path = root / "mutated_snap.json"
+    path.write_text(data.draw(_mutated_text(snap)))
+    for args in (["stats", "tukey-median"], ["query", "--queries", str(queries)]):
+        code, out = run_cli(args + ["--snapshot", str(path)])
+        assert code in (2, 3) and out == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_state_exits_2_or_3(saved_files, data):
+    """A state file broken anywhere stops ``build --resume`` with a parse (2)
+    or validation (3) error, never a traceback, and writes nothing."""
+    root, stream, state, _, _ = saved_files
+    path, out_state = root / "mutated_state.json", root / "resumed_state.json"
+    path.write_text(data.draw(_mutated_text(state)))
+    out_state.unlink(missing_ok=True)
+    code, out = run_cli(["--scale", "1", "build", "--input", str(stream), "--family", "halfplane",
+                         "--eps", "1/4", "--resume", str(path), "--state", str(out_state)])
+    assert code in (2, 3) and out == "" and not out_state.exists()

@@ -588,7 +588,8 @@ def test_slope_orders_match_the_fraction_separators(pts):
     """Integer pair slopes equal ``ranges._pair_slopes``, and the orders equal
     the Fraction separators' on tie-rich grids and near the 2^30 limit."""
     pts, _ = rangesums._collapse_multi(pts, [])
-    slopes, orders = rangesums._slope_orders(pts)
+    slopes, blocks = rangesums._slope_orders(pts, 2)
+    orders = np.concatenate(list(blocks))
     assert slopes.dtype == np.int64
     assert [Fraction(int(num), int(den)) for num, den in slopes] == _pair_slopes(pts)
     assert orders.tolist() == _reference_slope_orders(pts).tolist()

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -294,11 +295,27 @@ def _assert_median_matches_reference(snap):
     assert repr((pt, dv.value)) == repr(_reference_tukey_median(snap))
 
 
+# Stretches of the support that take its integer-scaled coordinates past
+# 2^30 (dtype object tables), and past what a float holds (no float screen).
+_STRETCHES = st.sampled_from([1, 1, (1 << 31) + 3, Fraction(1 << 600, 3)])
+
+
+def _wide_weights(data, pts):
+    """``_lms_weights``, or weights over large prime denominators whose
+    integer scaled sum reaches 2^63."""
+    if data.draw(st.booleans()):
+        return _lms_weights(data, pts)
+    heavy = [1, Fraction(1, (1 << 61) - 1), Fraction(5, (1 << 31) - 1)]
+    return (heavy[:len(pts)] + data.draw(st.lists(st.sampled_from(heavy), min_size=len(pts),
+                                                  max_size=len(pts))))[:len(pts)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(inp=_depth_inputs(), data=st.data())
 def test_median_matches_fraction_clipping_reference(inp, data):
-    pts, _ = inp
-    _assert_median_matches_reference(_weighted_snapshot(pts, _lms_weights(data, pts)))
+    stretch = data.draw(_STRETCHES)
+    pts = [Point2(p.x * stretch, p.y * stretch) for p in inp[0]]
+    _assert_median_matches_reference(_weighted_snapshot(pts, _wide_weights(data, pts)))
 
 
 @pytest.mark.parametrize("coords", [
@@ -509,13 +526,19 @@ def test_regression_depth_matches_oracle_on_unit_weights(inp):
 
 @st.composite
 def _fit_inputs(draw):
-    """A few columns of points sharing an x, a collinear run and duplicates."""
-    pts = [Point2(x, y) for x in draw(st.lists(_SMALL, min_size=1, max_size=3))
-           for y in draw(st.lists(_SMALL, min_size=1, max_size=2))]
+    """A few columns of points sharing an x, or one vertical column, a
+    collinear run, duplicates, and a stretch past 2^30."""
+    if draw(st.booleans()):
+        pts = [Point2(x, y) for x in draw(st.lists(_SMALL, min_size=1, max_size=3))
+               for y in draw(st.lists(_SMALL, min_size=1, max_size=2))]
+    else:
+        x = draw(_SMALL)
+        pts = [Point2(x, y) for y in draw(st.lists(_SMALL, min_size=2, max_size=5))]
     if draw(st.booleans()):
         ax, ay, dx, dy = draw(st.tuples(_SMALL, _SMALL, st.integers(0, 2), st.integers(-2, 2)))
         pts += [Point2(ax + t * dx, ay + t * dy) for t in range(3)]
-    return _with_duplicates(draw, pts)
+    stretch = draw(_STRETCHES)
+    return _with_duplicates(draw, [Point2(p.x * stretch, p.y * stretch) for p in pts])
 
 
 def _reference_max_regression_depth_fit(snap):
@@ -555,7 +578,7 @@ def _assert_fit_matches_reference(snap):
 @given(pts=_fit_inputs(), data=st.data())
 def test_max_fit_matches_fraction_reference(pts, data):
     assume(len(pts) >= 2)
-    _assert_fit_matches_reference(_weighted_snapshot(pts, _lms_weights(data, pts), "dwedge"))
+    _assert_fit_matches_reference(_weighted_snapshot(pts, _wide_weights(data, pts), "dwedge"))
 
 
 @pytest.mark.parametrize("coords", [
@@ -883,7 +906,8 @@ def test_theil_sen_matches_rescan_reference(inp, data):
                     min_size=1, max_size=10, unique=True))
 def test_slope_orders_sort_the_keys_at_each_pair_slope(pts):
     slopes = _pair_slopes(pts)
-    pairs, orders = _slope_orders(pts)
+    pairs, blocks = _slope_orders(pts, 2)
+    orders = np.concatenate(list(blocks))
     assert [Fraction(int(num), int(den)) for num, den in pairs] == slopes
     assert len(orders) == len(slopes) + 1
     for a, order in zip(slopes or [Fraction(0)], orders):
