@@ -1,20 +1,19 @@
 """Time every robust statistic on exact uniform snapshots.
 
-    python3 tools/stats_timing.py [--sizes 48,96,128] [--seed 5] [--repeats 3]
+    python3 tools/stats_timing.py
 
-Run from the repository root; the package is imported from ``src``.  For
-each size m, the m points of ``tests/streams.make_stream("uniform", m,
-seed)`` (integers in [-2^21, 2^21]) become one exact snapshot per range
-family at eps 1/4, with every weight 1, and each statistic is called on its
-family's snapshot ``--repeats`` times; the best wall-clock time is kept.
-The process pins itself to one CPU, the lowest it may use, and prints one
-JSON object: the settings, the host, and per size the seconds of each
-statistic, keyed by the name the CLI uses.
+For each size m in ``SIZES``, the m points of ``tests/streams.make_stream(
+"uniform", m, SEED)`` (integers in [-2^21, 2^21]) become one exact snapshot
+per range family at eps 1/4, with every weight 1, and each statistic is
+called on its family's snapshot ``REPEATS`` times; the best wall-clock time
+is kept.  The package is imported from ``src``.  The process pins itself to
+one CPU, the lowest it may use, and prints one JSON object: the settings,
+the host, and per size the seconds of each statistic, keyed by the name the
+CLI uses.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -31,6 +30,9 @@ import numpy as np  # noqa: E402
 from epsstream import Point2, make_config, stats  # noqa: E402
 from epsstream.engine import snapshot_of_exact  # noqa: E402
 
+SIZES = (48, 96, 128)
+SEED = 5
+REPEATS = 3
 SPAN = 1 << 21
 
 # CLI name -> (function in epsstream.stats, snapshot family, extra arguments)
@@ -53,17 +55,17 @@ def uniform_points(m: int, seed: int) -> list[Point2]:
     return [Point2(rng.randint(-SPAN, SPAN), rng.randint(-SPAN, SPAN)) for _ in range(m)]
 
 
-def time_sizes(sizes: list[int], seed: int, repeats: int) -> dict:
+def time_sizes() -> dict:
     out = {}
-    for m in sizes:
-        pts = uniform_points(m, seed)
+    for m in SIZES:
+        pts = uniform_points(m, SEED)
         snaps = {}
         row = {}
         for name, (func, family, args) in STATISTICS.items():
             if family not in snaps:
                 snaps[family] = snapshot_of_exact(pts, make_config(Fraction(1, 4), family))
             best = float("inf")
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 start = perf_counter()
                 getattr(stats, func)(snaps[family], *args)
                 best = min(best, perf_counter() - start)
@@ -72,21 +74,15 @@ def time_sizes(sizes: list[int], seed: int, repeats: int) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="48,96,128")
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
+def main() -> int:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     report = {
-        "settings": {"seed": args.seed, "eps": "1/4", "repeats": args.repeats, "best_of": True,
+        "settings": {"seed": SEED, "eps": "1/4", "repeats": REPEATS, "best_of": True,
                      "points": "make_stream('uniform', m, seed), exact snapshots"},
         "host": {"cpu": cpu, "python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine()},
-        "seconds": time_sizes(sizes, args.seed, args.repeats),
+        "seconds": time_sizes(),
     }
     print(json.dumps(report))
     return 0
