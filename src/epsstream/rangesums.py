@@ -18,11 +18,12 @@ Halfplanes have two sweeps with one meaning.  ``_apex_sweep`` rotates a
 line about one apex in Python and reads any exact values.  The int64 pass
 ``_max_halfplane_sums_np`` runs every apex's sweep at once, in blocks of
 apexes: O(m^2 log m) for m points, a practical form of the topological
-sweep of the line arrangement (Edelsbrunner and Guibas, 1989).  It takes
-integer coordinates below 2^30 in magnitude, so raw offsets and their
-cross products fit int64, and lists whose sum of |deltas| is below 2^62,
-the int64 rule every family shares.  It answers a call with the Python
-sweep whenever its float-hinted event order fails the exact check.
+sweep of the line arrangement (Edelsbrunner and Guibas, 1989), turning
+each line through half a turn and reading the other half as complements.
+It takes integer coordinates below 2^30 in magnitude, so raw offsets and
+their cross products fit int64, and lists whose sum of |deltas| is below
+2^62, the int64 rule every family shares.  It answers a call with the
+Python sweep whenever its float-hinted event order fails the exact check.
 
 The other six families measure all k delta lists of a call at once: the
 geometry, which does not depend on the deltas, is enumerated once per call,
@@ -74,10 +75,11 @@ _FLOAT_EXACT_LIMIT = 1 << 52
 
 # The int64 halfplane sweep takes |coordinates| below this (see its docstring).
 _NP_COORD_LIMIT = 1 << 30
-# Events per block of apexes in that sweep (rows of 2m events each), of
-# point pairs in the disk sweep (rows of m events), and of slopes in LMS
-# regression's windows (rows of m keys).  Time is flat from 2^13 up; larger
-# blocks only hold more temporaries at once.
+# Events per block of apexes in that sweep and of point pairs in the disk
+# sweep (rows of m events), and of slopes in LMS regression (rows of m
+# keys).  Halfplane pass, five pairing lists, best of 18 on one CPU, at
+# 2^13 / 2^14 / 2^15 / 2^16: m = 384 8.0 / 7.7 / 8.8 / 11.5 ms, m = 1024
+# 62 / 55 / 58 / 61 ms.
 _BLOCK_EVENTS = 1 << 14
 # The batched disk sweep takes integer coordinates whose x and y spreads
 # are below this (see ``_disk_events``).
@@ -97,6 +99,11 @@ _CHUNK_CELLS = 1 << 22
 # it is small: one transposing copy of the whole m x R matrix took 3-4x as
 # long at m = 1024-2048.
 _UNPACK_MASKS = 256
+
+
+def _block_rows(n: int) -> int:
+    """Apexes or point pairs per block of ``_BLOCK_EVENTS`` events, n a row."""
+    return max(1, _BLOCK_EVENTS // n)
 
 
 def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence]):
@@ -237,70 +244,68 @@ def _max_halfplane_sums_py(pts, delta_lists) -> list[int]:
 def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
     """Every apex sweep at once, in blocks of apexes; int64 throughout.
 
-    Callers guarantee every |coordinate| below 2^30 and every list's sum of
-    |deltas| below 2^62, so every partial sum, and the sum of two, fits
-    int64.  Row a of a block holds 2m events around apex a: point j joins
-    the open left side at the negated offset a - p_j and leaves it at the
-    raw offset p_j - a.  Raw offsets stay below 2^31, so
-    the cross product of two of them is below 2^62 and their difference
-    below 2^63.  Points coincident with the apex count in every sum from
-    the start and become zero-valued events at direction (1, 0).
+    Callers guarantee every |coordinate| below 2^30, so offsets stay below
+    2^31, the product of two below 2^62 and a cross product below 2^63, and
+    every list's sum S of |deltas| below 2^62.  Row a of a block holds m
+    events over half a turn, the directions [0, pi): a point whose offset
+    v = p_j - a lies in that upper half leaves the open left side at v, one
+    in the lower half joins it at -v, and copies of the apex count in every
+    sum from the start and are zero events at (1, 0).
 
-    Each row is sorted once, by a float angle hint with the event index as
-    tie-break, and the order is then checked exactly: the half-plane index
-    never decreases and, within a half, each adjacent pair turns
-    counterclockwise or not at all (cross >= 0).  Equal directions are the
-    adjacent pairs of one half with cross 0, and they get bitwise equal
-    hints.  The left sum starts at the points whose own direction lies in
-    [0, pi), and one cumulative sum per row and delta list then holds the
-    sum just past every direction.  Every apex is a point, so a closed
-    halfplane on a line through two or more points is also read there: at
-    the line's last point in the sweep direction, where every other point
-    of the line joins and none leaves.  If any row of any block fails the
-    check, the whole call is answered by the Python sweep; there is no
-    other path.
+    Each row is sorted by a float angle hint, ties by event index, and
+    checked exactly: as every event faces [0, pi), the order is right if no
+    adjacent pair turns clockwise (cross >= 0).  Equal directions, the
+    pairs with cross 0, get bitwise equal hints.  One cumulative sum per
+    row and list holds the sum L(d) just past every direction d.  Past
+    d + pi the line is the same with its sides swapped, and only the apex's
+    copies lie on it, so the sum there is total + base - L(d), with base
+    the copies' deltas: a row needs only the max and min of L.  That sum is
+    taken as (total - L) + base, the points off the left side plus a part
+    of L, so no intermediate exceeds S in magnitude.  A closed halfplane
+    whose line holds two or more points is read about the line's last
+    point on one side, turned slightly so the others fall inside.  If any
+    row fails the check, the Python sweep answers the whole call.
     """
     m = len(pts)
-    xs = np.array([p.x for p in pts], dtype=np.int64)
-    ys = np.array([p.y for p in pts], dtype=np.int64)
-    ds = np.array(delta_lists, dtype=np.int64).reshape(len(delta_lists), m)
-    best = np.abs(ds.sum(axis=1))
-    # event e < m is point e joining, m <= e < 2m point e - m leaving; 2m is zero
-    step_of = np.concatenate([ds, -ds, np.zeros((len(ds), 1), dtype=np.int64)], axis=1)
-    rows = max(1, _BLOCK_EVENTS // (2 * m))
-    shift = (2 * m - 1).bit_length()
-    scale = float(1 << (62 - shift))
+    xs, ys = np.array(pts, dtype=np.int64).reshape(m, 2).T
+    ds = np.array(delta_lists, dtype=np.int64).reshape(len(delta_lists), m).T
+    total = ds.sum(axis=0)
+    best = np.abs(total)
+    _, copy = np.unique(np.stack([xs, ys]), axis=1, return_inverse=True)
+    base = np.zeros_like(ds)  # row g sums the deltas at the g-th distinct point
+    np.add.at(base, copy, ds)
+    # event j leaves at slot j, joins at slot m + j; slot 2m is a zero event
+    step_of = np.concatenate([-ds, ds, np.zeros_like(ds[:1])])
+    rows = _block_rows(m)
+    shift = (m - 1).bit_length()
+    scale = float(1 << (63 - shift))
     for lo in range(0, m, rows):
         dx = xs[None, :] - xs[lo:lo + rows, None]
         dy = ys[None, :] - ys[lo:lo + rows, None]
         at_apex = (dx == 0) & (dy == 0)
         dx[at_apex] = 1
-        half = (dy < 0) | ((dy == 0) & (dx < 0))
-        left = ds @ (~half).T.astype(np.int64)
-        # angle hint in [0, 2), fixed point above the event index: 0.5 - q at
-        # (dx, dy) is 1.5 + q at (-dx, -dy), so equal directions tie exactly
-        q = dx / (2 * (np.abs(dx) + np.abs(dy)))
-        key = np.concatenate([np.where(half, 0.5 + q, 1.5 - q),
-                              np.where(half, 1.5 + q, 0.5 - q)], axis=1)
-        key = (key * scale).astype(np.int64) << shift
-        key |= np.arange(2 * m)
+        lower = (dy < 0) | ((dy == 0) & (dx < 0))
+        left = (~lower).astype(np.int64) @ ds
+        ex, ey = np.where(lower, -dx, dx), np.abs(dy)
+        # angle hint in [0, 1), fixed point above the event index; equal
+        # directions give equal quotients, so they tie exactly
+        key = ((0.5 - ex / (2 * (np.abs(ex) + ey))) * scale).astype(np.int64) << shift
+        key |= np.arange(m)
         order = np.sort(key, axis=1) & (1 << shift) - 1
-        flat = order + (2 * m * np.arange(order.shape[0]))[:, None]
-        ex = np.take(np.concatenate([-dx, dx], axis=1), flat)
-        ey = np.take(np.concatenate([-dy, dy], axis=1), flat)
-        eh = np.take(np.concatenate([~half, half], axis=1), flat)
+        flat = order + (m * np.arange(len(order)))[:, None]
+        ex, ey = np.take(ex, flat), np.take(ey, flat)
         cross = ex[:, :-1] * ey[:, 1:] - ey[:, :-1] * ex[:, 1:]
-        same = eh[:, :-1] == eh[:, 1:]
-        if (eh[:, :-1] > eh[:, 1:]).any() or (same & (cross < 0)).any():
+        if (cross < 0).any():
             return _max_halfplane_sums_py(pts, delta_lists)
+        slot = np.where(at_apex, 2 * m, np.arange(m) + m * lower)
+        # position x apex x list, so the cumulative sum adds whole rows
+        run = np.take(step_of, np.take(slot, flat).T, axis=0)
+        np.cumsum(run, axis=0, out=run)
         # sums are read past each direction, at the last event of its group
-        read = np.ones(order.shape, dtype=bool)
-        read[:, :-1] = ~(same & (cross == 0))
-        slot = np.where(np.concatenate([at_apex, at_apex], axis=1), 2 * m, np.arange(2 * m))
-        run = np.cumsum(np.take(step_of, np.take(slot, flat), axis=1), axis=2)
-        run = np.where(read, run, 0)
-        best = np.maximum(best, np.maximum(np.abs(left + run.max(axis=2)),
-                                           np.abs(left + run.min(axis=2))).max(axis=1))
+        run[:-1][(cross == 0).T] = 0
+        reads = left + np.stack([run.max(axis=0), run.min(axis=0)])
+        reads = np.concatenate([reads, (total - reads) + base[copy[lo:lo + rows]]])
+        best = np.maximum(best, np.abs(reads).max(axis=(0, 1)))
     return [int(v) for v in best]
 
 
@@ -488,11 +493,6 @@ class _DiskEvents(NamedTuple):
     end: np.ndarray     # P x n bool
 
 
-def _disk_pair_rows(n: int) -> int:
-    """Pairs per block of the batched disk sweep: ``_BLOCK_EVENTS`` events."""
-    return max(1, _BLOCK_EVENTS // n)
-
-
 def _disk_times(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Float event times alpha/beta, inf where beta = 0.  ``_disk_events``
     needs only that they never invert the exact order."""
@@ -549,7 +549,7 @@ def _max_disk_sums_np(xs: np.ndarray, ys: np.ndarray, deltas: np.ndarray) -> np.
     n = deltas.shape[1]
     best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
     ia, ib = np.triu_indices(n, 1)
-    rows = _disk_pair_rows(n)
+    rows = _block_rows(n)
     for lo in range(0, len(ia), rows):
         ev = _disk_events(xs, ys, ia[lo:lo + rows], ib[lo:lo + rows])
         state = (deltas @ ev.start.T.astype(np.int64))[..., None]

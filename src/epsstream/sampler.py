@@ -278,7 +278,8 @@ def _hilbert_keys(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     2^k x 2^k grid holding them all; consecutive indices are 4-neighbours.
 
     From the top bit down, the quadrant's two key bits are appended and the
-    lower bits are turned into the quadrant's own sub-curve frame.
+    lower bits are turned into the quadrant's own sub-curve frame.  Arrays
+    of any shape are keyed entry by entry, on the one grid holding them all.
     """
     x, y = gx.copy(), gy.copy()
     key = np.zeros_like(gx)
@@ -306,8 +307,9 @@ def _curve_keys(sample: WeightedSample, kind: FamilyKind) -> list[np.ndarray]:
     if kind is not FamilyKind.HALFPLANE:
         return [_z_order_keys(gx, gy)]
     top = (1 << _bit_length(gx, gy)) - 1  # the last grid line of the 2^k x 2^k grid
-    return [_z_order_keys(gx, gy), _hilbert_keys(gx, gy), _hilbert_keys(gy, gx),
-            _hilbert_keys(gx, top - gy), _hilbert_keys(gy, top - gx)]
+    # the four orientations as the rows of one pair of arrays: one pass over the bits
+    hilbert = _hilbert_keys(np.stack([gx, gy, gx, gy]), np.stack([gy, gx, top - gy, top - gx]))
+    return [_z_order_keys(gx, gy), *hilbert]
 
 
 def _paired_coloring(sample: WeightedSample, key: np.ndarray) -> Coloring:

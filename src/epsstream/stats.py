@@ -22,9 +22,8 @@ from . import rangesums
 from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
 from .ranges import FamilyKind, Point2
-from .rangesums import (_apex_sweep, _collapse_multi, _disk_columns, _disk_events,
-                        _disk_pair_events, _disk_pair_rows, _primitive, _slope_orders,
-                        _sorted_directions)
+from .rangesums import (_apex_sweep, _block_rows, _collapse_multi, _disk_columns, _disk_events,
+                        _disk_pair_events, _primitive, _slope_orders, _sorted_directions)
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -513,7 +512,7 @@ def _lms_disks_np(pts, gs, need: int, xs, ys) -> tuple:
     ab2 = (xs[ib] - xs[ia]) ** 2 + (ys[ib] - ys[ia]) ** 2
     by = np.argsort(ab2, kind="stable")
     ia, ib, ab2 = ia[by], ib[by], ab2[by]
-    rows = _disk_pair_rows(n)
+    rows = _block_rows(n)
     pos = np.arange(n)
     best = (math.inf,)
     for lo in range(0, len(ab2), rows):

@@ -134,10 +134,10 @@ def test_fraction_coordinates_take_the_exact_sweep():
 
 
 def _blocked_case():
-    """About 200 points: free points near the 2^30 limit, collinear runs,
+    """About 230 points: free points near the 2^30 limit, collinear runs,
     points in antipodal pairs about a shared middle point, and duplicates."""
     rng = random.Random(2024)
-    pts = [Point2(rng.randrange(-LIM, LIM + 1), rng.randrange(-LIM, LIM + 1)) for _ in range(80)]
+    pts = [Point2(rng.randrange(-LIM, LIM + 1), rng.randrange(-LIM, LIM + 1)) for _ in range(100)]
     for _ in range(10):  # 9 collinear points each, spread through a wide square
         ax, ay = (rng.randrange(-LIM + _SPREAD, LIM - _SPREAD) for _ in "xy")
         dx, dy = (rng.randrange(-(1 << 16), 1 << 16) for _ in "xy")
@@ -154,13 +154,64 @@ def _blocked_case():
 def test_blocked_sweep_across_blocks_matches_python_sweep(monkeypatch):
     pts, dls = _blocked_case()
     m = len(pts)
-    rows = max(1, rangesums._BLOCK_EVENTS // (2 * m))
+    rows = rangesums._block_rows(m)
     assert m >= 3 * rows, "the case should span at least 3 blocks of apexes"
     expected = _max_halfplane_sums_py(pts, dls)
     # the int64 pass itself must answer: its order check may not reject any row
     monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
     assert _max_halfplane_sums_np(pts, dls) == expected
     assert max_halfplane_sums(pts, dls) == expected
+
+
+def test_complement_reading_counts_every_copy_of_the_apex(monkeypatch):
+    """Past d + pi the sum is total + base - L(d), where base sums every copy
+    of the apex, not only the apex's own delta: here the two copies cancel,
+    so every halfplane sums to 0."""
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+    assert _max_halfplane_sums_np([Point2(0, 0), Point2(0, 0)], [[1, -1]]) == [0]
+
+
+@st.composite
+def _net_inputs(draw):
+    """Tie-rich small grids with duplicates, and delta lists whose sums are
+    not 0, like the net lists of ``verify_approximation`` (a halving's
+    lists always sum to 0)."""
+    pts = draw(st.lists(st.builds(Point2, st.integers(-3, 3), st.integers(-3, 3)),
+                        min_size=1, max_size=14))
+    pts += [pts[i % len(pts)] for i in draw(st.lists(st.integers(0, 99), max_size=6))]
+    dls = []
+    for _ in range(draw(st.integers(1, 3))):
+        dl = draw(st.lists(st.integers(-9, 9), min_size=len(pts), max_size=len(pts)))
+        dls.append(dl if sum(dl) else [dl[0] + 1] + dl[1:])
+    return pts, dls
+
+
+@settings(max_examples=100, deadline=None)
+@given(inp=_net_inputs(), block=st.sampled_from((1, 5, 16)))
+def test_blocked_sweep_with_copies_and_nonzero_sums(inp, block):
+    """Apex copies fall in different blocks of a few apexes each, and the
+    complement readings carry each list's nonzero total."""
+    pts, dls = inp
+    assert all(sum(dl) for dl in dls)
+    expected = _max_halfplane_sums_py(pts, dls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rangesums, "_BLOCK_EVENTS", block)
+        mp.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+        assert _max_halfplane_sums_np(pts, dls) == expected
+
+
+def test_complement_reading_near_two_to_the_sixty_two(monkeypatch):
+    """A subset holding only the right-hand point (1, 0) (two copies) is cut
+    out only by halfplanes whose inward normal lies within pi/4 of +x, so
+    every apex reads it past some d + pi, as a complement; its sum is the
+    maximum, and the list's sum of |deltas| is 2^62 - 1."""
+    big = (1 << 62) - 3
+    pts = [Point2(0, 1), Point2(1, 0), Point2(1, 0), Point2(0, -1)]
+    dls = [[-1, big - 7, 7, -1], [1, -7, -(big - 7), 1]]
+    assert all(sum(abs(d) for d in dl) == (1 << 62) - 1 for dl in dls)
+    assert _max_halfplane_sums_py(pts, dls) == [big, big]
+    monkeypatch.setattr(rangesums, "_max_halfplane_sums_py", _refuse)
+    assert _max_halfplane_sums_np(pts, dls) == [big, big]
 
 
 # From (0, 0) the middle two points lie in directions less than 2^-60 apart,
@@ -519,7 +570,7 @@ def _batched_groups(pts):
     batched sweep."""
     xs, ys = rangesums._disk_columns(pts)
     ia, ib = np.triu_indices(len(pts), 1)
-    rows = rangesums._disk_pair_rows(len(pts))
+    rows = rangesums._block_rows(len(pts))
     out = {}
     for lo in range(0, len(ia), rows):
         ev = rangesums._disk_events(xs, ys, ia[lo:lo + rows], ib[lo:lo + rows])
