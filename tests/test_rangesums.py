@@ -201,10 +201,10 @@ def test_blocked_sweep_with_copies_and_nonzero_sums(inp, block):
 
 
 def test_complement_reading_near_two_to_the_sixty_two(monkeypatch):
-    """A subset holding only the right-hand point (1, 0) (two copies) is cut
-    out only by halfplanes whose inward normal lies within pi/4 of +x, so
-    every apex reads it past some d + pi, as a complement; its sum is the
-    maximum, and the list's sum of |deltas| is 2^62 - 1."""
+    """The subset holding only (1, 0) (two copies) is cut out only by
+    halfplanes whose inward normal lies within pi/4 of +x, so the sweep
+    about (1, 0) reads it only past some d + pi, as a complement.  Its sum
+    is the maximum, and the list's sum of |deltas| is 2^62 - 1."""
     big = (1 << 62) - 3
     pts = [Point2(0, 1), Point2(1, 0), Point2(1, 0), Point2(0, -1)]
     dls = [[-1, big - 7, 7, -1], [1, -7, -(big - 7), 1]]
