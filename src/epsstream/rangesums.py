@@ -33,19 +33,20 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
 - Quadrants {x >= X, y >= Y}: one 2-D suffix sum of the k x X x Y grid of
   deltas over rank-compressed coordinates, in blocks of x-ranks.
 - Disks: the bisector events of every point pair are built and sorted
-  once per call, as int64 arrays over blocks of pairs (``_disk_events``,
-  which LMS location reads too), and every list is read off cumulative
-  sums along them.  Event times alpha/beta are sorted by float key: with
-  integer coordinates whose x and y spreads are below 2^25, |alpha| and
-  |beta| stay below 2^53, so both convert exactly, the correctly rounded
-  quotient never inverts the exact order, and only adjacent events with
-  equal float times are compared exactly, in Python ints.
-- Slabs: the distinct pair slopes are reduced int64 (num, den), float
-  sorted and checked exactly; the order at the slope separator just below
-  num/den is the stable sort of the keys y*den - x*num (``_slope_orders``,
-  which LMS regression reads too).  A slab's sum is the difference of two
-  prefix sums along an order, taken for all slopes of a block at once.
-  The int64 pass takes |coordinates| below 2^30, so every key fits.
+  once per call, over blocks of pairs (``_disk_events``, which LMS location
+  reads too), and every list is read off cumulative sums along them.
+  Event times alpha/beta are sorted by float key: with x and y spreads
+  below 2^25, |alpha| and |beta| stay below 2^53, so both convert exactly,
+  the correctly rounded quotient never inverts the exact order, and only
+  adjacent events with equal float times are compared exactly, in Python
+  ints.  Wider spreads take Python-int columns, whose quotients are
+  correctly rounded too.
+- Slabs: the distinct pair slopes are reduced (num, den), float sorted and
+  checked exactly; the order at the slope separator just below num/den is
+  the stable sort of the keys y*den - x*num (``_slope_orders``, which LMS
+  regression reads too).  A slab's sum is the difference of two prefix
+  sums along an order, taken for all slopes of a block at once.  The
+  columns are int64 while |coordinates| are below 2^30, so every key fits.
 - Vertical parallelograms: the same orders, with prefix sums split by
   x-rank, so every x-strip's prefix sums are one difference of two tables.
 - Wedges and double wedges: the halfplane subsets' membership rows are
@@ -53,10 +54,11 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
   product, chunked, over the upper triangle of the pairs.  Sums stay exact
   integers below 2^52; larger lists raise ``OverflowError``.
 
-Disks and slabs each keep one Python fallback for inputs outside those
-ranges (Fraction coordinates, larger spreads or coordinates, or Python-int
-delta matrices): the per-pair sweep ``_disk_pair_events`` and the
-Fraction-separator sort ``_slope_orders_py``.
+Disks and slabs have one sweep each, on integer columns (``_int_columns``).
+Fraction coordinates are scaled by the lcm of their denominators; scaling
+and translating the points keeps every induced disk and slab subset.  The
+columns are int64 inside the ranges above and Python ints (dtype object)
+outside them, in the same code.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ranges import FamilyKind, Point2, _pair_slopes, _slope_separators
+from .ranges import FamilyKind, Point2
 
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
 
-# The int64 halfplane sweep takes |coordinates| below this (see its docstring).
+# The int64 halfplane sweep takes |coordinates| below this (see its docstring),
+# and slope columns are int64 below it.
 _NP_COORD_LIMIT = 1 << 30
 # Events per block of apexes in that sweep and of point pairs in the disk
 # sweep (rows of m events), and of slopes in LMS regression (rows of m
@@ -81,8 +84,8 @@ _NP_COORD_LIMIT = 1 << 30
 # 2^13 / 2^14 / 2^15 / 2^16: m = 384 8.0 / 7.7 / 8.8 / 11.5 ms, m = 1024
 # 62 / 55 / 58 / 61 ms.
 _BLOCK_EVENTS = 1 << 14
-# The batched disk sweep takes integer coordinates whose x and y spreads
-# are below this (see ``_disk_events``).
+# Disk columns are int64 while their x and y spreads are below this (see
+# ``_disk_events``).
 _DISK_SPREAD_LIMIT = 1 << 25
 # Integer delta matrices, and the int64 halfplane sweep's, are int64 while
 # every list's sum of |deltas| is below this; Python ints from it on.
@@ -261,10 +264,14 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
     copies lie on it, so the sum there is total + base - L(d), with base
     the copies' deltas: a row needs only the max and min of L.  That sum is
     taken as (total - L) + base, the points off the left side plus a part
-    of L, so no intermediate exceeds S in magnitude.  A closed halfplane
-    whose line holds two or more points is read about the line's last
-    point on one side, turned slightly so the others fall inside.  If any
-    row fails the check, the Python sweep answers the whole call.
+    of L, so no intermediate exceeds S in magnitude.  L starts at the sum
+    of the upper half and the copies, half of total + base less the row's
+    last step sum (lower minus upper); twice it is at most 2S < 2^63 in
+    magnitude, so an int64 wrap in that sum's intermediates cancels out.
+    A closed halfplane whose line holds two or more points is read about
+    the line's last point on one side, turned slightly so the others fall
+    inside.  If any row fails the check, the Python sweep answers the
+    whole call.
     """
     m = len(pts)
     xs, ys = np.array(pts, dtype=np.int64).reshape(m, 2).T
@@ -285,7 +292,6 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
         at_apex = (dx == 0) & (dy == 0)
         dx[at_apex] = 1
         lower = (dy < 0) | ((dy == 0) & (dx < 0))
-        left = (~lower).astype(np.int64) @ ds
         ex, ey = np.where(lower, -dx, dx), np.abs(dy)
         # angle hint in [0, 1), fixed point above the event index; equal
         # directions give equal quotients, so they tie exactly
@@ -301,10 +307,12 @@ def _max_halfplane_sums_np(pts, delta_lists) -> list[int]:
         # position x apex x list, so the cumulative sum adds whole rows
         run = np.take(step_of, np.take(slot, flat).T, axis=0)
         np.cumsum(run, axis=0, out=run)
+        here = base[copy[lo:lo + rows]]
+        left = (total + here - run[-1]) // 2
         # sums are read past each direction, at the last event of its group
         run[:-1][(cross == 0).T] = 0
         reads = left + np.stack([run.max(axis=0), run.min(axis=0)])
-        reads = np.concatenate([reads, (total - reads) + base[copy[lo:lo + rows]]])
+        reads = np.concatenate([reads, (total - reads) + here])
         best = np.maximum(best, np.abs(reads).max(axis=(0, 1)))
     return [int(v) for v in best]
 
@@ -418,60 +426,25 @@ def max_quadrant_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]
 # ---------------------------------------------------------------------------
 
 
-def _t_less(e, f) -> bool:
-    """alpha/beta < alpha'/beta' for events (alpha, beta, idx), beta of either sign."""
-    lhs = e[0] * f[1]
-    rhs = f[0] * e[1]
-    return lhs < rhs if (e[1] > 0) == (f[1] > 0) else lhs > rhs
+def _int_columns(pts: Sequence[Point2], limit: int, shift: bool = False):
+    """The x and y columns of ``pts`` times s, the lcm of the coordinates'
+    denominators (1 for ints), and s; shifted to start at 0 if ``shift``.
 
-
-def _disk_pair_events(pts: Sequence[Point2], i: int, j: int):
-    """The bisector sweep of the disks through A = pts[i] and B = pts[j].
-
-    With center M + t*u, M the midpoint and u = (A.y - B.y, B.x - A.x), the
-    squared radius is |AB|^2 * (1/4 + t^2), and point C is inside while
-    beta*t >= alpha (on the line AB, beta = 0, for all t or none).  Returns
-    the indices inside at t = -inf, the events (alpha, beta, index) off the
-    line, exactly sorted by time alpha/beta, and each group's last position.
-
-    This per-pair Python form is the fallback of the batched sweep
-    (``_disk_events``) for inputs outside its range.
+    The columns are int64 while every |entry| is below ``limit``, and
+    Python ints (dtype object) from it on.
     """
-    A, B = pts[i], pts[j]
-    ux, uy = A.y - B.y, B.x - A.x
-    events: list[tuple[int, int, int]] = []
-    start = []
-    for ci, C in enumerate(pts):
-        bx = C.x - A.x
-        by = C.y - A.y
-        beta = 2 * (bx * ux + by * uy)
-        alpha = (C.x * C.x + C.y * C.y - A.x * A.x - A.y * A.y
-                 - bx * (A.x + B.x) - by * (A.y + B.y))
-        if beta == 0:
-            if alpha <= 0:
-                start.append(ci)
-        else:
-            if beta < 0:
-                start.append(ci)
-            events.append((alpha, beta, ci))
-    events.sort(key=lambda e: e[0] / e[1])
-    _exact_resort(events, _t_less)
-    last = len(events) - 1
-    ends = [a for a in range(len(events)) if a == last or _t_less(events[a], events[a + 1])]
-    return start, events, ends
+    s = math.lcm(*(c.denominator for p in pts for c in p))
+    cols = [[c.numerator * (s // c.denominator) for c in col] for col in zip(*pts)]
+    if shift:
+        cols = [[v - low for v in col] for col, low in zip(cols, map(min, cols))]
+    dtype = np.int64 if max(abs(v) for col in cols for v in col) < limit else object
+    return np.array(cols[0], dtype=dtype), np.array(cols[1], dtype=dtype), s
 
 
 def _disk_columns(pts: Sequence[Point2]):
-    """int64 x and y columns, shifted to start at 0, for the batched disk
-    sweep; None if a coordinate is not an int or the x or y spread reaches
-    ``_DISK_SPREAD_LIMIT``."""
-    if not all(isinstance(p.x, int) and isinstance(p.y, int) for p in pts):
-        return None
-    x0, y0 = min(p.x for p in pts), min(p.y for p in pts)
-    if max(max(p.x - x0, p.y - y0) for p in pts) >= _DISK_SPREAD_LIMIT:
-        return None
-    return (np.array([p.x - x0 for p in pts], dtype=np.int64),
-            np.array([p.y - y0 for p in pts], dtype=np.int64))
+    """``_int_columns`` for the disk sweep: shifted to start at 0, int64
+    while the x and y spreads are below ``_DISK_SPREAD_LIMIT``."""
+    return _int_columns(pts, _DISK_SPREAD_LIMIT, shift=True)
 
 
 class _DiskEvents(NamedTuple):
@@ -483,8 +456,8 @@ class _DiskEvents(NamedTuple):
     marks the last event of each group of equal times.
     """
 
-    alpha: np.ndarray   # P x n int64, (C - A).(C - B)
-    beta: np.ndarray    # P x n int64, 2 (C - A).u
+    alpha: np.ndarray   # P x n, (C - A).(C - B), in the columns' dtype
+    beta: np.ndarray    # P x n, 2 (C - A).u, in the columns' dtype
     start: np.ndarray   # P x n bool, inside at t = -inf
     order: np.ndarray   # P x n intp
     time: np.ndarray    # P x n float64, alpha/beta; inf past the events
@@ -493,35 +466,49 @@ class _DiskEvents(NamedTuple):
     end: np.ndarray     # P x n bool
 
 
-def _disk_times(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Float event times alpha/beta, inf where beta = 0.  ``_disk_events``
-    needs only that they never invert the exact order."""
-    return np.divide(alpha, beta, out=np.full(alpha.shape, np.inf), where=beta != 0)
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Float num/den, inf where den = 0, as sort keys whose strict order is
+    the exact order.
+
+    Each is correctly rounded: numpy's on int64 entries that convert to
+    float64 exactly, Python's int division on Python ints, where a quotient
+    is first clamped to 2^1000 in magnitude so it cannot overflow.  Rounding
+    and clamping are monotone, so they never invert the exact order.
+    """
+    if num.dtype == object:
+        cap = np.abs(den) << 1000
+        num = np.clip(num, -cap, cap)
+    return np.divide(num, den, out=np.full(num.shape, np.inf), where=den != 0, casting="unsafe")
 
 
 def _disk_events(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> _DiskEvents:
-    """``_disk_pair_events`` for every pair (i[r], j[r]) at once, on columns
-    from ``_disk_columns``.
+    """The bisector sweeps of the disks through A = pts[i[r]] and
+    B = pts[j[r]], for every r at once, on columns from ``_disk_columns``.
 
-    alpha = (C - A).(C - B) and beta = 2 (C - A).u do not depend on the
-    origin.  With x and y spreads at most D < 2^25, every component of
-    C - A, C - B and u is at most D in magnitude, so |alpha| <= 2 D^2 < 2^51
-    and |beta| <= 4 D^2 < 2^52: both convert to float64 exactly.  The
-    quotient alpha/beta is then correctly rounded, and rounding is monotone,
-    so a strict order of the float times is the exact order.  Each row is
-    sorted stably by float time (inf where beta = 0, so those points come
-    last), and only adjacent events with bitwise equal times are compared
-    exactly, in Python ints: a run of them is re-sorted exactly, and its
-    group ends are where the exact times change.  Within a group the order
-    is left as it falls, since every consumer reads a group's sums or its
-    set of points.
+    With center M + t*u, M the midpoint of AB and u = (A.y - B.y,
+    B.x - A.x), the squared radius is |AB|^2 (1/4 + t^2), and point C is
+    inside while beta*t >= alpha, for alpha = (C - A).(C - B) and
+    beta = 2 (C - A).u (on the line AB, beta = 0, for all t or none).
+    Neither depends on the origin, and scaling the points by s multiplies
+    both by s^2, so the times do not change.  On int64 columns, x and y
+    spreads at most D < 2^25 keep every component of C - A, C - B and u at
+    most D in magnitude, so |alpha| <= 2 D^2 < 2^51 and
+    |beta| <= 4 D^2 < 2^52 convert to float64 exactly; on Python-int
+    columns, Python's int division is correctly rounded as it stands.
+    Either way a strict order of the float times (``_quotients``) is the
+    exact order.  Each row is sorted stably by float time (inf where
+    beta = 0, so those points come last), and only adjacent events with
+    bitwise equal times are compared exactly, in Python ints: a run of them
+    is re-sorted exactly, and its group ends are where the exact times
+    change.  Within a group the order is left as it falls, since every
+    consumer reads a group's sums or its set of points.
     """
     ax, ay = xs[i, None], ys[i, None]
     bx, by = xs[j, None], ys[j, None]
     cx, cy = xs - ax, ys - ay
     alpha = cx * (xs - bx) + cy * (ys - by)
     beta = 2 * (cx * (ay - by) + cy * (bx - ax))
-    key = _disk_times(alpha, beta)
+    key = _quotients(alpha, beta)
     order = np.argsort(key, axis=1, kind="stable")
     time = np.take_along_axis(key, order, axis=1)
     same = (time[:, 1:] == time[:, :-1]) & np.isfinite(time[:, 1:])
@@ -545,7 +532,7 @@ def _disk_events(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -
 
 
 def _max_disk_sums_np(xs: np.ndarray, ys: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The batched sweep's sums: at the start and just past each group."""
+    """The sweep's sums: at the start and just past each group."""
     n = deltas.shape[1]
     best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
     ia, ib = np.triu_indices(n, 1)
@@ -561,30 +548,6 @@ def _max_disk_sums_np(xs: np.ndarray, ys: np.ndarray, deltas: np.ndarray) -> np.
     return best
 
 
-def _max_disk_sums_py(pts: Sequence[Point2], deltas: np.ndarray) -> np.ndarray:
-    """The per-pair fallback: each pair's ``_disk_pair_events``, read off two
-    cumulative sums along its sorted events."""
-    k, n = deltas.shape
-    best = np.maximum(np.abs(deltas).max(axis=1), np.abs(deltas.sum(axis=1)))
-    zero = np.zeros((k, 1), dtype=deltas.dtype)
-    for i in range(n):
-        for j in range(i + 1, n):
-            start, events, ends = _disk_pair_events(pts, i, j)
-            state = deltas[:, start].sum(axis=1, keepdims=True)
-            if not events:
-                best = np.maximum(best, np.abs(state[:, 0]))
-                continue
-            cols = deltas[:, [e[2] for e in events]]
-            enters = np.array([e[1] > 0 for e in events])
-            entered = np.cumsum(np.where(enters, cols, 0), axis=1)[:, ends]
-            run = np.cumsum(np.where(enters, cols, -cols), axis=1)[:, ends]
-            before = np.concatenate([zero, run[:, :-1]], axis=1)
-            entering = entered - np.concatenate([zero, entered[:, :-1]], axis=1)
-            sums = state + np.concatenate([zero, run, before + entering], axis=1)
-            best = np.maximum(best, np.abs(sums).max(axis=1))
-    return best
-
-
 def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:
     """Radius-0 disks, the whole set, and the disks through each pair A, B.
 
@@ -595,19 +558,16 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
     points) needs no read of its own: for the pair of two points adjacent
     on that circle, every other point on it lies on one side of their
     line, so the whole group enters, or leaves, at once, and the closed
-    circle's sum is the sum just past the group or just before it.  Int64
-    delta matrices on ``_disk_columns``' range take the batched sweep;
-    others take the per-pair fallback, which reads every group's circle.
+    circle's sum is the sum just past the group or just before it.  The
+    columns and the delta matrix are each int64 or Python ints
+    (``_disk_columns``, ``_delta_matrix``), in the same sweep.
     """
     pts, delta_lists = _collapse_multi(pts, delta_lists)
     k = len(delta_lists)
     if not pts or not k:
         return [0] * k
-    deltas = _delta_matrix(delta_lists, len(pts))
-    columns = _disk_columns(pts)
-    if columns is None or deltas.dtype == object:
-        return [int(v) for v in _max_disk_sums_py(pts, deltas)]
-    return [int(v) for v in _max_disk_sums_np(*columns, deltas)]
+    xs, ys, _ = _disk_columns(pts)
+    return [int(v) for v in _max_disk_sums_np(xs, ys, _delta_matrix(delta_lists, len(pts)))]
 
 
 # ---------------------------------------------------------------------------
@@ -616,31 +576,18 @@ def max_disk_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) ->
 # ---------------------------------------------------------------------------
 
 
-def _slope_orders_py(pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
-    """``_slope_orders`` in Python numbers: the fallback for Fraction or
-    large coordinates.  Each order sorts the keys y - a*x at a slope
-    separator a (``ranges._slope_separators``), where no two keys tie."""
-    slopes = _pair_slopes(pts)
-    orders = []
-    coords = [(p.x, p.y) for p in pts]
-    for a in _slope_separators(slopes):
-        num, den = a.numerator, a.denominator
-        keys = [y * den - x * num for x, y in coords]
-        orders.append(sorted(range(len(keys)), key=keys.__getitem__))
-    return (np.array([(a.numerator, a.denominator) for a in slopes], dtype=object).reshape(-1, 2),
-            np.array(orders, dtype=np.intp))
-
-
 def _slope_orders_np(xs: np.ndarray, ys: np.ndarray,
                      rows: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """``_slope_orders`` on int64 columns with |coordinate| below 2^30.
+    """``_slope_orders`` on columns from ``_int_columns``.
 
     The points are taken in (x, y) order, so the pair slopes are reduced
-    (num, den) with den > 0, and |num| and den are below 2^31: they convert
-    to float64 exactly, a strict order of the float slopes is the exact
-    order, and the cross products that settle equal floats stay below 2^62.
+    (num, den) with den > 0.  On int64 columns, with |coordinate| below
+    2^30, |num| and den are below 2^31: they convert to float64 exactly, a
+    strict order of the float slopes (``_quotients``) is the exact order,
+    and the cross products that settle equal floats stay below 2^62.
     Every key y*den - x*num stays below 2^62 in magnitude, and at the top
-    row, num + den over den, below 2^63.
+    row, num + den over den, below 2^63.  Python-int columns take the same
+    steps in Python ints.
     """
     m = len(xs)
     by_x = np.lexsort((ys, xs))
@@ -651,17 +598,17 @@ def _slope_orders_np(xs: np.ndarray, ys: np.ndarray,
     dx, dy = dx[off], dy[off]
     g = np.gcd(dy, dx)
     num, den = dy // g, dx // g
-    pick = np.lexsort((den, num, num / den))
+    pick = np.lexsort((den, num, _quotients(num, den)))
     num, den = num[pick], den[pick]
     new = np.ones(len(num), dtype=bool)
     new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
     num, den = num[new], den[new]
     if (num[1:] * den[:-1] < num[:-1] * den[1:]).any():  # equal floats, misordered
         exact = sorted(zip(num.tolist(), den.tolist()), key=lambda s: Fraction(*s))
-        num, den = (np.array(v, dtype=np.int64) for v in zip(*exact))
+        num, den = (np.array(v, dtype=xs.dtype) for v in zip(*exact))
     slopes = np.stack([num, den], axis=1)
     seps = (np.concatenate([slopes, [[num[-1] + den[-1], den[-1]]]]) if len(slopes)
-            else np.array([[0, 1]], dtype=np.int64))
+            else np.array([[0, 1]], dtype=xs.dtype))
 
     def blocks():
         for lo in range(0, len(seps), rows):
@@ -687,17 +634,12 @@ def _slope_orders(pts: Sequence[Point2], rows: int) -> tuple[np.ndarray, Iterato
     Just below num/den, the keys y*den - x*num of points tied at num/den
     order by ascending x: so that order is the stable sort of the keys at
     num/den over the points in (x, y) order, which is ``_collapse_multi``'s.
-    Integer coordinates below ``_NP_COORD_LIMIT`` in magnitude take the
-    int64 pass ``_slope_orders_np``; others the Python sort
-    ``_slope_orders_py``, whose slope array holds Python ints and whose
-    orders are all sorted at once.
+    The keys are read on ``_int_columns``, scaled by a positive integer,
+    which keeps every slope and order; they are int64 while every |scaled
+    coordinate| is below ``_NP_COORD_LIMIT``, and Python ints from it on.
     """
-    if all(isinstance(p.x, int) and isinstance(p.y, int)
-           and max(abs(p.x), abs(p.y)) < _NP_COORD_LIMIT for p in pts):
-        return _slope_orders_np(np.array([p.x for p in pts], dtype=np.int64),
-                                np.array([p.y for p in pts], dtype=np.int64), rows)
-    slopes, orders = _slope_orders_py(pts)
-    return slopes, (orders[lo:lo + rows] for lo in range(0, len(orders), rows))
+    xs, ys, _ = _int_columns(pts, _NP_COORD_LIMIT)
+    return _slope_orders_np(xs, ys, rows)
 
 
 def max_slab_sum(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int]]) -> list[int]:

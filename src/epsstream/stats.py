@@ -22,8 +22,9 @@ from . import rangesums
 from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
 from .ranges import FamilyKind, Point2
-from .rangesums import (_apex_sweep, _block_rows, _collapse_multi, _disk_columns, _disk_events,
-                        _disk_pair_events, _primitive, _slope_orders, _sorted_directions)
+from .rangesums import (_apex_sweep, _block_rows, _collapse_multi, _delta_matrix, _disk_columns,
+                        _disk_events, _int_columns, _primitive, _slope_orders_np,
+                        _sorted_directions)
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -162,11 +163,7 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
         best = min(pts, key=lambda p: (-_depth_of(snap, p), p))
         return best, DepthValue(_depth_of(snap, best), snap.eps)
 
-    scale = math.lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-    sx = [p.x.numerator * (scale // p.x.denominator) for p in pts]
-    sy = [p.y.numerator * (scale // p.y.denominator) for p in pts]
-    coord = np.int64 if max(map(abs, sx + sy)) < rangesums._NP_COORD_LIMIT else object
-    xs, ys = np.array(sx, dtype=coord), np.array(sy, dtype=coord)
+    xs, ys, scale = _int_columns(pts, rangesums._NP_COORD_LIMIT)
     # normals of all support directions, both ways (parallel ones bound the same halfplanes)
     i, j = np.triu_indices(len(pts), 1)
     spans = (xs[i] != xs[j]) | (ys[i] != ys[j])
@@ -183,8 +180,8 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     levels = np.sort(np.append(run[:, :-1][vals[:, 1:] != vals[:, :-1]], run[0, -1]))
     levels = levels[np.append(True, levels[1:] != levels[:-1])]
     rows, uxf, uyf = np.arange(len(ux)), _floats(ux), _floats(uy)
-    lo_x, hi_x = min(sx) - scale, max(sx) + scale
-    lo_y, hi_y = min(sy) - scale, max(sy) + scale
+    lo_x, hi_x = int(xs.min()) - scale, int(xs.max()) + scale
+    lo_y, hi_y = int(ys.min()) - scale, int(ys.max()) + scale
     box = [(lo_x, lo_y, 1, (0, 1, lo_y)), (hi_x, lo_y, 1, (1, 0, hi_x)),
            (hi_x, hi_y, 1, (0, 1, hi_y)), (lo_x, hi_y, 1, (1, 0, lo_x))]
 
@@ -503,10 +500,13 @@ class LmsDisk:
 _SCREEN = 1 + 2.0 ** -40
 
 
-def _lms_disks_np(pts, gs, need: int, xs, ys) -> tuple:
-    """``lms_location``'s least key over the batched bisector sweeps
-    (``rangesums._disk_events``) of the pairs, in blocks in |AB|^2 order."""
-    g = np.array(gs, dtype=np.int64)
+def _lms_disks_np(pts, g: np.ndarray, need: int, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """``lms_location``'s least key over the bisector sweeps
+    (``rangesums._disk_events``) of the pairs, in blocks in |AB|^2 order.
+
+    Squared radii are in the units of the columns; centers are read off
+    ``pts``, since the event times do not depend on the columns' scale.
+    """
     n = len(g)
     ia, ib = np.triu_indices(n, 1)
     ab2 = (xs[ib] - xs[ia]) ** 2 + (ys[ib] - ys[ia]) ** 2
@@ -514,7 +514,7 @@ def _lms_disks_np(pts, gs, need: int, xs, ys) -> tuple:
     ia, ib, ab2 = ia[by], ib[by], ab2[by]
     rows = _block_rows(n)
     pos = np.arange(n)
-    best = (math.inf,)
+    best = (math.inf,)  # (r2, 1 diametral or 2 circumcircle, index key, center)
     for lo in range(0, len(ab2), rows):
         if int(ab2[lo]) > 4 * best[0]:
             break  # every disk through these pairs is larger
@@ -560,40 +560,6 @@ def _lms_disks_np(pts, gs, need: int, xs, ys) -> tuple:
     return best
 
 
-def _lms_disks_py(pts, gs, need: int) -> tuple:
-    """``lms_location``'s least key, pair by pair over the fallback sweep
-    ``rangesums._disk_pair_events``."""
-    best = (math.inf,)  # (r2, 1 diametral or 2 circumcircle, index key, center)
-    for ab2, i, j in sorted(((q.x - p.x) ** 2 + (q.y - p.y) ** 2, i, j)
-                            for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j):
-        if ab2 > 4 * best[0]:
-            break  # every disk through this pair is larger
-        start, events, ends = _disk_pair_events(pts, i, j)
-        run, at_zero, near, lo = sum(gs[c] for c in start), None, {}, 0
-        for end in ends:
-            group, lo = events[lo:end + 1], end + 1
-            alpha, beta, _ = group[0]
-            side = (alpha > 0) - (alpha < 0) if beta > 0 else (alpha < 0) - (alpha > 0)
-            entering = sum(gs[c] for _, b, c in group if b > 0)
-            if at_zero is None and side >= 0:
-                at_zero = run + entering if side == 0 else run
-            if side and run + entering >= need:
-                near[side] = group  # the last feasible circle below t = 0, the first above
-                if side > 0:
-                    break
-            run += entering - sum(gs[c] for _, b, c in group if b < 0)
-        A, B = pts[i], pts[j]
-        mx, my = Fraction(A.x + B.x, 2), Fraction(A.y + B.y, 2)
-        if (run if at_zero is None else at_zero) >= need:
-            best = min(best, (Fraction(ab2, 4), 1, (i, j), (mx, my)))
-        for group in near.values():
-            t = Fraction(group[0][0], group[0][1])
-            circle = tuple(sorted({i, j, *(c for _, _, c in group)})[:3])
-            best = min(best, (ab2 * (Fraction(1, 4) + t * t), 2, circle,
-                              (mx + t * (A.y - B.y), my + t * (B.x - A.x))))
-    return best
-
-
 def lms_location(snap: Snapshot) -> LmsDisk:
     """Smallest canonical disk holding a (1/2 + eps) fraction of the snapshot.
 
@@ -607,12 +573,15 @@ def lms_location(snap: Snapshot) -> LmsDisk:
     to circumcircles by the least index triple on the circle.
 
     Pairs are taken in order of |AB|^2, and none past 4 times the best
-    squared radius is swept.  Integer supports on the disk measure's range
-    (``rangesums._disk_columns``) with weights summing below 2^62 sweep
-    blocks of pairs in int64 (``rangesums._disk_events``), O(m^3 log m)
-    numpy work, and stop at the first block past that bound; candidates
-    are screened by float r^2 and settled in Fractions.  Other supports
-    sweep pair by pair in Python (``rangesums._disk_pair_events``).
+    squared radius is swept.  The disk measure's sweep
+    (``rangesums._disk_events``) runs on its columns
+    (``rangesums._disk_columns``), scaled by s to integers, over blocks of
+    pairs, O(m^3 log m) numpy work, and stops at the first block past that
+    bound; candidates are screened by float r^2 and settled in Fractions,
+    and the least r^2 is divided by s^2.  The columns and the weights are
+    each int64 or Python ints.  The float screen needs the least r^2, at
+    most D^2 for a scaled spread D, in the float range: supports whose
+    scaled spread reaches 2^500 raise ``OverflowError``.
     """
     _require(snap, FamilyKind.DISK, "lms_location")
     if snap.eps >= Fraction(1, 2):
@@ -623,50 +592,49 @@ def lms_location(snap: Snapshot) -> LmsDisk:
     heavy = [p for p, g in zip(pts, gs) if g >= need]
     if heavy:
         return LmsDisk((Fraction(heavy[0].x), Fraction(heavy[0].y)), Fraction(0))
-    columns = _disk_columns(pts)
-    if columns is not None and sum(gs) < rangesums._INT64_SUM_LIMIT:
-        best = _lms_disks_np(pts, gs, need, *columns)
-    else:
-        best = _lms_disks_py(pts, gs, need)
+    xs, ys, scale = _disk_columns(pts)
+    if max(int(xs.max()), int(ys.max())) >= 1 << 500:
+        raise OverflowError("lms_location: support spread too large for the float screen")
+    best = _lms_disks_np(pts, _delta_matrix([gs], len(pts))[0], need, xs, ys)
     if best[0] == math.inf:
         raise EpsStreamError("no feasible disk (internal)")
-    return LmsDisk(best[3], best[0])
+    return LmsDisk(best[3], best[0] / (scale * scale))
 
 
-def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, blocks, step: int) -> tuple:
-    """``lms_regression``'s least (width, slope, lower intercept) over int64
+def _lms_slabs_np(xs: np.ndarray, ys: np.ndarray, g: np.ndarray, need: int,
+                  slopes: np.ndarray, blocks, step: int) -> tuple:
+    """``lms_regression``'s least (width, slope, lower intercept) over
     windows, in the blocks of ``step`` slopes that ``blocks`` orders.
 
     Along row r the keys den*y - num*x ascend.  Prefix masses of the rows
     of a block, offset by row so the block is one ascending array, give
     every window start at once: the last start whose prefix is at most the
-    end's prefix minus ``need``.  Each row keeps its least (width, low
-    key); rows whose float width is within ``_SCREEN`` of the least are
-    settled in Fractions.
+    end's prefix minus ``need``; on int64 masses that needs ``step`` times
+    the total mass plus one below 2^63.  A window with no start is marked
+    by the row's key span plus one, which no width reaches.  Each row keeps
+    its least (width, low key); rows whose float width is within
+    ``_SCREEN`` of the least are settled in Fractions.
     """
-    m = len(pts)
-    xs = np.array([p.x for p in pts], dtype=np.int64)
-    ys = np.array([p.y for p in pts], dtype=np.int64)
-    g = np.array(gs, dtype=np.int64)
+    m = len(g)
     total = int(g.sum())
-    top = np.iinfo(np.int64).max
     best = (math.inf,)
     for lo, order in zip(range(0, len(slopes), step), blocks):
         num, den = slopes[lo:lo + step, :1], slopes[lo:lo + step, 1:]
         order = order[:len(num)]  # the last block may end with the order above every slope
         keys = ys[order] * den - xs[order] * num
         row = np.arange(len(order))[:, None]
-        prefix = np.zeros((len(order), m + 1), dtype=np.int64)
+        prefix = np.zeros((len(order), m + 1), dtype=g.dtype)
         np.cumsum(g[order], axis=1, out=prefix[:, 1:])
         target = prefix[:, 1:] - need
-        shift = row * (total + 1)  # rows apart, in one ascending array
+        shift = row.astype(g.dtype) * (total + 1)  # rows apart, in one ascending array
         first = np.searchsorted((prefix + shift).ravel(), (target + shift).ravel(), side="right")
         first = first.reshape(target.shape) - 1 - row * (m + 1)
         low = np.take_along_axis(keys, np.clip(first, 0, m - 1), axis=1)
+        top = keys[:, -1:] - keys[:, :1] + 1
         width = np.where(target >= 0, keys - low, top)
         least = width.min(axis=1)
-        low = np.where(width == least[:, None], low, top).min(axis=1)
-        widths = np.where(least < top, least / den[:, 0], np.inf)
+        low = np.where(width == least[:, None], low, keys[:, -1:]).min(axis=1)
+        widths = np.where(least < top[:, 0], least / den[:, 0], np.inf)
         limit = min(widths.min(), float(best[0])) * _SCREEN
         if limit == np.inf:
             continue
@@ -677,27 +645,6 @@ def _lms_slabs_np(pts, gs, need: int, slopes: np.ndarray, blocks, step: int) -> 
     return best
 
 
-def _lms_slabs_py(pts, gs, need: int, slopes: np.ndarray, blocks) -> tuple:
-    """``lms_regression``'s least (width, slope, lower intercept) by one
-    Python window per slope: the fallback for exact numbers."""
-    cands = []
-    for (num, den), order in zip(slopes.tolist(), (o for b in blocks for o in b.tolist())):
-        keys = [pts[i].y * den - pts[i].x * num for i in order]
-        spans = []
-        lo = run = 0
-        for hi, i in enumerate(order):
-            run += gs[i]
-            while run - gs[order[lo]] >= need:
-                run -= gs[order[lo]]
-                lo += 1
-            if run >= need:
-                spans.append((keys[hi] - keys[lo], keys[lo]))
-        if spans:
-            width, blo = min(spans)
-            cands.append((Fraction(width, den), Fraction(num, den), Fraction(blo, den)))
-    return min(cands, default=(math.inf,))
-
-
 def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     """Minimum-vertical-width slab holding a (1/2 + eps) fraction; returns
     its central line and the width.
@@ -706,11 +653,12 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     measure's order at the separator just below it
     (``rangesums._slope_orders``) sorts the integer keys den*y - num*x, so
     one window along it on the integer scaled weights finds the narrowest
-    slabs.  Ties go to the least (width, slope, lower intercept).  With
-    integer coordinates below 2^30 in magnitude and weights summing below
-    2^62, the windows of all O(m^2) slopes run in int64 numpy blocks
-    (``_lms_slabs_np``), O(m^3 log m) in all; other supports take one
-    Python window per slope.
+    slabs.  Ties go to the least (width, slope, lower intercept).  The
+    windows of all O(m^2) slopes run in numpy blocks (``_lms_slabs_np``),
+    O(m^3 log m) in all, on the measure's columns, scaled by s to integers
+    (``rangesums._int_columns``), and the intercept and width are divided
+    by s.  The columns and the weights are each int64 or Python ints; a
+    float width past the float range raises ``OverflowError``.
     """
     _require(snap, FamilyKind.SLAB, "lms_regression")
     if snap.eps >= Fraction(1, 2):
@@ -720,12 +668,13 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
     need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
-    step = max(1, min(rangesums._BLOCK_EVENTS // len(pts), ((1 << 63) - 1) // (sum(gs) + 1)))
-    slopes, blocks = _slope_orders(pts, step)
+    step = max(1, rangesums._BLOCK_EVENTS // len(pts))
+    # int64 masses while a block's row offsets stay below 2^63
+    g = np.array(gs, dtype=np.int64 if step * (sum(gs) + 1) < 1 << 63 else object)
+    xs, ys, scale = _int_columns(pts, rangesums._NP_COORD_LIMIT)
+    slopes, blocks = _slope_orders_np(xs, ys, step)
     rows = slopes if len(slopes) else np.array([[0, 1]], dtype=slopes.dtype)
-    batched = slopes.dtype != object and sum(gs) < rangesums._INT64_SUM_LIMIT
-    width, a, blo = (_lms_slabs_np(pts, gs, need, rows, blocks, step) if batched
-                     else _lms_slabs_py(pts, gs, need, rows, blocks))
+    width, a, blo = _lms_slabs_np(xs, ys, g, need, rows, blocks, step)
     if width == math.inf:
         raise EpsStreamError("no feasible slab (internal)")
-    return FitLine(a, blo + width / 2), width
+    return FitLine(a, (blo + width / 2) / scale), width / scale

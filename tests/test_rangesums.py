@@ -16,6 +16,7 @@ at up to each family's ``verify_size``; past 2^62 they must stay exact on
 Python ints, and the float wedge measures must refuse sums from 2^52 on.
 """
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -35,7 +36,6 @@ from epsstream.rangesums import (
     _max_halfplane_sums_np,
     _max_halfplane_sums_py,
     _sorted_directions,
-    _t_less,
     halfplane_subset_masks,
     max_halfplane_sums,
     max_range_sums,
@@ -258,13 +258,13 @@ def test_float_colliding_directions_sort_exactly(flip):
 
 
 def test_exact_resort_keeps_ties_in_order():
-    """Disk sweep events (alpha, beta, idx) at times alpha/beta: the first
-    two tie as floats and are misordered; the last ties the second exactly."""
-    big = 10 ** 18
-    events = [(big + 3, 3, 0), (big, 3, 1), (2 * big, 6, 2)]
-    assert (big + 3) / 3 == big / 3
-    _exact_resort(events, _t_less)
-    assert events == [(big, 3, 1), (2 * big, 6, 2), (big + 3, 3, 0)]
+    """Tagged directions: the first two tie as float angles and are
+    misordered; the last ties the first exactly."""
+    steep, shallow = (LIM, LIM - 1), (LIM - 1, LIM - 2)
+    assert math.atan2(steep[1], steep[0]) == math.atan2(shallow[1], shallow[0])
+    items = [(steep, 0), (shallow, 1), (steep, 2)]
+    _exact_resort(items, lambda a, b: _dir_less(a[0], b[0]))
+    assert items == [(shallow, 1), (steep, 0), (steep, 2)]
 
 
 @st.composite
@@ -557,18 +557,26 @@ def _sweep_points(draw, coord=st.integers(-6, 6)):
 
 
 def _reference_groups(pts, i, j):
-    start, events, ends = rangesums._disk_pair_events(pts, i, j)
-    groups, lo = [], 0
-    for end in ends:
-        groups.append({e[2] for e in events[lo:end + 1]})
-        lo = end + 1
-    return set(start), groups
+    """The start set and the ordered group sets of the disks through
+    A = pts[i] and B = pts[j], centered at M + t*u: point C is inside while
+    beta*t >= alpha.  The events are sorted by exact time alpha/beta."""
+    A, B = pts[i], pts[j]
+    ux, uy = A.y - B.y, B.x - A.x
+    start, groups = set(), {}
+    for c, C in enumerate(pts):
+        alpha = (C.x - A.x) * (C.x - B.x) + (C.y - A.y) * (C.y - B.y)
+        beta = 2 * ((C.x - A.x) * ux + (C.y - A.y) * uy)
+        if beta < 0 or (beta == 0 and alpha <= 0):
+            start.add(c)
+        if beta:
+            groups.setdefault(Fraction(alpha, beta), set()).add(c)
+    return start, [groups[t] for t in sorted(groups)]
 
 
 def _batched_groups(pts):
     """Per pair (i, j): the start set and the ordered group sets of the
     batched sweep."""
-    xs, ys = rangesums._disk_columns(pts)
+    xs, ys, _ = rangesums._disk_columns(pts)
     ia, ib = np.triu_indices(len(pts), 1)
     rows = rangesums._block_rows(len(pts))
     out = {}
@@ -609,7 +617,7 @@ def test_batched_disk_events_match_the_per_pair_sweep(patch, pts):
         if patch == "block":
             mp.setattr(rangesums, "_BLOCK_EVENTS", 1)
         elif patch == "coarse":
-            mp.setattr(rangesums, "_disk_times", _coarse_times(rangesums._disk_times))
+            mp.setattr(rangesums, "_quotients", _coarse_times(rangesums._quotients))
         batched = _batched_groups(pts)
     assert batched == {(i, j): _reference_groups(pts, i, j)
                        for i in range(len(pts)) for j in range(i + 1, len(pts))}
@@ -621,9 +629,32 @@ def test_batched_disk_events_at_the_spread_limit():
     pts, _ = rangesums._collapse_multi([Point2(0, 0), Point2(top, 0), Point2(0, top),
                                         Point2(top, top), Point2(top // 2, top // 3),
                                         Point2(1, top - 1), Point2(top - 1, 1)], [])
-    assert rangesums._disk_columns(pts) is not None
+    assert rangesums._disk_columns(pts)[0].dtype == np.int64
     assert _batched_groups(pts) == {(i, j): _reference_groups(pts, i, j)
                                     for i in range(len(pts)) for j in range(i + 1, len(pts))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(pts=_sweep_points())
+def test_disk_events_on_python_int_columns(pts):
+    """Scaled by 2^40 and shifted by 2^60, the columns pass the int64
+    spread and hold Python ints; every group is unchanged."""
+    pts, _ = rangesums._collapse_multi(pts, [])
+    assume(len(pts) >= 2)
+    far = [Point2((p.x << 40) + (1 << 60), (p.y << 40) - (1 << 60)) for p in pts]
+    assert rangesums._disk_columns(far)[0].dtype == object
+    assert _batched_groups(far) == {(i, j): _reference_groups(pts, i, j)
+                                    for i in range(len(pts)) for j in range(i + 1, len(pts))}
+
+
+def test_disk_times_past_the_float_range():
+    """A point nearly on the line AB, 2^600 away, has event time about
+    -2^1201: clamped, its float time keeps its place."""
+    big = 1 << 600
+    pts = [Point2(0, 0), Point2(big, big - 1), Point2(-big - 1, -big), Point2(3, 5),
+           Point2(big // 2, 7)]
+    dls = [[1, -2, 3, -1, 2], [2, 2, -3, 1, -1]]
+    assert rangesums.max_disk_sum(pts, dls) == _brute(FamilyKind.DISK, pts, dls)
 
 
 def _reference_slope_orders(pts):
@@ -637,15 +668,18 @@ def _reference_slope_orders(pts):
 @given(pts=st.one_of(_sweep_points(), _point_sets()))
 def test_slope_orders_match_the_fraction_separators(pts):
     """Integer pair slopes equal ``ranges._pair_slopes``, and the orders equal
-    the Fraction separators' on tie-rich grids and near the 2^30 limit."""
+    the Fraction separators' on tie-rich grids and near the 2^30 limit, on
+    int64 and on Python-int columns."""
     pts, _ = rangesums._collapse_multi(pts, [])
     slopes, blocks = rangesums._slope_orders(pts, 2)
     orders = np.concatenate(list(blocks))
     assert slopes.dtype == np.int64
     assert [Fraction(int(num), int(den)) for num, den in slopes] == _pair_slopes(pts)
     assert orders.tolist() == _reference_slope_orders(pts).tolist()
-    py_slopes, py_orders = rangesums._slope_orders_py(pts)
-    assert py_slopes.tolist() == slopes.tolist() and py_orders.tolist() == orders.tolist()
+    far = [Point2((p.x << 31) + (1 << 80), p.y << 31) for p in pts]
+    far_slopes, far_blocks = rangesums._slope_orders(far, 2)
+    assert far_slopes.dtype == object and far_slopes.tolist() == slopes.tolist()
+    assert np.concatenate(list(far_blocks)).tolist() == orders.tolist()
 
 
 @pytest.mark.parametrize("kind", [FamilyKind.DISK, FamilyKind.SLAB, FamilyKind.VPARALLELOGRAM],
@@ -662,11 +696,21 @@ def test_batched_measures_match_the_oracle_on_cocircular_points(kind, data):
         assert max_range_sums(kind, pts, dls) == expected
 
 
-# -- which path ran ----------------------------------------------------------------
+# -- which columns ------------------------------------------------------------------
 
 
-def _no_fallback(*_args):
-    raise AssertionError("fallback sweep ran")
+def _spy_columns(monkeypatch) -> list:
+    """Record the dtype of every column pair ``_int_columns`` builds."""
+    dtypes = []
+    real = rangesums._int_columns
+
+    def spy(*args, **kwargs):
+        xs, ys, s = real(*args, **kwargs)
+        dtypes.append(xs.dtype)
+        return xs, ys, s
+
+    monkeypatch.setattr(rangesums, "_int_columns", spy)
+    return dtypes
 
 
 def _benchmark_range_case(seed=7, m=40):
@@ -681,33 +725,31 @@ def _benchmark_range_case(seed=7, m=40):
 
 
 @pytest.mark.parametrize("measure", ["max_disk_sum", "max_slab_sum", "max_vpar_sum"])
-def test_benchmark_coordinates_stay_on_the_batched_sweeps(measure, monkeypatch):
+def test_benchmark_coordinates_take_int64_columns(measure, monkeypatch):
     pts, dls = _benchmark_range_case(m=40 if measure != "max_vpar_sum" else 8)
-    fn = getattr(rangesums, measure)
-    expected = fn(pts, dls)
-    for name in ("_disk_pair_events", "_max_disk_sums_py", "_slope_orders_py"):
-        monkeypatch.setattr(rangesums, name, _no_fallback)
-    assert fn(pts, dls) == expected
+    dtypes = _spy_columns(monkeypatch)
+    getattr(rangesums, measure)(pts, dls)
+    assert dtypes == [np.int64]
 
 
 _TIES = [Point2(x, y) for x, y in [(0, 0), (3, 4), (4, 3), (-5, 0), (0, 5), (1, 1), (2, 2),
                                    (3, 3), (-3, 1), (5, 0), (0, -5), (3, 4)]]
 
 
-@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28])
-def test_far_or_fraction_coordinates_take_the_fallbacks(scale, monkeypatch):
-    """Scaling the points scales every disk and slab, so each measure must
-    give the unscaled answer; from a spread of 2^25 (disks), |c| of 2^30
-    (slopes) or Fraction coordinates the fallbacks give it."""
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28, 1 << 40])
+def test_far_or_fraction_coordinates_give_the_unscaled_answers(scale, monkeypatch):
+    """Scaling the points scales every disk, slab and vertical
+    parallelogram, so each measure must give the unscaled answer.  Disk
+    columns hold Python ints from a spread of 2^25 and slope columns from
+    |c| = 2^30 (at 2^40 their products pass 2^63); Fraction coordinates are
+    scaled back to integers."""
     dls = [[(-1) ** i * (i + 1) for i in range(len(_TIES))], [1, -2] * (len(_TIES) // 2)]
-    expected = {fn: fn(_TIES, dls) for fn in (rangesums.max_disk_sum, rangesums.max_slab_sum)}
+    measures = (rangesums.max_disk_sum, rangesums.max_slab_sum, rangesums.max_vpar_sum)
+    expected = {fn: fn(_TIES, dls) for fn in measures}
     scaled = [Point2(p.x * scale, p.y * scale) for p in _TIES]
-    calls = []
-    for name in ("_max_disk_sums_py", "_slope_orders_py"):
-        real = getattr(rangesums, name)
-        monkeypatch.setattr(rangesums, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    dtypes = _spy_columns(monkeypatch)
     for fn, want in expected.items():
         assert fn(scaled, dls) == want
-    assert calls == (["_max_disk_sums_py", "_slope_orders_py"] if scale != 1 << 23
-                     else ["_max_disk_sums_py"])
+    disk, slope = {Fraction(1, 3): (np.int64, np.int64), 1 << 23: (object, np.int64)}.get(
+        scale, (object, object))
+    assert dtypes == [disk, slope, slope]

@@ -915,11 +915,23 @@ def test_slope_orders_sort_the_keys_at_each_pair_slope(pts):
         assert keys == sorted(keys)
 
 
-# -- which LMS path ran ------------------------------------------------------------
+# -- which LMS columns ---------------------------------------------------------------
 
 
-def _no_fallback(*_args):
-    raise AssertionError("fallback sweep ran")
+def _spy_columns(monkeypatch) -> list:
+    """Record the dtype of every column pair ``_int_columns`` builds, for
+    the disk columns and for LMS regression's own call."""
+    dtypes = []
+    real = rangesums._int_columns
+
+    def spy(*args, **kwargs):
+        xs, ys, s = real(*args, **kwargs)
+        dtypes.append(xs.dtype)
+        return xs, ys, s
+
+    monkeypatch.setattr(rangesums, "_int_columns", spy)
+    monkeypatch.setattr(stats, "_int_columns", spy)
+    return dtypes
 
 
 def _lms_snapshots(pts, eps=Fraction(1, 8)):
@@ -932,20 +944,18 @@ _LMS_TIES = [(0, 0), (3, 4), (4, 3), (-5, 0), (0, 5), (1, 1), (2, 2), (3, 3), (-
              (0, -5), (3, 4), (-4, -3), (2, -1)]
 
 
-def test_lms_at_benchmark_coordinates_stays_on_the_batched_sweeps(monkeypatch):
-    """With |c| <= 2^21, as the benchmark draws them, neither statistic may
-    fall back to its per-pair or per-slope Python path."""
+def test_lms_at_benchmark_coordinates_take_int64_columns(monkeypatch):
+    """With |c| <= 2^21, as the benchmark draws them, both statistics sweep
+    int64 columns."""
     rng = random.Random(11)
     c = 1 << 21
     pts = [Point2(rng.randint(-c, c), rng.randint(-c, c)) for _ in range(30)]
     pts += [Point2(c - 5 + x, y) for x, y in _LMS_TIES]
     disk_snap, slab_snap = _lms_snapshots(pts)
-    expected = lms_location(disk_snap), lms_regression(slab_snap)
-    for owner, name in ((rangesums, "_disk_pair_events"), (stats, "_disk_pair_events"),
-                        (rangesums, "_slope_orders_py"), (stats, "_lms_disks_py"),
-                        (stats, "_lms_slabs_py")):
-        monkeypatch.setattr(owner, name, _no_fallback)
-    assert (lms_location(disk_snap), lms_regression(slab_snap)) == expected
+    dtypes = _spy_columns(monkeypatch)
+    lms_location(disk_snap)
+    lms_regression(slab_snap)
+    assert dtypes == [np.int64, np.int64]
 
 
 def test_lms_with_one_pair_or_slope_per_block(monkeypatch):
@@ -954,29 +964,31 @@ def test_lms_with_one_pair_or_slope_per_block(monkeypatch):
     disk_snap, slab_snap = _lms_snapshots([Point2(x, y) for x, y in _LMS_TIES])
     expected = lms_location(disk_snap), lms_regression(slab_snap)
     monkeypatch.setattr(rangesums, "_BLOCK_EVENTS", 1)
-    for name in ("_lms_disks_py", "_lms_slabs_py"):
-        monkeypatch.setattr(stats, name, _no_fallback)
     assert (lms_location(disk_snap), lms_regression(slab_snap)) == expected
 
 
-@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28])
-def test_lms_far_or_fraction_coordinates_take_the_fallbacks(scale, monkeypatch):
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28, 1 << 40])
+def test_lms_far_or_fraction_coordinates_give_the_scaled_answers(scale, monkeypatch):
     """Scaling the support by s scales the least disk's center by s and its
-    radius^2 by s^2, and the narrowest slab's intercept and width by s; the
-    fallbacks must give those answers where the batched sweeps cannot run."""
+    radius^2 by s^2, and the narrowest slab's intercept and width by s.
+    Disk columns hold Python ints from a spread of 2^25 and slope columns
+    from |c| = 2^30 (at 2^40 their products pass 2^63); Fraction
+    coordinates are scaled back to integers."""
     pts = [Point2(x, y) for x, y in _LMS_TIES]
     disk, (fit, width) = (lms_location(_lms_snapshots(pts)[0]),
                           lms_regression(_lms_snapshots(pts)[1]))
-    calls = []
-    for name in ("_lms_disks_py", "_lms_slabs_py"):
-        real = getattr(stats, name)
-        monkeypatch.setattr(stats, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
     disk_snap, slab_snap = _lms_snapshots([Point2(p.x * scale, p.y * scale) for p in pts])
+    dtypes = _spy_columns(monkeypatch)
     got = lms_location(disk_snap)
     assert (got.center, got.radius2) == ((disk.center[0] * scale, disk.center[1] * scale),
                                          disk.radius2 * scale * scale)
     assert lms_regression(slab_snap) == (FitLine(fit.slope, fit.intercept * scale),
                                          width * scale)
-    assert calls == (["_lms_disks_py", "_lms_slabs_py"] if scale != 1 << 23
-                     else ["_lms_disks_py"])
+    assert dtypes == list({Fraction(1, 3): (np.int64, np.int64),
+                           1 << 23: (object, np.int64)}.get(scale, (object, object)))
+
+
+def test_lms_location_refuses_spreads_past_the_float_screen():
+    pts = [Point2(x << 500, y << 500) for x, y in _LMS_TIES]
+    with pytest.raises(OverflowError):
+        lms_location(_lms_snapshots(pts)[0])
