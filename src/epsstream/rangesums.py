@@ -472,13 +472,19 @@ def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
     Each is correctly rounded: numpy's on int64 entries that convert to
     float64 exactly, Python's int division on Python ints, where a quotient
-    is first clamped to 2^1000 in magnitude so it cannot overflow.  Rounding
-    and clamping are monotone, so they never invert the exact order.
+    is first clamped to 2^1000 in magnitude so it cannot overflow, and a
+    nonzero one that rounds to 0 is lifted to the least float of its sign,
+    so every sign is exact.  Rounding, clamping and lifting are monotone, so
+    they never invert the exact order.
     """
-    if num.dtype == object:
-        cap = np.abs(den) << 1000
-        num = np.clip(num, -cap, cap)
-    return np.divide(num, den, out=np.full(num.shape, np.inf), where=den != 0, casting="unsafe")
+    out = np.full(num.shape, np.inf)
+    if num.dtype != object:
+        return np.divide(num, den, out=out, where=den != 0)
+    cap = np.abs(den) << 1000
+    q = np.divide(np.clip(num, -cap, cap), den, out=out, where=den != 0, casting="unsafe")
+    tiny = (q == 0) & (num != 0)
+    q[tiny] = np.where((num[tiny] > 0) == (den[tiny] > 0), 5e-324, -5e-324)
+    return q
 
 
 def _disk_events(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> _DiskEvents:

@@ -500,12 +500,23 @@ class LmsDisk:
 _SCREEN = 1 + 2.0 ** -40
 
 
+def _ratios(num: np.ndarray, den) -> np.ndarray:
+    """The screens' keys num/den: float64 on int64 arrays, and exact
+    Fractions on Python ints (dtype object), whose size no float range
+    limits."""
+    return np.frompyfunc(Fraction, 2, 1)(num, den) if num.dtype == object else num / den
+
+
 def _lms_disks_np(pts, g: np.ndarray, need: int, xs: np.ndarray, ys: np.ndarray) -> tuple:
     """``lms_location``'s least key over the bisector sweeps
     (``rangesums._disk_events``) of the pairs, in blocks in |AB|^2 order.
 
     Squared radii are in the units of the columns; centers are read off
     ``pts``, since the event times do not depend on the columns' scale.
+    On int64 columns candidates are screened by float r^2, and those
+    within ``_SCREEN`` of the least are settled in Fractions; on Python-int
+    columns the screen's r^2 are Fractions (``_ratios``) and only the least
+    are settled.
     """
     n = len(g)
     ia, ib = np.triu_indices(n, 1)
@@ -535,11 +546,15 @@ def _lms_disks_np(pts, g: np.ndarray, need: int, xs: np.ndarray, ys: np.ndarray)
         above = np.where(feasible & (ev.time > 0), pos, n).min(axis=1)
         at_zero = (start + np.where(ev.time <= 0, entering, 0).sum(axis=1)
                    - np.where(ev.time < 0, leaving, 0).sum(axis=1))
-        r2 = [np.where(at_zero >= need, b2 / 4, np.inf)]
+        r2 = [np.where(at_zero >= need, _ratios(b2, 4), np.inf)]
         for p, ok in ((below, below >= 0), (above, above < n)):
-            t = np.take_along_axis(ev.time, np.minimum(p, n - 1)[:, None], axis=1)[:, 0]
-            r2.append(np.where(ok, b2 * (0.25 + t * t), np.inf))
-        limit = min(min(v.min() for v in r2), float(best[0])) * _SCREEN
+            c = np.take_along_axis(ev.order, np.minimum(p, n - 1)[:, None], axis=1)
+            t = _ratios(np.take_along_axis(ev.alpha, c, axis=1)[:, 0],
+                        np.where(ok, np.take_along_axis(ev.beta, c, axis=1)[:, 0], 1))
+            r2.append(np.where(ok, b2 * (4 * t * t + 1) / 4, np.inf))
+        least = min(v.min() for v in r2)
+        limit = (min(least, best[0]) if b2.dtype == object
+                 else min(least, float(best[0])) * _SCREEN)
         if limit == np.inf:
             continue
         for r in np.flatnonzero(r2[0] <= limit):
@@ -577,11 +592,10 @@ def lms_location(snap: Snapshot) -> LmsDisk:
     (``rangesums._disk_events``) runs on its columns
     (``rangesums._disk_columns``), scaled by s to integers, over blocks of
     pairs, O(m^3 log m) numpy work, and stops at the first block past that
-    bound; candidates are screened by float r^2 and settled in Fractions,
-    and the least r^2 is divided by s^2.  The columns and the weights are
-    each int64 or Python ints.  The float screen needs the least r^2, at
-    most D^2 for a scaled spread D, in the float range: supports whose
-    scaled spread reaches 2^500 raise ``OverflowError``.
+    bound; candidates are screened by r^2, float on int64 columns and
+    exact on Python-int ones, and settled in Fractions, and the least r^2
+    is divided by s^2.  The columns and the weights are each int64 or
+    Python ints, so no spread or scale is out of range.
     """
     _require(snap, FamilyKind.DISK, "lms_location")
     if snap.eps >= Fraction(1, 2):
@@ -593,8 +607,6 @@ def lms_location(snap: Snapshot) -> LmsDisk:
     if heavy:
         return LmsDisk((Fraction(heavy[0].x), Fraction(heavy[0].y)), Fraction(0))
     xs, ys, scale = _disk_columns(pts)
-    if max(int(xs.max()), int(ys.max())) >= 1 << 500:
-        raise OverflowError("lms_location: support spread too large for the float screen")
     best = _lms_disks_np(pts, _delta_matrix([gs], len(pts))[0], need, xs, ys)
     if best[0] == math.inf:
         raise EpsStreamError("no feasible disk (internal)")
@@ -612,8 +624,9 @@ def _lms_slabs_np(xs: np.ndarray, ys: np.ndarray, g: np.ndarray, need: int,
     end's prefix minus ``need``; on int64 masses that needs ``step`` times
     the total mass plus one below 2^63.  A window with no start is marked
     by the row's key span plus one, which no width reaches.  Each row keeps
-    its least (width, low key); rows whose float width is within
-    ``_SCREEN`` of the least are settled in Fractions.
+    its least (width, low key); rows whose width (``_ratios``: float on
+    int64 keys, within ``_SCREEN`` of the least, or exact on Python ints)
+    is least are settled in Fractions.
     """
     m = len(g)
     total = int(g.sum())
@@ -634,8 +647,9 @@ def _lms_slabs_np(xs: np.ndarray, ys: np.ndarray, g: np.ndarray, need: int,
         width = np.where(target >= 0, keys - low, top)
         least = width.min(axis=1)
         low = np.where(width == least[:, None], low, keys[:, -1:]).min(axis=1)
-        widths = np.where(least < top[:, 0], least / den[:, 0], np.inf)
-        limit = min(widths.min(), float(best[0])) * _SCREEN
+        widths = np.where(least < top[:, 0], _ratios(least, den[:, 0]), np.inf)
+        limit = (min(widths.min(), best[0]) if widths.dtype == object
+                 else min(widths.min(), float(best[0])) * _SCREEN)
         if limit == np.inf:
             continue
         for r in np.flatnonzero(widths <= limit):
@@ -657,8 +671,8 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     windows of all O(m^2) slopes run in numpy blocks (``_lms_slabs_np``),
     O(m^3 log m) in all, on the measure's columns, scaled by s to integers
     (``rangesums._int_columns``), and the intercept and width are divided
-    by s.  The columns and the weights are each int64 or Python ints; a
-    float width past the float range raises ``OverflowError``.
+    by s.  The columns and the weights are each int64 or Python ints, so
+    no coordinate or weight is out of range.
     """
     _require(snap, FamilyKind.SLAB, "lms_regression")
     if snap.eps >= Fraction(1, 2):
@@ -668,9 +682,12 @@ def lms_regression(snap: Snapshot) -> tuple[FitLine, Fraction]:
     if len(pts) < 2:
         raise EpsStreamError("need at least 2 distinct support points")
     need = math.ceil((Fraction(1, 2) + snap.eps) * snap.n * denom)
-    step = max(1, rangesums._BLOCK_EVENTS // len(pts))
-    # int64 masses while a block's row offsets stay below 2^63
-    g = np.array(gs, dtype=np.int64 if step * (sum(gs) + 1) < 1 << 63 else object)
+    total = sum(gs)
+    int64 = total < rangesums._INT64_SUM_LIMIT
+    g = np.array(gs, dtype=np.int64 if int64 else object)
+    # on int64 masses a block's row offsets, step * (total + 1), stay below 2^63
+    cap = ((1 << 63) - 1) // (total + 1) if int64 else rangesums._BLOCK_EVENTS
+    step = max(1, min(rangesums._BLOCK_EVENTS // len(pts), cap))
     xs, ys, scale = _int_columns(pts, rangesums._NP_COORD_LIMIT)
     slopes, blocks = _slope_orders_np(xs, ys, step)
     rows = slopes if len(slopes) else np.array([[0, 1]], dtype=slopes.dtype)

@@ -657,6 +657,17 @@ def test_disk_times_past_the_float_range():
     assert rangesums.max_disk_sum(pts, dls) == _brute(FamilyKind.DISK, pts, dls)
 
 
+def test_quotients_below_the_float_range_keep_their_signs():
+    """Python-int quotients that round to 0.0 become the least float of
+    their sign; exact zeros stay 0."""
+    big = 1 << 1200
+    num = np.array([-1, 1, 0, 1, 0, 3], dtype=object)
+    den = np.array([big, big, big, -big, -big, 0], dtype=object)
+    q = rangesums._quotients(num, den)
+    assert np.array_equal(np.sign(q), [-1, 1, 0, -1, 0, 1])
+    assert np.abs(q[[0, 1, 3]]).tolist() == [5e-324] * 3 and q[5] == np.inf
+
+
 def _reference_slope_orders(pts):
     """The orders at the Fraction slope separators, sorted in Python."""
     slopes = _pair_slopes(pts)

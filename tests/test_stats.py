@@ -967,13 +967,14 @@ def test_lms_with_one_pair_or_slope_per_block(monkeypatch):
     assert (lms_location(disk_snap), lms_regression(slab_snap)) == expected
 
 
-@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28, 1 << 40])
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 1 << 23, 1 << 28, 1 << 40, 1 << 600])
 def test_lms_far_or_fraction_coordinates_give_the_scaled_answers(scale, monkeypatch):
     """Scaling the support by s scales the least disk's center by s and its
     radius^2 by s^2, and the narrowest slab's intercept and width by s.
     Disk columns hold Python ints from a spread of 2^25 and slope columns
-    from |c| = 2^30 (at 2^40 their products pass 2^63); Fraction
-    coordinates are scaled back to integers."""
+    from |c| = 2^30 (at 2^40 their products pass 2^63, and at 2^600 the
+    squared radii and widths pass the float range); Fraction coordinates
+    are scaled back to integers."""
     pts = [Point2(x, y) for x, y in _LMS_TIES]
     disk, (fit, width) = (lms_location(_lms_snapshots(pts)[0]),
                           lms_regression(_lms_snapshots(pts)[1]))
@@ -988,7 +989,48 @@ def test_lms_far_or_fraction_coordinates_give_the_scaled_answers(scale, monkeypa
                            1 << 23: (object, np.int64)}.get(scale, (object, object)))
 
 
-def test_lms_location_refuses_spreads_past_the_float_screen():
-    pts = [Point2(x << 500, y << 500) for x, y in _LMS_TIES]
-    with pytest.raises(OverflowError):
-        lms_location(_lms_snapshots(pts)[0])
+def test_lms_location_with_an_event_time_below_the_float_range():
+    """C is just outside the diametral disk of AB, |AB| = 2^600: its event
+    time, 1 / (2^1200 - 2^601), rounds to 0.0, and only its sign keeps it
+    out of that disk, so the least disk is the circumcircle of A, B, C."""
+    r = 1 << 599
+    pts = [Point2(-r, 0), Point2(r, 0), Point2(1 << 300, r - 1), Point2(0, -1 << 700),
+           Point2(0, 1 << 700)]
+    snap = _weighted_snapshot(pts, [1, 1, 2, 1, 1], "disk", Fraction(1, 8))
+    disk = lms_location(snap)
+    assert disk.radius2 > r * r
+    assert (disk.center, disk.radius2) == _reference_lms_location(snap)
+
+
+def _prime_denominators(count, low):
+    primes = []
+    d = low
+    while len(primes) < count:
+        d += 1
+        if all(d % q for q in range(2, math.isqrt(d) + 1)):
+            primes.append(d)
+    return primes
+
+
+def test_lms_on_fractions_with_a_wide_lcm_match_the_references():
+    """Distinct prime denominators near 2^22 scale the columns by an lcm
+    past 2^500; the answers are the Fraction references'."""
+    rng = random.Random(5)
+    pts = [Point2(Fraction(rng.randint(-9 * d, 9 * d), d), Fraction(rng.randint(-9 * d, 9 * d), d))
+           for d in _prime_denominators(24, 1 << 22)]
+    disk_snap, slab_snap = _lms_snapshots(pts)
+    disk = lms_location(disk_snap)
+    assert (disk.center, disk.radius2) == _reference_lms_location(disk_snap)
+    assert lms_regression(slab_snap) == _reference_lms_regression(slab_snap)
+
+
+def test_lms_with_pair_distances_spanning_past_the_float_range():
+    """Pairs 1 and 2^1100 apart in one support: the exact screens settle
+    both statistics as the references do."""
+    far = 1 << 1100
+    pts = [Point2(x, y) for x, y in _LMS_TIES]
+    pts += [Point2(far, 1), Point2(far + 1, -far), Point2(-far, 3)]
+    disk_snap, slab_snap = _lms_snapshots(pts)
+    disk = lms_location(disk_snap)
+    assert (disk.center, disk.radius2) == _reference_lms_location(disk_snap)
+    assert lms_regression(slab_snap) == _reference_lms_regression(slab_snap)
