@@ -27,6 +27,8 @@ from .errors import EpsStreamError, FamilyMismatchError, StreamParseError
 from .ranges import ALL_FAMILIES, DEFAULT_SCALE, Point2, RangeFamily, family
 from .sampler import (
     _MALFORMED,
+    _ONE,
+    _ZERO,
     WeightedSample,
     _frac_str,
     canonical,
@@ -41,6 +43,9 @@ from .sampler import (
 _ZETA2_UPPER = Fraction(16449340668482265, 10 ** 16)
 
 STATE_VERSION = 2
+
+# The weights of a fresh stream element, shared by every insert.
+_UNIT = (_ONE,)
 
 # State files record the reduce thresholds the summaries were built under;
 # only the built-in table is accepted back.
@@ -204,12 +209,13 @@ class StreamState:
         each completed level-k block is the union of its two halves, reduced
         under ``error_budget(k)``.  halve adds each accepted error to the
         sample's certificate."""
-        pending = WeightedSample((p,), (Fraction(1),), Fraction(1), Fraction(0))
+        pending = WeightedSample._carrying((p,), _UNIT, _ONE, _ZERO, [1], 1)
         level = 0
         while level in self.slots:
             left = self.slots.pop(level)
             level += 1
-            merged = union((left, pending), (left.eps_bound + pending.eps_bound) / 2)
+            a, b = left.eps_bound, pending.eps_bound
+            merged = union((left, pending), (a + b) / 2 if a or b else _ZERO)
             pending, _ = reduce_with_budget(merged, self.config.family,
                                             error_budget(level, self.config))
         self.slots[level] = pending

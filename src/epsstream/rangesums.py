@@ -52,7 +52,8 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
 - Wedges and double wedges: the halfplane subsets' membership rows are
   built once, and each pair of subsets is one entry of a float matrix
   product, chunked, over the upper triangle of the pairs.  Sums stay exact
-  integers below 2^52; larger lists raise ``OverflowError``.
+  integers below 2^52; larger lists are split into 26-bit limbs, one exact
+  product each, recombined in int64 below 2^62 and in Python ints above.
 
 Disks and slabs have one sweep each, on integer columns (``_int_columns``).
 Fraction coordinates are scaled by the lcm of their denominators; scaling
@@ -74,6 +75,9 @@ from .ranges import FamilyKind, Point2
 
 # float64 holds integers exactly below 2**53; keep margin for sums.
 _FLOAT_EXACT_LIMIT = 1 << 52
+# Bits per limb of a wedge measure's larger deltas: a limb list's sums stay
+# below m * 2^26, exact in float64 for any m below 2^26.
+_LIMB_BITS = 26
 
 # The int64 halfplane sweep takes |coordinates| below this (see its docstring),
 # and slope columns are int64 below it.
@@ -104,6 +108,11 @@ _CHUNK_CELLS = 1 << 22
 _UNPACK_MASKS = 256
 
 
+def _abs_sum(deltas: Sequence[int]) -> int:
+    """The sum of |deltas|, the bound on every partial sum of the list."""
+    return sum(map(abs, deltas))
+
+
 def _block_rows(n: int) -> int:
     """Apexes or point pairs per block of ``_BLOCK_EVENTS`` events, n a row."""
     return max(1, _BLOCK_EVENTS // n)
@@ -112,8 +121,13 @@ def _block_rows(n: int) -> int:
 def _collapse_multi(pts: Sequence[Point2], delta_lists: Sequence[Sequence]):
     """Merge coincident points, summing each list; no range can separate them.
 
-    The merged points come back sorted by coordinates.
+    The merged points come back sorted by coordinates, as new lists.  Points
+    already strictly increasing, as every canonical sample's are, have
+    nothing to merge and come back as they are.
     """
+    pts = list(pts)
+    if len(set(pts)) == len(pts) and pts == sorted(pts):
+        return pts, [list(dl) for dl in delta_lists]
     agg: dict[tuple, list[int]] = {}
     k = len(delta_lists)
     for i, p in enumerate(pts):
@@ -324,7 +338,7 @@ def max_halfplane_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int
     # Fraction coordinates would be truncated by the int64 arrays
     all_int = all(isinstance(p.x, int) and isinstance(p.y, int) for p in pts)
     max_coord = max(max(abs(p.x), abs(p.y)) for p in pts)
-    max_abs_sum = max(sum(abs(d) for d in dl) for dl in delta_lists) if delta_lists else 0
+    max_abs_sum = max(map(_abs_sum, delta_lists), default=0)
     if all_int and max_coord < _NP_COORD_LIMIT and max_abs_sum < _INT64_SUM_LIMIT:
         return _max_halfplane_sums_np(pts, delta_lists)
     return _max_halfplane_sums_py(pts, delta_lists)
@@ -371,7 +385,7 @@ def _delta_matrix(delta_lists, m: int) -> np.ndarray:
     """The k x m matrix of the lists: int64 while every list's sum of |deltas|
     is below 2^62, so every partial sum and the difference of two fit, and
     Python ints (dtype object) above, in the same arithmetic."""
-    big = any(sum(abs(d) for d in dl) >= _INT64_SUM_LIMIT for dl in delta_lists)
+    big = max(map(_abs_sum, delta_lists), default=0) >= _INT64_SUM_LIMIT
     return np.array(delta_lists, dtype=object if big else np.int64).reshape(len(delta_lists), m)
 
 
@@ -707,25 +721,45 @@ def _pair_extremes(pts: Sequence[Point2], delta_lists, signed: bool) -> list[tup
     The sums are float matrix products over the R x m rows, chunked so a
     product holds at most ``_CHUNK_CELLS`` entries.  Both sums are symmetric
     in a and b, so each chunk of rows meets only the subsets from its first
-    one on.  Every partial sum is bounded by the list's sum of |deltas|,
-    which must be below 2^52, so every float is an exact integer.
+    one on.  Every partial sum is bounded by the list's sum S of |deltas|,
+    so while every S is below 2^52 each float is an exact integer.  Larger
+    lists are split by sign and magnitude into 26-bit limbs,
+    d = sum_l d_l 2^(26 l): a limb list's sums stay below m 2^26, so its
+    products are exact, and each entry is recombined from its limbs before
+    the min and max are taken, in chunks of ``_BLOCK_CELLS``.  Every partial
+    recombination is bounded by S, so it is int64 while every S is below
+    2^62, and Python ints from there on.
     """
-    if any(sum(abs(d) for d in dl) >= _FLOAT_EXACT_LIMIT for dl in delta_lists):
-        raise OverflowError("wedge measure: deltas too large for exact float sums")
-    m = len(pts)
+    m, k = len(pts), len(delta_lists)
     rows = membership_matrix(halfplane_subset_masks(pts), m).T.astype(np.float64, order="C")
     if signed:
         rows = 2 * rows - 1
-    sigma = np.array(delta_lists, dtype=np.float64).reshape(len(delta_lists), 1, m)
-    k = len(sigma)
-    least = np.full(k, np.inf)
-    most = np.full(k, -np.inf)
-    chunk = max(1, _CHUNK_CELLS // (k * len(rows)))
+    bound = max(map(_abs_sum, delta_lists))
+    if bound < _FLOAT_EXACT_LIMIT:
+        limbs, dtype, cells = [np.array(delta_lists, dtype=np.float64)], np.float64, _CHUNK_CELLS
+    else:
+        deltas = np.array(delta_lists, dtype=object).reshape(k, m)
+        mags, neg = np.abs(deltas), deltas < 0
+        limbs = []
+        for shift in range(0, int(mags.max()).bit_length(), _LIMB_BITS):
+            limb = ((mags >> shift) & ((1 << _LIMB_BITS) - 1)).astype(np.int64)
+            limbs.append(np.where(neg, -limb, limb).astype(np.float64))
+        dtype = np.int64 if bound < _INT64_SUM_LIMIT else object
+        cells = _BLOCK_CELLS
+    sigmas = [limb.reshape(k, 1, m) for limb in limbs]
+    least = most = None
+    chunk = max(1, cells // (k * len(rows)))
     for lo in range(0, len(rows), chunk):
-        prod = ((rows[lo:lo + chunk] * sigma).reshape(-1, m) @ rows[lo:].T).reshape(k, -1)
-        least = np.minimum(least, prod.min(axis=1))
-        most = np.maximum(most, prod.max(axis=1))
-        del prod
+        prod = None
+        for i, sigma in enumerate(sigmas):
+            part = ((rows[lo:lo + chunk] * sigma).reshape(-1, m) @ rows[lo:].T).reshape(k, -1)
+            if dtype is not np.float64:
+                part = part.astype(np.int64).astype(dtype) << (i * _LIMB_BITS)
+            prod = part if prod is None else prod + part
+        low, high = prod.min(axis=1), prod.max(axis=1)
+        least = low if least is None else np.minimum(least, low)
+        most = high if most is None else np.maximum(most, high)
+        del prod, part  # before the next chunk's product is allocated
     return [(int(a), int(b)) for a, b in zip(least, most)]
 
 

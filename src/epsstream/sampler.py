@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,6 +45,8 @@ from . import rangesums
 
 _COSH_CAP = 700.0
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class WeightedSample:
@@ -52,6 +55,15 @@ class WeightedSample:
     ``eps_bound`` certifies that for every induced range the weighted mass
     differs from the represented population's by at most
     ``eps_bound * total_weight``.
+
+    ``scaled_weights`` is the integer weight column: the weights as ints
+    over their least common denominator.  The constructor, and with it
+    ``sample_from_json`` and the state and snapshot loaders, derives the
+    column from the weights.  ``uniform``, ``union``, ``canonical``,
+    ``collapse_duplicates`` and ``halve`` build through ``_carrying``, which
+    takes the column its builder computed from its inputs' columns.  Both
+    paths run the same checks on the column: equal lengths, positive
+    weights, and a sum equal to ``total_weight``.
     """
 
     points: tuple[Point2, ...]
@@ -60,12 +72,28 @@ class WeightedSample:
     eps_bound: Fraction
 
     def __post_init__(self):
-        if len(self.points) != len(self.weights):
-            raise ValueError("points/weights length mismatch")
+        self._check()
+
+    @classmethod
+    def _carrying(cls, points, weights, total_weight, eps_bound,
+                  ints: list[int], denom: int) -> "WeightedSample":
+        """A sample whose integer column its builder already holds: ints[i]
+        is weights[i] * denom, and denom the weights' least common
+        denominator.  ``ints`` becomes the sample's own list."""
+        sample = cls.__new__(cls)
+        vars(sample).update(points=points, weights=weights, total_weight=total_weight,
+                            eps_bound=eps_bound, scaled_weights=(ints, denom))
+        sample._check()
+        return sample
+
+    def _check(self) -> None:
         ints, denom = self.scaled_weights
-        if any(g <= 0 for g in ints):
+        if not len(self.points) == len(self.weights) == len(ints):
+            raise ValueError("points/weights length mismatch")
+        if ints and min(ints) <= 0:
             raise ValueError("weights must be positive")
-        if Fraction(sum(ints), denom) != self.total_weight:
+        total = self.total_weight
+        if sum(ints) * total.denominator != total.numerator * denom:
             raise ValueError("weights must sum to total_weight exactly")
 
     def __len__(self) -> int:
@@ -98,7 +126,8 @@ class WeightedSample:
         pts = tuple(points)
         if not pts:
             raise ValueError("empty sample")
-        return cls(pts, tuple(Fraction(1) for _ in pts), Fraction(len(pts)), Fraction(eps_bound))
+        return cls._carrying(pts, (_ONE,) * len(pts), Fraction(len(pts)), Fraction(eps_bound),
+                             [1] * len(pts), 1)
 
 
 @dataclass(frozen=True)
@@ -321,30 +350,32 @@ def _paired_coloring(sample: WeightedSample, key: np.ndarray) -> Coloring:
     geometrically local pairs only boundary-straddling pairs contribute.
     Both classes are nonempty for >= 2 points: a pair holds one of each,
     and the first two leftovers take opposite signs.
+
+    The points are stably sorted by key and then by descending weight, so
+    each weight's points form one run in key order.  Even places in a run
+    take +1 and odd ones -1; an odd run's last point is left over.  The
+    pairs balance exactly, so the leftovers, one per weight and heaviest
+    first, start from a balance of 0.
     """
     m = len(sample)
     if m < 2:
         raise ValueError("pairing needs at least 2 points")
-    ints, _ = sample.scaled_weights  # one common denominator keeps every order and sign
-    by_weight: dict[int, list[int]] = {}
-    for i in np.argsort(key, kind="stable").tolist():
-        by_weight.setdefault(ints[i], []).append(i)
-    signs = [0] * m
-    leftovers: list[int] = []
-    for w in sorted(by_weight, reverse=True):
-        idxs = by_weight[w]
-        for a in range(0, len(idxs) - 1, 2):
-            signs[idxs[a]] = 1
-            signs[idxs[a + 1]] = -1
-        if len(idxs) % 2:
-            leftovers.append(idxs[-1])
-    running = sum(g * s for g, s in zip(ints, signs))
-    leftovers.sort(key=lambda i: (-ints[i], i))
-    for i in leftovers:
+    ints = sample.columns[2]  # one common denominator keeps every order and sign
+    by_key = np.argsort(key, kind="stable")
+    order = by_key[np.argsort(-ints[by_key], kind="stable")]
+    weight = ints[order]
+    place = np.arange(m)
+    starts = np.flatnonzero(np.concatenate(([True], weight[1:] != weight[:-1])))
+    ends = np.append(starts[1:], m)
+    first = np.repeat(starts, ends - starts)
+    signs = np.empty(m, dtype=np.int64)
+    signs[order] = 1 - 2 * ((place - first) & 1)
+    running = 0
+    for i in order[ends[(ends - starts) % 2 == 1] - 1].tolist():
         sign = -1 if running > 0 else 1
         signs[i] = sign
-        running += sign * ints[i]
-    return Coloring(tuple(signs))
+        running += sign * int(ints[i])
+    return Coloring(tuple(signs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +498,14 @@ def halve(sample: WeightedSample, fam: RangeFamily) -> tuple[WeightedSample, Fra
             if best is None or key < best[0]:
                 best = (key, keep, kept_mass, col, err)
     _, keep, kept_mass, col, err = best
-    # each kept weight g/denom, rescaled by T/kept_mass, as one Fraction
+    # each kept weight g/denom, rescaled by T/kept_mass, is g*T / (kept_mass*denom);
+    # the gcd of that denominator and every numerator reduces the kept column
     total, den = sum(scaled), kept_mass * denom
     pts = tuple(p for p, s in zip(sample.points, col.signs) if s == keep)
-    ws = tuple(Fraction(g * total, den) for g, s in zip(scaled, col.signs) if s == keep)
-    out = WeightedSample(pts, ws, sample.total_weight, sample.eps_bound + err)
+    nums = [g * total for g, s in zip(scaled, col.signs) if s == keep]
+    common = math.gcd(den, *nums)
+    out = WeightedSample._carrying(pts, tuple(Fraction(g, den) for g in nums), sample.total_weight,
+                                   sample.eps_bound + err, [g // common for g in nums], den // common)
     return out, err
 
 
@@ -502,10 +536,10 @@ def singleton_error_bound(sample: WeightedSample) -> Fraction:
     """
     m = len(sample)
     if m < 2:
-        return Fraction(0)
+        return _ZERO
     top = max(sample.points)
     if sample.points.count(top) > 1:
-        return Fraction(0)
+        return _ZERO
     scaled, _ = sample.scaled_weights  # the bound is scale-free
     g = scaled[sample.points.index(top)]
     total = sum(scaled)
@@ -515,33 +549,60 @@ def singleton_error_bound(sample: WeightedSample) -> Fraction:
 
 
 def collapse_duplicates(sample: WeightedSample) -> WeightedSample:
-    """Merge coincident points (a zero-error reduction for any family)."""
-    if len(set(sample.points)) == len(sample.points):
+    """Merge coincident points (a zero-error reduction for any family).
+
+    Merged weights are summed on the integer column; only a merged point
+    gets a new Fraction weight.  The column is divided by the gcd of the
+    sums and the denominator, which is above 1 when merging lowers the
+    least common denominator (1/2 + 1/2)."""
+    pts = sample.points
+    if len(set(pts)) == len(pts):
         return sample
-    agg: dict[tuple, Fraction] = {}
-    for p, w in zip(sample.points, sample.weights):
-        key = (p.x, p.y)
-        agg[key] = agg.get(key, Fraction(0)) + w
-    coords = sorted(agg)
-    return WeightedSample(tuple(Point2(x, y) for x, y in coords),
-                          tuple(agg[c] for c in coords),
-                          sample.total_weight, sample.eps_bound)
+    ints, denom = sample.scaled_weights
+    mass: dict[Point2, int] = {}
+    only: dict[Point2, int] = {}  # a point's index while it occurs once, else -1
+    for i, (p, g) in enumerate(zip(pts, ints)):
+        if p in mass:
+            mass[p] += g
+            only[p] = -1
+        else:
+            mass[p] = g
+            only[p] = i
+    keys = sorted(mass)
+    sums = [mass[p] for p in keys]
+    weights = tuple(sample.weights[only[p]] if only[p] >= 0 else Fraction(g, denom)
+                    for p, g in zip(keys, sums))
+    common = math.gcd(denom, *sums)
+    if common > 1:
+        sums, denom = [g // common for g in sums], denom // common
+    return WeightedSample._carrying(tuple(keys), weights, sample.total_weight,
+                                    sample.eps_bound, sums, denom)
 
 
 def union(samples: Sequence[WeightedSample], eps_bound: Fraction) -> WeightedSample:
-    """The weighted union of samples, in order; weights travel unchanged."""
-    return WeightedSample(tuple(p for s in samples for p in s.points),
-                          tuple(w for s in samples for w in s.weights),
-                          sum((s.total_weight for s in samples), Fraction(0)), eps_bound)
+    """The weighted union of samples, in order; weights travel unchanged.
+
+    The union's least common denominator is the lcm of the parts'.  A part
+    already over it adds its integer column as it is; any other part's
+    column is multiplied once."""
+    denom = math.lcm(*(s.scaled_weights[1] for s in samples))
+    ints: list[int] = []
+    for s in samples:
+        part, d = s.scaled_weights
+        ints.extend(part if d == denom else [g * (denom // d) for g in part])
+    return WeightedSample._carrying(tuple(chain.from_iterable(s.points for s in samples)),
+                                    tuple(chain.from_iterable(s.weights for s in samples)),
+                                    Fraction(sum(ints), denom), eps_bound, ints, denom)
 
 
 def canonical(sample: WeightedSample) -> WeightedSample:
     """Coincident points merged and the rest in point order: a form that
     depends only on the weighted multiset, not on the arrival order."""
     order = sorted(range(len(sample)), key=sample.points.__getitem__)
-    return collapse_duplicates(WeightedSample(tuple(sample.points[i] for i in order),
-                                              tuple(sample.weights[i] for i in order),
-                                              sample.total_weight, sample.eps_bound))
+    ints, denom = sample.scaled_weights
+    return collapse_duplicates(WeightedSample._carrying(
+        tuple(sample.points[i] for i in order), tuple(sample.weights[i] for i in order),
+        sample.total_weight, sample.eps_bound, [ints[i] for i in order], denom))
 
 
 def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
@@ -554,15 +615,16 @@ def reduce_with_budget(sample: WeightedSample, fam: RangeFamily,
     remaining budget: it would be rolled back anyway.
     """
     current = collapse_duplicates(sample)
-    spent = Fraction(0)
+    spent, left = _ZERO, budget
     while 2 <= len(current) <= fam.reduce_size:
-        if singleton_error_bound(current) > budget - spent:
+        if singleton_error_bound(current) > left:
             break
         reduced, err = halve(current, fam)
-        if spent + err > budget:
+        if err > left:
             break
         current = collapse_duplicates(reduced)
         spent += err
+        left = budget - spent
     return current, spent
 
 

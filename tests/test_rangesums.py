@@ -13,7 +13,8 @@ The other six families measure every delta list of a call at once.  Their
 maxima must equal brute force over the oracle's induced subsets on small
 tie-rich grids, and the single-list measures they replaced (restated below)
 at up to each family's ``verify_size``; past 2^62 they must stay exact on
-Python ints, and the float wedge measures must refuse sums from 2^52 on.
+Python ints, and the float wedge measures must stay exact past 2^52 by
+splitting deltas into limbs.
 """
 
 import math
@@ -470,6 +471,37 @@ def test_all_lists_match_single_list_measures_up_to_verify_size(kind, seed):
     assert max_range_sums(kind, pts, dls) == _reference(kind, pts, dls)
 
 
+
+def _reference_collapse(pts, delta_lists):
+    """``_collapse_multi`` as first written: every point through a dict."""
+    agg = {}
+    for i, p in enumerate(pts):
+        row = agg.setdefault((p.x, p.y), [0] * len(delta_lists))
+        for j, dl in enumerate(delta_lists):
+            row[j] += dl[i]
+    coords = sorted(agg)
+    return ([Point2(x, y) for x, y in coords],
+            [[agg[c][j] for c in coords] for j in range(len(delta_lists))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tie_rich(12), form=st.sampled_from(("as drawn", "sorted", "strictly increasing")),
+       fraction=st.booleans())
+def test_collapse_multi_matches_the_dict_path(case, form, fraction):
+    """Duplicates and unsorted inputs merge as the dict path merges them;
+    strictly increasing inputs, which skip the dict, come back equal."""
+    pts, dls = case
+    if fraction:
+        pts = [Point2(Fraction(p.x, 3), p.y) for p in pts]
+    if form != "as drawn":
+        order = sorted(range(len(pts)), key=pts.__getitem__)
+        if form == "strictly increasing":
+            order = [i for a, i in enumerate(order) if a == 0 or pts[order[a - 1]] != pts[i]]
+        pts, dls = [pts[i] for i in order], [[dl[i] for i in order] for dl in dls]
+    got = rangesums._collapse_multi(pts, dls)
+    assert got == _reference_collapse(pts, dls)
+    assert got[0] is not pts and all(a is not b for a, b in zip(got[1], dls))
+
 # -- exactness past int64 and the float limit ----------------------------------
 
 
@@ -481,13 +513,12 @@ _HUGE = [Point2(0, 0), Point2(1, 2), Point2(2, 1), Point2(1, 1), Point2(3, 3), P
 def test_sums_past_two_to_the_sixty_three(kind, monkeypatch):
     """Lists whose partial sums pass 2^63 would wrap in int64; the delta
     matrix holds Python ints instead and every maximum stays exact.  The
-    float wedge measures refuse them."""
+    float wedge measures recombine their limbs in Python ints."""
     big = 1 << 62
     dls = [[big + 5, big - 3, big, -7, big + 1, 2, big], [3, -1, 2, -5, 1, 1, 4]]
     assert sum(abs(d) for d in dls[0]) > 1 << 64
     if kind in _FLOAT_MEASURED:
-        with pytest.raises(OverflowError):
-            max_range_sums(kind, _HUGE, dls)
+        assert max_range_sums(kind, _HUGE, dls) == _brute(kind, _HUGE, dls)
         return
     dtypes = []
     real = rangesums._delta_matrix
@@ -503,14 +534,31 @@ def test_sums_past_two_to_the_sixty_three(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", _FLOAT_MEASURED, ids=lambda k: k.value)
-def test_wedge_measures_refuse_sums_from_two_to_the_fifty_two(kind):
+def test_wedge_measures_answer_sums_from_two_to_the_fifty_two(kind):
+    """Below 2^52 one float product per list is exact; from 2^52 on, and
+    past 2^62, the 26-bit limbs recombine to the same exact answers."""
     half = 1 << 51
     below = [[half, 2 - half, -1, 0, 0, 0, 0]]
     assert sum(abs(d) for d in below[0]) == (1 << 52) - 1
     assert max_range_sums(kind, _HUGE, below) == _brute(kind, _HUGE, below)
-    with pytest.raises(OverflowError):
-        max_range_sums(kind, _HUGE, [[half, -half, 0, 0, 0, 0, 0]])
+    at = [[half, -half, 0, 0, 0, 0, 0], [half + 3, 1 - half, -(1 << 40) - 5, 7, -9, 1, (1 << 30) + 1]]
+    assert max_range_sums(kind, _HUGE, at) == _brute(kind, _HUGE, at)
+    past = [[(1 << 61) + 11, -(1 << 61) + 3, -(1 << 60) - 1, 5, 1 << 59, -3, 2],
+            [-(1 << 100) - 1, (1 << 99) + 7, 13, -(1 << 98), 1, 1 << 97, -5]]
+    assert max_range_sums(kind, _HUGE, past) == _brute(kind, _HUGE, past)
 
+
+
+@pytest.mark.parametrize("kind", _FLOAT_MEASURED, ids=lambda k: k.value)
+@settings(max_examples=30, deadline=None)
+@given(case=_tie_rich(8), bits=st.integers(20, 130), data=st.data())
+def test_wedge_limbs_match_brute_force(kind, case, bits, data):
+    """Deltas d * 2^bits + e, with e up to 2^40: their sums cross 2^52 and
+    2^62 at different bits, and every limb recombines exactly."""
+    pts, dls = case
+    noise = st.lists(st.integers(-(1 << 40), 1 << 40), min_size=len(pts), max_size=len(pts))
+    big = [[(d << bits) + e for d, e in zip(dl, data.draw(noise))] for dl in dls]
+    assert max_range_sums(kind, pts, big) == _brute(kind, pts, big)
 
 # -- one geometry per call -------------------------------------------------------
 

@@ -672,3 +672,202 @@ def test_weighted_reduction_mixed_weights_certified():
     out = weighted_eps_approx(s, HP, Fraction(3, 10))
     assert out.total_weight == 55
     assert verify_approximation(s, out, HP, Fraction(3, 10))
+
+
+# -- pairings in numpy -----------------------------------------------------------
+
+
+def _reference_paired_coloring(sample, key):
+    """``_paired_coloring`` as first written: a dict of index lists per
+    weight, one sign per point, then the leftovers heaviest first."""
+    m = len(sample)
+    ints, _ = sample.scaled_weights
+    by_weight = {}
+    for i in np.argsort(key, kind="stable").tolist():
+        by_weight.setdefault(ints[i], []).append(i)
+    signs = [0] * m
+    leftovers = []
+    for w in sorted(by_weight, reverse=True):
+        idxs = by_weight[w]
+        for a in range(0, len(idxs) - 1, 2):
+            signs[idxs[a]] = 1
+            signs[idxs[a + 1]] = -1
+        if len(idxs) % 2:
+            leftovers.append(idxs[-1])
+    running = sum(g * s for g, s in zip(ints, signs))
+    leftovers.sort(key=lambda i: (-ints[i], i))
+    for i in leftovers:
+        sign = -1 if running > 0 else 1
+        signs[i] = sign
+        running += sign * ints[i]
+    return tuple(signs)
+
+
+@st.composite
+def _pairing_inputs(draw):
+    """Mixed Fraction weights from a few values (odd and even class sizes),
+    sometimes one weight near 2^64 so the column holds Python ints, and
+    curve keys with many ties, as uint64 or Python ints."""
+    m = draw(st.integers(2, 40))
+    values = draw(st.lists(st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+                           min_size=1, max_size=4))
+    ws = [draw(st.sampled_from(values)) for _ in range(m)]
+    if draw(st.booleans()):
+        ws[draw(st.integers(0, m - 1))] = Fraction((1 << 64) + 1, 3)
+    pts = tuple(Point2(i, (i * i) % 11) for i in range(m))
+    sample = WeightedSample(pts, tuple(ws), sum(ws, Fraction(0)), Fraction(0))
+    keys = draw(st.lists(st.integers(0, draw(st.sampled_from((1, 3, 50)))), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        return sample, np.array(keys, dtype=np.uint64)
+    return sample, np.array([k << 70 for k in keys], dtype=object)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pairing_inputs())
+def test_paired_coloring_matches_the_loop(case):
+    sample, key = case
+    assert _paired_coloring(sample, key).signs == _reference_paired_coloring(sample, key)
+
+
+@pytest.mark.parametrize("case", sorted(_halfplane_pairing_cases()))
+def test_paired_coloring_matches_the_loop_on_curve_keys(case):
+    sample = _halfplane_pairing_cases()[case]
+    for key in sampler._curve_keys(sample, FamilyKind.HALFPLANE):
+        assert _paired_coloring(sample, key).signs == _reference_paired_coloring(sample, key)
+
+
+# -- the carried integer weight column -------------------------------------------
+
+
+def _derived(sample):
+    return sampler._scaled_weights(sample.weights)
+
+
+@st.composite
+def _columned_samples(draw):
+    """Samples over a few points with weights of mixed denominators: copies
+    of a point whose weights sum to a smaller denominator (1/2 + 1/2,
+    1/6 + 1/3), built by the constructor or by ``uniform``."""
+    if draw(st.integers(0, 4)) == 0:
+        pts = draw(st.lists(st.builds(Point2, st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                            max_size=8))
+        return WeightedSample.uniform(pts)
+    pair = st.sampled_from(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(1, 3)),
+                            (Fraction(3, 4), Fraction(5, 4)), (Fraction(2, 9), Fraction(7, 9))))
+    single = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 12)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = Point2(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            rows += [(p, w) for w in draw(pair)]
+        else:
+            rows.append((p, draw(single)))
+    draw(st.randoms()).shuffle(rows)
+    ws = tuple(w for _, w in rows)
+    return WeightedSample(tuple(p for p, _ in rows), ws, sum(ws, Fraction(0)),
+                          draw(st.sampled_from((Fraction(0), Fraction(1, 7)))))
+
+
+def _assert_column(sample):
+    assert sample.scaled_weights == _derived(sample)
+    rebuilt = WeightedSample(sample.points, sample.weights, sample.total_weight, sample.eps_bound)
+    assert rebuilt == sample and rebuilt.scaled_weights == sample.scaled_weights
+
+
+class TestCarriedColumn:
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(_columned_samples(), min_size=1, max_size=4))
+    def test_every_builder_carries_the_derived_column(self, parts):
+        merged = sampler.union(parts, Fraction(1, 9))
+        _assert_column(merged)
+        assert merged.total_weight == sum((s.total_weight for s in parts), Fraction(0))
+        assert merged.points == tuple(p for s in parts for p in s.points)
+        canon = sampler.canonical(merged)
+        _assert_column(canon)
+        for s in (*parts, merged):
+            _assert_column(collapse_duplicates(s))
+        if len(canon) >= 2:
+            for kind in (FamilyKind.HALFPLANE, FamilyKind.QUADRANT):
+                out, _ = halve(canon, family(kind))
+                _assert_column(out)
+
+    def test_merging_lowers_the_denominator(self):
+        pts = (Point2(0, 0), Point2(1, 1), Point2(0, 0))
+        s = WeightedSample(pts, (Fraction(1, 2), Fraction(1), Fraction(1, 2)), Fraction(2),
+                           Fraction(0))
+        assert s.scaled_weights == ([1, 2, 1], 2)
+        out = collapse_duplicates(s)
+        assert out.weights == (Fraction(1), Fraction(1)) and out.scaled_weights == ([1, 1], 1)
+
+    def test_union_columns_are_new_lists(self):
+        a = WeightedSample.uniform([Point2(0, 0), Point2(1, 1)])
+        b = WeightedSample.uniform([Point2(2, 2)])
+        merged = sampler.union((a,), Fraction(0))
+        assert merged.scaled_weights[0] == a.scaled_weights[0]
+        assert merged.scaled_weights[0] is not a.scaled_weights[0]
+        both = sampler.union((a, b), Fraction(0))
+        both.scaled_weights[0].append(5)
+        assert a.scaled_weights == ([1, 1], 1) and b.scaled_weights == ([1], 1)
+
+    @pytest.mark.parametrize("weights,ints,denom,total,message", [
+        ((Fraction(1, 3),), [1], 3, Fraction(1, 3), "length mismatch"),
+        ((Fraction(1, 3), Fraction(2, 3)), [1], 3, Fraction(1), "length mismatch"),
+        ((Fraction(1, 3), Fraction(0)), [1, 0], 3, Fraction(1, 3), "must be positive"),
+        ((Fraction(2, 3), Fraction(-1, 6)), [4, -1], 6, Fraction(1, 2), "must be positive"),
+        ((Fraction(1, 3), Fraction(1, 6)), [2, 1], 6, Fraction(1, 3), "sum to total_weight"),
+    ], ids=["weights-length", "column-length", "zero-weight", "negative-weight", "wrong-total"])
+    def test_carrying_path_rejects_broken_invariants(self, weights, ints, denom, total, message):
+        pts = (Point2(0, 0), Point2(1, 1))
+        with pytest.raises(ValueError, match=message):
+            WeightedSample._carrying(pts, weights, total, Fraction(0), ints, denom)
+
+    def test_builders_check_the_carried_column(self):
+        def broken(ints, denom):
+            s = WeightedSample.uniform([Point2(1, 1), Point2(0, 0), Point2(1, 1)])
+            vars(s)["scaled_weights"] = (ints, denom)
+            return s
+
+        with pytest.raises(ValueError, match="length mismatch"):
+            sampler.union((broken([1, 1], 1),), Fraction(0))
+        with pytest.raises(ValueError, match="must be positive"):
+            sampler.union((broken([1, 0, 1], 1),), Fraction(0))
+        with pytest.raises(ValueError, match="must be positive"):
+            sampler.canonical(broken([2, 0, 1], 1))
+        with pytest.raises(ValueError, match="sum to total_weight"):
+            sampler.canonical(broken([1, 1, 2], 1))
+        with pytest.raises(ValueError, match="sum to total_weight"):
+            collapse_duplicates(broken([1, 1, 2], 1))
+
+    @pytest.mark.parametrize("style", ["uniform", "duplicates"])
+    def test_ingest_derives_no_column_from_fractions(self, style, monkeypatch):
+        from epsstream import StreamState, make_config
+
+        calls = []
+        real = sampler._scaled_weights
+
+        def counted(weights):
+            calls.append(len(weights))
+            return real(weights)
+
+        monkeypatch.setattr(sampler, "_scaled_weights", counted)
+        state = StreamState(make_config(Fraction(1, 4), "halfplane"))
+        state.extend(make_stream(style, 1024, seed=31))
+        snap = state.snapshot()
+        assert calls == []
+        for s in (*state.slots.values(), snap.sample):
+            assert s.scaled_weights == real(s.weights)
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.WEDGE, FamilyKind.DOUBLE_WEDGE], ids=lambda k: k.value)
+def test_wedge_halving_with_wide_weights(kind):
+    """Weights 1/p for six primes near 10^6: the scaled weights' lcm has
+    about 120 bits, so the measured sums pass 2^62 and take the limbs."""
+    primes = (999983, 999979, 999961, 999959, 999953, 999931)
+    pts = make_stream("uniform", 24, seed=7)
+    ws = tuple(Fraction(1, primes[i % 6]) for i in range(len(pts)))
+    s = WeightedSample(tuple(pts), ws, sum(ws, Fraction(0)), Fraction(0))
+    assert sum(s.scaled_weights[0]) ** 2 > 1 << 200
+    out, err = halve(s, family(kind))
+    assert 0 < err <= 1 and out.total_weight == s.total_weight
+    assert verify_approximation(s, out, family(kind), err)
+    assert not verify_approximation(s, out, family(kind), err - Fraction(1, 10 ** 40))
