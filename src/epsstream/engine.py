@@ -14,6 +14,13 @@ yielding a sample whose exactly measured certificate never exceeds eps.
 
 W is taken as a rational upper bound on pi^2/6, so every budget is
 conservative and the telescoping sum stays below eps/2 by construction.
+
+A level merge that does not halve is bookkeeping: a union, a duplicate
+check and the singleton error bound, all on the integer weight columns
+(``WeightedSample.scaled_weights``) that each merge carries over from its
+parts.  One ingest of 1536 uniform halfplane points at eps 1/4, where no
+merge halves, takes 9-12 us per insert on either CPU of a 2-vCPU Xeon
+host (``tools/ingest_timing.py``).
 """
 
 from __future__ import annotations
