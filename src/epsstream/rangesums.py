@@ -14,9 +14,18 @@ sort keys and in integer-valued matrix products; every ordering is checked
 with exact integer comparisons (and re-sorted on them when a float key
 misorders it) and every reported sum is an exact integer.
 
-Halfplanes have two sweeps with one meaning.  ``_apex_sweep`` rotates a
-line about one apex in Python and reads any exact values.  The int64 pass
-``_max_halfplane_sums_np`` runs every apex's sweep at once, in blocks of
+Halfplanes have one angular order and two measure sweeps.  The order,
+``_half_turn``, sorts every point about each apex of a block over half a
+turn in numpy, on ``_int_columns`` columns (int64 below 2^30, Python ints
+above), with float hints checked exactly and misordered rows re-sorted
+exactly one by one.  Tukey and simplicial depth (``stats``) read one row
+per probe, and the wedge measures' halfplane subset rows
+(``_halfplane_rows``) are built from every apex's groups.  The measure
+still has the two sweeps of one meaning that predate it.
+``_apex_sweep`` rotates a line about one apex in Python and reads any
+exact values; it serves only the measure's fallback,
+``_max_halfplane_sums_py``.  The int64 pass ``_max_halfplane_sums_np``
+runs every apex's sweep at once, in blocks of
 apexes: O(m^2 log m) for m points, a practical form of the topological
 sweep of the line arrangement (Edelsbrunner and Guibas, 1989), turning
 each line through half a turn and reading the other half as complements.
@@ -50,10 +59,11 @@ while every list's sum of |deltas| is below 2^62, and holds Python ints
 - Vertical parallelograms: the same orders, with prefix sums split by
   x-rank, so every x-strip's prefix sums are one difference of two tables.
 - Wedges and double wedges: the halfplane subsets' membership rows are
-  built once, and each pair of subsets is one entry of a float matrix
-  product, chunked, over the upper triangle of the pairs.  Sums stay exact
-  integers below 2^52; larger lists are split into 26-bit limbs, one exact
-  product each, recombined in int64 below 2^62 and in Python ints above.
+  built once (``_halfplane_rows``), and each pair of subsets is one entry
+  of a float matrix product, chunked, over the upper triangle of the
+  pairs.  Sums stay exact integers below 2^52; larger lists are split into
+  26-bit limbs, one exact product each, recombined in int64 below 2^62 and
+  in Python ints above.
 
 Disks and slabs have one sweep each, on integer columns (``_int_columns``).
 Fraction coordinates are scaled by the lcm of their denominators; scaling
@@ -342,6 +352,121 @@ def max_halfplane_sums(pts: Sequence[Point2], delta_lists: Sequence[Sequence[int
     if all_int and max_coord < _NP_COORD_LIMIT and max_abs_sum < _INT64_SUM_LIMIT:
         return _max_halfplane_sums_np(pts, delta_lists)
     return _max_halfplane_sums_py(pts, delta_lists)
+
+
+# ---------------------------------------------------------------------------
+# Every apex's points in exact angular order over half a turn, in numpy.
+# ---------------------------------------------------------------------------
+
+
+class _HalfTurn(NamedTuple):
+    """The points about each apex of a block, by direction over half a turn.
+
+    Point j's offset v = p_j - a from apex a is folded into [0, pi): v
+    itself if it points into [0, pi), and -v (``lower``) if it points into
+    [pi, 2 pi).  Copies of the apex (``copy``) take direction (1, 0), so
+    they sort into the first group.  Row r lists the points by folded
+    direction; ``lower``, ``copy`` and ``end`` follow that order, and
+    ``end`` marks the last point of each group of equal folded directions.
+    """
+
+    order: np.ndarray  # R x m intp
+    lower: np.ndarray  # R x m bool
+    copy: np.ndarray   # R x m bool
+    end: np.ndarray    # R x m bool
+
+
+def _half_turn(xs: np.ndarray, ys: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> _HalfTurn:
+    """Every point of the columns xs, ys about each apex (ax[r], ay[r]).
+
+    The columns come from ``_int_columns``, the apexes in the same units:
+    int64 while every |entry| is below 2^30, so offsets stay below 2^31 and
+    the cross product of two below 2^63, and Python ints from there on.
+    Each row is sorted stably by a float hint, the correctly rounded
+    quotient -ex / (|ex| + ey) of the folded offset (ex, ey)
+    (``_quotients``).  It rises with the angle over [0, pi), so equal
+    directions tie exactly and a strict order of hints is the exact order.
+    Every row is checked exactly: as every direction faces [0, pi), the
+    order is right if no adjacent pair turns clockwise (cross >= 0), and a
+    pair with cross 0 shares its direction.  A row that fails the check is
+    re-sorted on exact cross products on its own (``_exact_resort``).
+    """
+    dx = xs[None, :] - ax[:, None]
+    dy = ys[None, :] - ay[:, None]
+    copy = (dx == 0) & (dy == 0)
+    lower = (dy < 0) | ((dy == 0) & (dx < 0))
+    ex, ey = np.where(lower, -dx, dx), np.abs(dy)
+    ex += copy  # a copy's (0, 0) becomes (1, 0)
+    order = np.argsort(_quotients(-ex, np.abs(ex) + ey), axis=1, kind="stable")
+    flat = order + (order.shape[1] * np.arange(len(order)))[:, None]
+    lower, copy, ex, ey = (v.take(flat) for v in (lower, copy, ex, ey))
+    cross = ex[:, :-1] * ey[:, 1:] - ey[:, :-1] * ex[:, 1:]
+    misordered = (cross < 0).any(axis=1)
+    for r in np.flatnonzero(misordered) if misordered.any() else ():
+        rx, ry = ex[r].tolist(), ey[r].tolist()
+        pos = list(range(len(rx)))
+        _exact_resort(pos, lambda a, b: rx[a] * ry[b] - ry[a] * rx[b] > 0)
+        for v in (order, lower, copy, ex, ey):
+            v[r] = v[r, pos]
+        cross[r] = ex[r, :-1] * ey[r, 1:] - ey[r, :-1] * ex[r, 1:]
+    end = np.ones(order.shape, dtype=bool)
+    end[:, :-1] = cross != 0
+    return _HalfTurn(order, lower, copy, end)
+
+
+def _halfplane_rows(pts: Sequence[Point2]) -> np.ndarray:
+    """The R x m 0/1 uint8 membership rows of every halfplane subset of m
+    collapsed points (one or more), each subset once, in no set order.
+
+    Every nonempty induced subset is a point b of it and the points on the
+    open side of a line through b that passes through no other point: move
+    the closed halfplane's boundary inward until it meets the subset, and
+    turn it slightly about the last subset point b on it, so the others on
+    it fall inside.  About each apex b, with folded groups g ascending
+    (``_half_turn``), each having an upper part U_g and a lower part L_g,
+    the line turned just short of group g has on its open sides the upper
+    parts from g on with the lower parts before g, and the mirror: two
+    rows per group, plus the empty set and the whole set.  The apex sweep's
+    other sets, with both rays of a line, are such sets about the last
+    point on the line.  The rows are built per block of apexes, packed to
+    bytes, and duplicates are removed on the packed words.
+    """
+    m = len(pts)
+    xs, ys, _ = _int_columns(pts, _NP_COORD_LIMIT)
+    nbytes = (m + 7) // 8
+    packed = [np.packbits([[True] * m, [False] * m], axis=1, bitorder="little")]  # whole, empty
+    rows = max(1, _BLOCK_CELLS // (m * m))  # apexes of m x m cells
+    for lo in range(0, m, rows):
+        ht = _half_turn(xs, ys, xs[lo:lo + rows], ys[lo:lo + rows])
+        # group index, lower flag and copy flag, back in point order
+        gid, lower, copy = (np.empty_like(v) for v in (ht.order, ht.lower, ht.copy))
+        np.put_along_axis(gid, ht.order, np.cumsum(ht.end, axis=1) - ht.end, axis=1)
+        np.put_along_axis(lower, ht.order, ht.lower, axis=1)
+        np.put_along_axis(copy, ht.order, ht.copy, axis=1)
+        upper = (~lower & ~copy)[:, None]
+        lower, copy, gid = lower[:, None], copy[:, None], gid[:, None]
+        from_g = gid >= np.arange(int(gid.max()) + 1)[None, :, None]
+        for s in (upper & from_g | lower & ~from_g, lower & from_g | upper & ~from_g):
+            packed.append(np.packbits(s | copy, axis=2, bitorder="little").reshape(-1, nbytes))
+    # rows padded to whole uint64 words, sorted, and each distinct one kept once
+    words = np.zeros((sum(map(len, packed)), -(-m // 64) * 8), dtype=np.uint8)
+    words[:, :nbytes] = np.concatenate(packed)
+    words = words.view(np.uint64)
+    words = words[np.lexsort(words.T)]
+    new = np.ones(len(words), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return np.unpackbits(words[new].view(np.uint8), axis=1, count=m, bitorder="little")
+
+
+def halfplane_subset_masks(pts: Sequence[Point2]) -> list[int]:
+    """All halfplane-induced subsets of ``pts`` as index bitmasks, ascending
+    (``_halfplane_rows`` on the collapsed points; a collapsed point holds
+    the bits of its copies)."""
+    cpts, (bits,) = _collapse_multi(pts, [[1 << i for i in range(len(pts))]])
+    if not cpts:
+        return [0]
+    return sorted({sum(b for b, on in zip(bits, row) if on)
+                   for row in _halfplane_rows(cpts).tolist()})
 
 
 def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
@@ -731,7 +856,7 @@ def _pair_extremes(pts: Sequence[Point2], delta_lists, signed: bool) -> list[tup
     2^62, and Python ints from there on.
     """
     m, k = len(pts), len(delta_lists)
-    rows = membership_matrix(halfplane_subset_masks(pts), m).T.astype(np.float64, order="C")
+    rows = _halfplane_rows(pts).astype(np.float64)
     if signed:
         rows = 2 * rows - 1
     bound = max(map(_abs_sum, delta_lists))

@@ -231,10 +231,12 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
     nr = max(1, len(masks))
     # the entries are 0/1, and nonzero reads a bool row several times faster
     member = rangesums.membership_matrix(masks, m).view(bool)
-    w2 = float(sum(w * w for w in sample.weights))
+    ints, denom = sample.scaled_weights  # the weight balance; floats only in the potential
+    # sum w^2 and each w, correctly rounded from the integer column as from the weights
+    w2 = float(Fraction(sum(g * g for g in ints), denom * denom))
+    floats = [g / denom for g in ints]
     lam = math.sqrt(2.0 * math.log(2.0 * nr) / w2) if w2 > 0 else 1.0
     d = np.zeros(len(masks), dtype=np.float64)
-    ints, _ = sample.scaled_weights  # the weight balance; floats only in the potential
     order = sorted(range(m), key=lambda i: (-ints[i], sample.points[i], i))
     signs = [0] * m
     max_w = max(ints)
@@ -247,11 +249,12 @@ def low_discrepancy_coloring(sample: WeightedSample, ranges: Iterable) -> Colori
         ids = member[i].nonzero()[0]
         if ids.size:
             cur = d[ids]
-            g = float(sample.weights[i])
+            g = floats[i]
             step[0, 0], step[1, 0] = g, -g
             pot = cur + step  # the same operands as lam * (cur + g) and lam * (cur - g)
             pot *= lam
-            np.clip(pot, -_COSH_CAP, _COSH_CAP, out=pot)
+            # np.clip's floats, without its Python wrapper
+            np.minimum(np.maximum(pot, -_COSH_CAP, out=pot), _COSH_CAP, out=pot)
             np.cosh(pot, out=pot)
             up, down = pot.sum(axis=1)
             prefer = 1 if up <= down else -1

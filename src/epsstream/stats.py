@@ -22,9 +22,8 @@ from . import rangesums
 from .engine import Snapshot
 from .errors import EpsStreamError, FamilyMismatchError
 from .ranges import FamilyKind, Point2
-from .rangesums import (_apex_sweep, _block_rows, _collapse_multi, _delta_matrix, _disk_columns,
-                        _disk_events, _int_columns, _primitive, _slope_orders_np,
-                        _sorted_directions)
+from .rangesums import (_block_rows, _collapse_multi, _delta_matrix, _disk_columns, _disk_events,
+                        _half_turn, _int_columns, _slope_orders_np)
 
 # Documented constant for the simplicial-depth additive bound K*sqrt(eps);
 # fitted empirically on exact samples (see the acceptance suite).
@@ -72,19 +71,49 @@ def _sqrt_upper(x: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _depth_of(snap: Snapshot, q: Point2) -> Fraction:
-    """Minimum closed-halfplane mass through q over the stream mass: one apex
-    sweep on the integer scaled weights, divided once."""
-    ints, denom = snap.sample.scaled_weights
-    masses: list[int] = []
-    _apex_sweep(snap.sample.points, ints, q, masses.append)
-    return Fraction(min(masses), denom * snap.n)
+def _probe_turns(snap: Snapshot, qs: Sequence[Point2]) -> rangesums._HalfTurn:
+    """The support about each probe, one row per probe
+    (``rangesums._half_turn``).  Int probes below 2^30 on an int64 support
+    read the sample's cached columns; any other probe or support takes
+    ``_int_columns`` of the support and the probes, scaled together."""
+    xs, ys, _ = snap.sample.columns
+    if xs.dtype != object and all(type(c) is int and abs(c) < rangesums._NP_COORD_LIMIT
+                                  for q in qs for c in q):
+        ax, ay = np.array(qs, dtype=np.int64).reshape(len(qs), 2).T
+    else:
+        m = len(xs)
+        xs, ys, _ = _int_columns((*snap.sample.points, *qs), rangesums._NP_COORD_LIMIT)
+        xs, ys, ax, ay = xs[:m], ys[:m], xs[m:], ys[m:]
+    return _half_turn(xs, ys, ax, ay)
+
+
+def _depths_of(snap: Snapshot, qs: Sequence[Point2]) -> list[Fraction]:
+    """Minimum closed-halfplane mass through each probe over the stream mass,
+    on the integer scaled weights, divided once.
+
+    About a probe, with folded groups g ascending (``_probe_turns``), a line
+    turned just short of group g leaves on one side the upper parts from g
+    on and the lower parts before g, and on the other the mirror; copies of
+    the probe lie in both.  With D the running sum of lower minus upper
+    mass at a group end (or 0), those sides hold U + D and L - D, U and L
+    the upper and lower masses, so the depth is base + min(U + min D,
+    L - max D), base the copies' mass.
+    """
+    ht = _probe_turns(snap, qs)
+    w = snap.sample.columns[2][ht.order]
+    up, low = np.where(ht.lower | ht.copy, 0, w), np.where(ht.lower, w, 0)
+    reads = np.where(ht.end, np.cumsum(low - up, axis=1), 0)
+    base = np.where(ht.copy, w, 0).sum(axis=1)
+    depth = base + np.minimum(up.sum(axis=1) + reads.min(axis=1, initial=0),
+                              low.sum(axis=1) - reads.max(axis=1, initial=0))
+    denom = snap.sample.scaled_weights[1] * snap.n
+    return [Fraction(int(v), denom) for v in depth]
 
 
 def tukey_depth(snap: Snapshot, q: Point2) -> DepthValue:
     """Halfspace depth of q in the snapshot; within eps of the stream's."""
     _require(snap, FamilyKind.HALFPLANE, "tukey_depth")
-    return DepthValue(_depth_of(snap, q), snap.eps)
+    return DepthValue(_depths_of(snap, [q])[0], snap.eps)
 
 
 def _meet(l1, l2) -> tuple[int, int, int]:
@@ -138,31 +167,18 @@ def _floats(values) -> np.ndarray:
         return np.full(len(values), np.nan)
 
 
-def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
-    """A point maximizing snapshot depth; its depth is within eps of the
-    stream's maximum depth and at least 1/3.
+def _depth_regions(pts: Sequence[Point2], g: np.ndarray):
+    """The depth levels of a support that is not collinear, ascending; the
+    level's region as a function of the level; and the scale s.
 
-    Binary search over the depth levels; the depth region of a level is
-    the box around the support clipped to one halfplane per support-pair
-    normal, in integer lines (coordinates scaled by the lcm of their
-    denominators).  The lexicographically least vertex of the deepest
-    region is returned.  Projections are int64 (scaled |coordinates| below
-    2^30) or Python ints; a float screen spares exact clipping of most lines.
+    The region of level tau is the box around the support clipped, for
+    every support-pair normal u, to u.p <= t, t the greatest support
+    projection whose suffix mass (on the integer masses g) reaches tau; it
+    holds every point of depth tau or more.  Lines are integer, on
+    coordinates scaled by s, the lcm of their denominators.  Projections are
+    int64 (scaled |coordinates| below 2^30) or Python ints; a float screen
+    spares exact clipping of most lines.
     """
-    _require(snap, FamilyKind.HALFPLANE, "tukey_median")
-    pts = snap.sample.points
-    if not pts:
-        raise EpsStreamError("empty snapshot")
-    base = pts[0]
-    ref = next((p for p in pts if p != base), None)
-    if ref is None:
-        return base, DepthValue(Fraction(1), snap.eps)
-    collinear = all((p.x - base.x) * (ref.y - base.y) == (p.y - base.y) * (ref.x - base.x)
-                    for p in pts)
-    if collinear:  # the deepest support point, the least of equals
-        best = min(pts, key=lambda p: (-_depth_of(snap, p), p))
-        return best, DepthValue(_depth_of(snap, best), snap.eps)
-
     xs, ys, scale = _int_columns(pts, rangesums._NP_COORD_LIMIT)
     # normals of all support directions, both ways (parallel ones bound the same halfplanes)
     i, j = np.triu_indices(len(pts), 1)
@@ -176,7 +192,7 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
     proj = ux[:, None] * xs + uy[:, None] * ys
     order = np.argsort(-proj, axis=1, kind="stable")
     vals = np.take_along_axis(proj, order, axis=1)
-    run = np.cumsum(snap.sample.columns[2][order], axis=1)
+    run = np.cumsum(g[order], axis=1)
     levels = np.sort(np.append(run[:, :-1][vals[:, 1:] != vals[:, :-1]], run[0, -1]))
     levels = levels[np.append(True, levels[1:] != levels[:-1])]
     rows, uxf, uyf = np.arange(len(ux)), _floats(ux), _floats(uy)
@@ -205,21 +221,62 @@ def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
             live, af, bf, tf = live[~clip], af[~clip], bf[~clip], tf[~clip]
         return poly
 
-    lo, hi, best_poly = 0, len(levels) - 1, None
+    return levels, region, scale
+
+
+def _deepest_region(levels: np.ndarray, region) -> list:
+    """The region of the largest level whose region is not empty.
+
+    Regions shrink as the level grows, so a binary search finds it.  Every
+    weighted planar set has a point of depth at least a third of its mass
+    (the centerpoint theorem), so the region of the largest level at or
+    below ceil(total / 3) is not empty: the search starts above it and
+    reads that region only if no higher level's is nonempty.
+    """
+    known = int(np.searchsorted(levels, -(-int(levels[-1]) // 3), side="right")) - 1
+    lo, hi, best = known + 1, len(levels) - 1, None
     while lo <= hi:
         mid = (lo + hi) // 2
         poly = region(levels[mid])
         if poly:
-            best_poly, lo = poly, mid + 1
+            best, lo = poly, mid + 1
         else:
             hi = mid - 1
-    if best_poly is None:
+    if best is None and known >= 0:
+        best = region(levels[known])
+    if not best:
         raise EpsStreamError("depth region search failed")
-    vx, vy, vw, _ = min(best_poly, key=functools.cmp_to_key(_lex_order))
+    return best
+
+
+def tukey_median(snap: Snapshot) -> tuple[Point2, DepthValue]:
+    """A point maximizing snapshot depth; its depth is within eps of the
+    stream's maximum depth and at least 1/3.
+
+    Binary search over the depth levels, from the centerpoint level up
+    (``_deepest_region``), of the levels' regions (``_depth_regions``).
+    The lexicographically least vertex of the deepest region is returned.
+    A collinear support returns its deepest point, the least of equals.
+    """
+    _require(snap, FamilyKind.HALFPLANE, "tukey_median")
+    pts = snap.sample.points
+    if not pts:
+        raise EpsStreamError("empty snapshot")
+    base = pts[0]
+    ref = next((p for p in pts if p != base), None)
+    if ref is None:
+        return base, DepthValue(Fraction(1), snap.eps)
+    collinear = all((p.x - base.x) * (ref.y - base.y) == (p.y - base.y) * (ref.x - base.x)
+                    for p in pts)
+    if collinear:
+        best, depth = min(zip(pts, _depths_of(snap, pts)), key=lambda pd: (-pd[1], pd[0]))
+        return best, DepthValue(depth, snap.eps)
+    levels, region, scale = _depth_regions(pts, snap.sample.columns[2])
+    vx, vy, vw, _ = min(_deepest_region(levels, region), key=functools.cmp_to_key(_lex_order))
     x, y = Fraction(vx, vw * scale), Fraction(vy, vw * scale)
     q = Point2(x.numerator if x.denominator == 1 else x,
                y.numerator if y.denominator == 1 else y)
-    return q, DepthValue(_depth_of(snap, q), snap.eps)
+    return q, DepthValue(_depths_of(snap, [q])[0], snap.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +301,10 @@ def simplicial_depth_estimate(snap: Snapshot, q: Point2,
     The plane around q is cut into angular sectors holding at most a
     delta_sub fraction of the mass each (heavy single directions may
     overshoot); triples confined to one halfplane off a sector boundary are
-    subtracted from the total.
+    subtracted from the total.  The directions about q are one row of
+    ``rangesums._half_turn``: the full turn is the upper part of each
+    folded group, in order, then the lower parts.  Masses are integer sums
+    of the scaled weights; Fractions are built once per sector.
     """
     _require(snap, FamilyKind.WEDGE, "simplicial_depth_estimate")
     if delta_sub is None:
@@ -252,45 +312,38 @@ def simplicial_depth_estimate(snap: Snapshot, q: Point2,
     delta_sub = Fraction(delta_sub)
     if not 0 < delta_sub < 1:
         raise ValueError("delta_sub must be in (0, 1)")
-    pts, ws, n = snap.sample.points, snap.sample.weights, Fraction(snap.n)
+    n = Fraction(snap.n)
     if n < 3:
         raise EpsStreamError("simplicial depth needs mass >= 3")
-    groups: dict[tuple[int, int], Fraction] = {}
-    for p, w in zip(pts, ws):
-        vx = p.x - q.x
-        vy = p.y - q.y
-        if vx == 0 and vy == 0:
-            continue  # triples using q-coincident points always contain q
-        d = _primitive(vx, vy)
-        groups[d] = groups.get(d, Fraction(0)) + w
-    if not groups:
+    # triples using q-coincident points always contain q: copies weigh 0
+    ht = _probe_turns(snap, [q])
+    w = snap.sample.columns[2][ht.order[0]]
+    ends = np.flatnonzero(ht.end[0])
+    lower = ht.lower[0]
+    ucum = np.cumsum(np.where(lower | ht.copy[0], 0, w))[ends].tolist()
+    lcum = np.cumsum(np.where(lower, w, 0))[ends].tolist()
+    ub, lb = [0, *ucum[:-1]], [0, *lcum[:-1]]  # masses before each group
+    # the full turn: the upper part of each group in folded order, then the lower parts
+    turn = [(half, a, c - b) for half, cum, before in ((0, ucum, ub), (1, lcum, lb))
+            for a, (c, b) in enumerate(zip(cum, before)) if c > b]
+    if not turn:
         return DepthValue(Fraction(1), SIMPLICIAL_K * _sqrt_upper(snap.eps))
-    order = _sorted_directions(list(groups))
-    cap = delta_sub * n
-    sectors: list[list[tuple[int, int]]] = []
-    cur: list[tuple[int, int]] = []
-    cur_mass = Fraction(0)
-    for d in order:
-        w = groups[d]
-        spans = cur and not (cur[0][0] * d[1] - cur[0][1] * d[0] > 0)
-        if cur and (cur_mass + w > cap or spans):
-            sectors.append(cur)
-            cur = []
-            cur_mass = Fraction(0)
-        cur.append(d)
-        cur_mass += w
-    if cur:
-        sectors.append(cur)
+    denom = snap.sample.scaled_weights[1]
+    cap = delta_sub * n * denom
+    # sectors [lead half, lead group, mass]; a lower part at or past an upper
+    # lead's group lies a half-turn or more from it
+    sectors: list[list[int]] = []
+    for half, a, mass in turn:
+        cur = sectors[-1] if sectors else None
+        if cur is None or cur[2] + mass > cap or (cur[0] < half and a >= cur[1]):
+            sectors.append([half, a, mass])
+        else:
+            cur[2] += mass
     excluded = Fraction(0)
-    for sec in sectors:
-        w_i = sum((groups[d] for d in sec), Fraction(0))
-        lead = sec[0]
-        h_i = Fraction(0)
-        for d, wd in groups.items():
-            cr = lead[0] * d[1] - lead[1] * d[0]
-            if cr > 0 or d == lead:
-                h_i += wd
-        rest = h_i - w_i
+    for half, a, mass in sectors:
+        # the half-turn from the lead: its half from group a on, the other before a
+        h = (ucum[-1] - ub[a] + lb[a]) if half == 0 else (lcum[-1] - lb[a] + ub[a])
+        w_i, rest = Fraction(mass, denom), Fraction(h - mass, denom)
         excluded += _c3(w_i) + _c2(w_i) * rest + w_i * _c2(rest)
     value = 1 - excluded / _c3(n)
     value = min(max(value, Fraction(0)), Fraction(1))

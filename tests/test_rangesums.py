@@ -5,9 +5,11 @@ magnitude below 2^30 to the vectorized sweep, and larger or Fraction ones to
 the pure-Python sweep; the two must report the same maxima wherever the fast
 one is allowed to run.  The fast one sorts each apex's events by a float
 hint and checks the order exactly; where the check fails, the Python sweep
-answers, and the tests pin which one did.  The same Python sweep, fed one
-bit per point, must find exactly the halfplane subsets of the independent
-oracle.
+answers, and the tests pin which one did.  The numpy half-turn order
+behind Tukey depth and the wedge measures must sort every row exactly,
+re-sorting the rows its float hints misorder, and the halfplane subset
+rows built on it must be exactly the subsets of the independent oracle and
+of a restated bitmask sweep, at any scale and on Fractions.
 
 The other six families measure every delta list of a call at once.  Their
 maxima must equal brute force over the oracle's induced subsets on small
@@ -289,6 +291,138 @@ def test_subset_masks_match_the_oracle(pts):
         family(FamilyKind.HALFPLANE), pts)
 
 
+# -- the numpy half-turn order ----------------------------------------------------
+
+
+def _exact_direction_key(dx: int, dy: int) -> tuple:
+    """A sort key of the full-turn angle of (dx, dy), in exact numbers: the
+    half, then the pseudo-angle of the direction folded into [0, pi)."""
+    if dy > 0 or (dy == 0 and dx > 0):
+        return 0, Fraction(-dx, abs(dx) + dy)
+    return 1, Fraction(dx, abs(dx) - dy)
+
+
+def _ref_apex_sums(pts, values, apex) -> list:
+    """Every closed and half-closed halfplane sum about ``apex`` that the
+    apex sweep emits, restated on exact keys: the sum past each event
+    direction d (the open left side and the ray at d), and that sum with
+    the ray at -d.  Copies of the apex count in every sum."""
+    base, groups = 0, {}
+    for p, v in zip(pts, values):
+        dx, dy = Fraction(p.x - apex.x), Fraction(p.y - apex.y)
+        if dx == dy == 0:
+            base += v
+            continue
+        s = math.lcm(dx.denominator, dy.denominator)
+        ix, iy = int(dx * s), int(dy * s)
+        g = math.gcd(ix, iy)
+        d = (ix // g, iy // g)
+        groups[d] = groups.get(d, 0) + v
+    if not groups:
+        return [base]
+    events = sorted(groups.keys() | {(-x, -y) for x, y in groups},
+                    key=lambda d: _exact_direction_key(*d))
+    d0 = events[0]
+    left = base + sum(v for d, v in groups.items() if d0[0] * d[1] - d0[1] * d[0] > 0 or d == d0)
+    out = []
+    for d in events:
+        anti = groups.get((-d[0], -d[1]), 0)
+        out += [left, left + anti]
+        left += anti - groups.get(d, 0)
+    return out
+
+
+def _ref_subset_masks(pts) -> set:
+    """The bitmask sweep: point i carries 2^i, so each emitted sum is the
+    bitmask of the subset it sums over."""
+    bits = [1 << i for i in range(len(pts))]
+    masks = {0, sum(bits)}
+    for apex in pts:
+        masks.update(_ref_apex_sums(pts, bits, apex))
+    return masks
+
+
+def _row_masks(pts) -> set:
+    return {int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in rangesums._halfplane_rows(pts)}
+
+
+_SCALES = st.sampled_from([1, 1 << 10, 1 << 40, 1 << 64, Fraction(1, 3), Fraction(7, 1 << 40)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_grid_points(), scale=_SCALES)
+def test_halfplane_rows_match_the_oracle_and_the_bitmask_sweep(pts, scale):
+    """Scaling keeps every halfplane subset, so the rows of scaled, far or
+    Fraction points are the oracle's subsets of the grid points, and the
+    bitmask sweep's on the scaled points; no row repeats."""
+    cpts, _ = rangesums._collapse_multi(pts, [])
+    assume(cpts)
+    scaled = [Point2(p.x * scale, p.y * scale) for p in cpts]
+    rows = rangesums._halfplane_rows(scaled)
+    assert len(rows) == len(_row_masks(scaled))
+    assert _row_masks(scaled) == subsystem_oracle_masks(family(FamilyKind.HALFPLANE), cpts)
+    assert _row_masks(scaled) == _ref_subset_masks(scaled)
+
+
+def _turn_directions(xs, ys, ax, ay):
+    """Per row of ``_half_turn``, the exact folded offsets in its order and
+    its group ends."""
+    ht = rangesums._half_turn(xs, ys, ax, ay)
+    out = []
+    for r in range(len(ht.order)):
+        dirs = []
+        for j, low, cp in zip(ht.order[r].tolist(), ht.lower[r].tolist(), ht.copy[r].tolist()):
+            dx, dy = int(xs[j]) - int(ax[r]), int(ys[j]) - int(ay[r])
+            assert cp == (dx == dy == 0)
+            assert low == (not cp and _exact_direction_key(dx, dy)[0] == 1)
+            dirs.append((1, 0) if cp else (-dx, -dy) if low else (dx, dy))
+        out.append((dirs, ht.end[r].tolist()))
+    return out
+
+
+def _assert_exact_turns(turns):
+    for dirs, end in turns:
+        keys = [_exact_direction_key(*d)[1] for d in dirs]
+        assert keys == sorted(keys)
+        assert end == [a != b for a, b in zip(keys, keys[1:])] + [True]
+
+
+def test_half_turn_resorts_a_float_collision_exactly():
+    """From (0, 0), (2^30-1, 2^30-2) turns clockwise of (2^30-2, 2^30-3)
+    though their hints tie, and the tie keeps input order: the rows that
+    fail the check are re-sorted on exact cross products."""
+    xs, ys, _ = rangesums._int_columns(_COLLIDING, rangesums._NP_COORD_LIMIT)
+    resorted = []
+    real = rangesums._exact_resort
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rangesums, "_exact_resort", lambda items, less: (resorted.append(1),
+                                                                    real(items, less)))
+        turns = _turn_directions(xs, ys, xs, ys)
+    _assert_exact_turns(turns)
+    assert turns[0][0][1:3] == [(LIM - 1, LIM - 2), (LIM, LIM - 1)]
+    assert 0 < len(resorted) < len(_COLLIDING)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=_grid_points(), scale=st.sampled_from([1, 1 << 40]))
+def test_half_turn_with_every_hint_tied_resorts_every_row(pts, scale):
+    """With every float hint 0, each row keeps input order and fails the
+    check unless it was sorted; re-sorted exactly, the rows, the subsets
+    and the probe depths are the ones the true hints give."""
+    cpts, _ = rangesums._collapse_multi(pts, [])
+    assume(len(cpts) >= 2)
+    scaled = [Point2(p.x * scale, p.y * scale) for p in cpts]
+    xs, ys, _ = rangesums._int_columns(scaled, rangesums._NP_COORD_LIMIT)
+    want_turns, want_rows = _turn_directions(xs, ys, xs, ys), _row_masks(scaled)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rangesums, "_quotients", lambda num, den: np.zeros(num.shape))
+        turns = _turn_directions(xs, ys, xs, ys)
+        assert _row_masks(scaled) == want_rows
+    _assert_exact_turns(turns)
+    assert [end for _, end in turns] == [end for _, end in want_turns]
+
+
 # ---------------------------------------------------------------------------
 # The six families measured on all delta lists at once.
 # ---------------------------------------------------------------------------
@@ -564,8 +698,8 @@ def test_wedge_limbs_match_brute_force(kind, case, bits, data):
 
 
 @pytest.mark.parametrize("kind,name", [
-    (FamilyKind.WEDGE, "halfplane_subset_masks"),
-    (FamilyKind.DOUBLE_WEDGE, "halfplane_subset_masks"),
+    (FamilyKind.WEDGE, "_halfplane_rows"),
+    (FamilyKind.DOUBLE_WEDGE, "_halfplane_rows"),
     (FamilyKind.SLAB, "_slope_orders"),
     (FamilyKind.VPARALLELOGRAM, "_slope_orders"),
 ], ids=lambda v: getattr(v, "value", v))

@@ -136,6 +136,68 @@ def _reference_coloring(sample, ranges):
     return tuple(signs)
 
 
+def _fraction_coloring(sample, ranges):
+    """The coloring loop as it read the weights as Fractions: W2 summed over
+    Fraction squares, one float per weight per point, and np.clip."""
+    m = len(sample)
+    masks = [r if isinstance(r, int) else sum(1 << i for i in set(r)) for r in ranges]
+    member = membership_matrix(masks, m).view(bool)
+    w2 = float(sum(w * w for w in sample.weights))
+    lam = math.sqrt(2.0 * math.log(2.0 * max(1, len(masks))) / w2) if w2 > 0 else 1.0
+    d = np.zeros(len(masks), dtype=np.float64)
+    ints, _ = sample.scaled_weights
+    order = sorted(range(m), key=lambda i: (-ints[i], sample.points[i], i))
+    signs = [0] * m
+    max_w, total_after, running = max(ints), sum(ints), 0
+    step = np.empty((2, 1))
+    for i in order:
+        w = ints[i]
+        total_after -= w
+        ids = member[i].nonzero()[0]
+        prefer = 1
+        if ids.size:
+            cur = d[ids]
+            g = float(sample.weights[i])
+            step[0, 0], step[1, 0] = g, -g
+            pot = cur + step
+            pot *= lam
+            np.clip(pot, -_COSH_CAP, _COSH_CAP, out=pot)
+            np.cosh(pot, out=pot)
+            up, down = pot.sum(axis=1)
+            prefer = 1 if up <= down else -1
+        limit = total_after + max_w
+        sign = prefer
+        if abs(running + sign * w) > limit:
+            sign = -prefer
+            if abs(running + sign * w) > limit:
+                sign = -1 if running > 0 else 1
+        signs[i] = sign
+        running += sign * w
+        if ids.size:
+            d[ids] = cur + sign * g
+    return tuple(signs)
+
+
+_MIXED_WEIGHTS = st.one_of(
+    st.fractions(min_value=Fraction(1, 97), max_value=40, max_denominator=97),
+    st.sampled_from([Fraction(1, (1 << 61) - 1), Fraction(5, 3), Fraction(10 ** 30, 7),
+                     Fraction(2, 10 ** 20 + 39), Fraction(1)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(2, 40))
+def test_coloring_reads_the_integer_column_like_the_fraction_loop(data, m):
+    """Mixed Fraction weights, some with far denominators or numerators:
+    W2 and each weight's float, taken from the integer column, and the
+    np.maximum/np.minimum clamp give the same signs."""
+    pts = tuple(Point2(data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6)))
+                for _ in range(m))
+    ws = tuple(data.draw(st.lists(_MIXED_WEIGHTS, min_size=m, max_size=m)))
+    sample = WeightedSample(pts, ws, sum(ws, Fraction(0)), Fraction(0))
+    ranges = halfplane_subset_masks(pts)
+    assert low_discrepancy_coloring(sample, ranges).signs == _fraction_coloring(sample, ranges)
+
+
 @st.composite
 def _colorings(draw):
     """A weighted sample of m points and ranges over it: random masks, the

@@ -36,6 +36,7 @@ from epsstream.stats import (
     tukey_median,
 )
 from streams import make_stream
+from test_rangesums import _exact_direction_key, _ref_apex_sums
 
 
 def exact_snap(pts, fam):
@@ -216,6 +217,64 @@ def test_depth_matches_oracle_on_unit_weights(inp):
     assert tukey_depth(snap, q).value == exact_tukey_depth(PrefixMirror(pts), q)
 
 
+_PROBE_SCALES = st.sampled_from([1, 1 << 10, 1 << 40, 1 << 64])
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_depth_inputs(), scale=_PROBE_SCALES, data=st.data())
+def test_probe_depths_are_the_least_apex_sweep_sums(inp, scale, data):
+    """One row per probe, several probes per call: collinear runs,
+    duplicates, probes on support points and Fraction probes, on int64
+    columns (scales 1 and 2^10) and Python-int columns (2^40, 2^64)."""
+    pts, q = inp
+    more = data.draw(st.lists(st.one_of(st.sampled_from(pts), st.builds(Point2, _COORD, _COORD)),
+                              max_size=3))
+    pts, probes = ([Point2(p.x * scale, p.y * scale) for p in ps] for ps in (pts, [q, *more]))
+    snap = _weighted_snapshot(pts, _draw_weights(data, pts))
+    ints, denom = snap.sample.scaled_weights
+    want = [Fraction(min(_ref_apex_sums(snap.sample.points, ints, p)), denom * snap.n)
+            for p in probes]
+    assert stats._depths_of(snap, probes) == want
+    assert [tukey_depth(snap, p).value for p in probes] == want
+
+
+def _search_from_zero(levels, region):
+    """The deepest nonempty region, by the level search as it ran from the
+    lowest level."""
+    lo, hi, best = 0, len(levels) - 1, None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        poly = region(levels[mid])
+        if poly:
+            best, lo = poly, mid + 1
+        else:
+            hi = mid - 1
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(inp=_depth_inputs(), data=st.data())
+def test_median_search_from_the_centerpoint_level_finds_the_same_region(inp, data):
+    """The search reads no region below the largest level at or below
+    ceil(total / 3), whose region is not empty, and ends on the region the
+    search from the lowest level finds."""
+    stretch = data.draw(_STRETCHES)
+    pts = [Point2(p.x * stretch, p.y * stretch) for p in inp[0]]
+    snap = _weighted_snapshot(pts, _wide_weights(data, pts))
+    support = snap.sample.points
+    a, b = support[0], next((p for p in support if p != support[0]), support[0])
+    assume(any((p.x - a.x) * (b.y - a.y) != (p.y - a.y) * (b.x - a.x) for p in support))
+    levels, region, _ = stats._depth_regions(support, snap.sample.columns[2])
+    reads = []
+    poly = stats._deepest_region(levels, lambda tau: reads.append(tau) or region(tau))
+    assert poly == _search_from_zero(levels, region)
+    third = -(-int(levels[-1]) // 3)
+    known = max((int(v) for v in levels if v <= third), default=None)
+    if known is not None:
+        assert region(known)
+        assert min(int(v) for v in reads) >= known
+
+
 def _reference_tukey_median(snap):
     """The deepest point by binary search over depth levels with Fraction
     polygon clipping, kept here as the reference for the integer-line
@@ -360,6 +419,60 @@ class TestSimplicial:
         snap = exact_snap([Point2(i, 0) for i in range(4)], "wedge")
         with pytest.raises(ValueError):
             simplicial_depth_estimate(snap, Point2(0, 0), Fraction(2))
+
+
+def _reference_simplicial(snap, q, delta_sub):
+    """The sector estimate as it grouped the directions about q in Python:
+    primitive directions, sorted on exact full-turn keys, Fraction masses."""
+    n = Fraction(snap.n)
+    groups = {}
+    for p, w in zip(snap.sample.points, snap.sample.weights):
+        vx, vy = Fraction(p.x - q.x), Fraction(p.y - q.y)
+        if vx == vy == 0:
+            continue
+        s = math.lcm(vx.denominator, vy.denominator)
+        ix, iy = int(vx * s), int(vy * s)
+        g = math.gcd(ix, iy)
+        groups[(ix // g, iy // g)] = groups.get((ix // g, iy // g), Fraction(0)) + w
+    if not groups:
+        return Fraction(1)
+    cap, sectors, cur, cur_mass = delta_sub * n, [], [], Fraction(0)
+    for d in sorted(groups, key=lambda d: _exact_direction_key(*d)):
+        spans = cur and not (cur[0][0] * d[1] - cur[0][1] * d[0] > 0)
+        if cur and (cur_mass + groups[d] > cap or spans):
+            sectors.append(cur)
+            cur, cur_mass = [], Fraction(0)
+        cur.append(d)
+        cur_mass += groups[d]
+    sectors.append(cur)
+    excluded = Fraction(0)
+    for sec in sectors:
+        w_i = sum((groups[d] for d in sec), Fraction(0))
+        lead = sec[0]
+        h_i = sum((wd for d, wd in groups.items()
+                   if lead[0] * d[1] - lead[1] * d[0] > 0 or d == lead), Fraction(0))
+        rest = h_i - w_i
+        excluded += (stats._c3(w_i) + stats._c2(w_i) * rest + w_i * stats._c2(rest))
+    return min(max(1 - excluded / stats._c3(n), Fraction(0)), Fraction(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_depth_inputs(), scale=_PROBE_SCALES, data=st.data())
+def test_simplicial_estimate_matches_the_python_grouping(inp, scale, data):
+    """Directions about q that are exactly antipodal (points on lines through
+    q), collinear runs, copies of q and Fraction probes, on int64 and
+    Python-int columns, with several sector caps."""
+    pts, q = inp
+    steps = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                         st.integers(1, 3), st.integers(1, 3)), max_size=3))
+    pts = pts + [Point2(q.x + sign * t * dx, q.y + sign * t * dy)
+                 for dx, dy, t1, t2 in steps for sign, t in ((1, t1), (-1, t2))]
+    assume(len(pts) >= 3)
+    pts, q = [Point2(p.x * scale, p.y * scale) for p in pts], Point2(q.x * scale, q.y * scale)
+    snap = _weighted_snapshot(pts, _draw_weights(data, pts), fam="wedge")
+    delta = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2),
+                                       Fraction(3, 4)]))
+    assert simplicial_depth_estimate(snap, q, delta).value == _reference_simplicial(snap, q, delta)
 
 
 class TestRegressionDepth:

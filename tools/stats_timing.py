@@ -9,7 +9,11 @@ called on its family's snapshot ``REPEATS`` times; the best wall-clock time
 is kept.  The package is imported from ``src``.  The process pins itself to
 one CPU, the lowest it may use, and prints one JSON object: the settings,
 the host, and per size the seconds of each statistic, keyed by the name the
-CLI uses.
+CLI uses.  Two more rows time Tukey depth alone: at the centre of a
+``WIDE_POINTS``-point snapshot with coordinates in [2^26, 2^28] (the shape
+of the benchmark's halfplane-wide workload), and at a Fraction probe of
+the ``WIDE_POINTS``-point uniform snapshot, which scales the support and
+the probe together to integers.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ SIZES = (48, 96, 128)
 SEED = 5
 REPEATS = 3
 SPAN = 1 << 21
+WIDE_POINTS = 64
+WIDE_LO, WIDE_HI = 1 << 26, 1 << 28
+FRACTION_PROBE = Point2(Fraction(1, 3), Fraction(-2, 7))
 
 # CLI name -> (function in epsstream.stats, snapshot family, extra arguments)
 STATISTICS = {
@@ -55,6 +62,16 @@ def uniform_points(m: int, seed: int) -> list[Point2]:
     return [Point2(rng.randint(-SPAN, SPAN), rng.randint(-SPAN, SPAN)) for _ in range(m)]
 
 
+def best_time(func, *args) -> float:
+    """The least wall-clock seconds of ``REPEATS`` calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = perf_counter()
+        func(*args)
+        best = min(best, perf_counter() - start)
+    return best
+
+
 def time_sizes() -> dict:
     out = {}
     for m in SIZES:
@@ -64,14 +81,24 @@ def time_sizes() -> dict:
         for name, (func, family, args) in STATISTICS.items():
             if family not in snaps:
                 snaps[family] = snapshot_of_exact(pts, make_config(Fraction(1, 4), family))
-            best = float("inf")
-            for _ in range(REPEATS):
-                start = perf_counter()
-                getattr(stats, func)(snaps[family], *args)
-                best = min(best, perf_counter() - start)
-            row[name] = round(best, 4)
+            row[name] = round(best_time(getattr(stats, func), snaps[family], *args), 4)
         out[str(m)] = row
     return out
+
+
+def time_tukey_depth_rows() -> dict:
+    config = make_config(Fraction(1, 4), "halfplane")
+    rng = random.Random(("wide", WIDE_POINTS, SEED).__repr__())
+    wide = [Point2(rng.randint(WIDE_LO, WIDE_HI), rng.randint(WIDE_LO, WIDE_HI))
+            for _ in range(WIDE_POINTS)]
+    centre = Point2((WIDE_LO + WIDE_HI) // 2, (WIDE_LO + WIDE_HI) // 2)
+    uniform = snapshot_of_exact(uniform_points(WIDE_POINTS, SEED), config)
+    return {
+        f"tukey-depth-wide-{WIDE_POINTS}": round(
+            best_time(stats.tukey_depth, snapshot_of_exact(wide, config), centre), 6),
+        f"tukey-depth-fraction-probe-{WIDE_POINTS}": round(
+            best_time(stats.tukey_depth, uniform, FRACTION_PROBE), 6),
+    }
 
 
 def main() -> int:
@@ -83,6 +110,7 @@ def main() -> int:
         "host": {"cpu": cpu, "python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine()},
         "seconds": time_sizes(),
+        "tukey_depth_seconds": time_tukey_depth_rows(),
     }
     print(json.dumps(report))
     return 0
