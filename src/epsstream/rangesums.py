@@ -488,18 +488,6 @@ def membership_matrix(masks: Sequence[int], m: int) -> np.ndarray:
     return member
 
 
-def halfplane_subset_masks(pts: Sequence[Point2]) -> list[int]:
-    """All halfplane-induced subsets of ``pts`` as index bitmasks.
-
-    Point i carries the value 2^i, so each sum the sweep emits is the
-    bitmask of the subset it sums over.
-    """
-    cpts, (bits,) = _collapse_multi(pts, [[1 << i for i in range(len(pts))]])
-    masks: set[int] = set()
-    _halfplane_sweep(cpts, bits, masks.add)
-    return sorted(masks)
-
-
 # ---------------------------------------------------------------------------
 # The other families measure every delta list of a call at once, on one
 # k x m delta matrix.

@@ -97,17 +97,24 @@ def _depths_of(snap: Snapshot, qs: Sequence[Point2]) -> list[Fraction]:
     the probe lie in both.  With D the running sum of lower minus upper
     mass at a group end (or 0), those sides hold U + D and L - D, U and L
     the upper and lower masses, so the depth is base + min(U + min D,
-    L - max D), base the copies' mass.
+    L - max D), base the copies' mass.  The probes are read in blocks of
+    ``_block_rows(m)`` rows, so a call holds O(m) cells per array however
+    many probes it takes.
     """
-    ht = _probe_turns(snap, qs)
-    w = snap.sample.columns[2][ht.order]
-    up, low = np.where(ht.lower | ht.copy, 0, w), np.where(ht.lower, w, 0)
-    reads = np.where(ht.end, np.cumsum(low - up, axis=1), 0)
-    base = np.where(ht.copy, w, 0).sum(axis=1)
-    depth = base + np.minimum(up.sum(axis=1) + reads.min(axis=1, initial=0),
-                              low.sum(axis=1) - reads.max(axis=1, initial=0))
+    weights = snap.sample.columns[2]
     denom = snap.sample.scaled_weights[1] * snap.n
-    return [Fraction(int(v), denom) for v in depth]
+    out = []
+    rows = _block_rows(len(weights))
+    for lo in range(0, len(qs), rows):
+        ht = _probe_turns(snap, qs[lo:lo + rows])
+        w = weights[ht.order]
+        up, low = np.where(ht.lower | ht.copy, 0, w), np.where(ht.lower, w, 0)
+        reads = np.where(ht.end, np.cumsum(low - up, axis=1), 0)
+        base = np.where(ht.copy, w, 0).sum(axis=1)
+        depth = base + np.minimum(up.sum(axis=1) + reads.min(axis=1, initial=0),
+                                  low.sum(axis=1) - reads.max(axis=1, initial=0))
+        out += [Fraction(int(v), denom) for v in depth]
+    return out
 
 
 def tukey_depth(snap: Snapshot, q: Point2) -> DepthValue:

@@ -704,7 +704,13 @@ def test_wedge_limbs_match_brute_force(kind, case, bits, data):
     (FamilyKind.VPARALLELOGRAM, "_slope_orders"),
 ], ids=lambda v: getattr(v, "value", v))
 def test_four_lists_share_one_geometry(kind, name, monkeypatch):
-    """The delta-independent enumeration runs once per call, not per list."""
+    """The delta-independent enumeration runs once per call, not per list.
+    The reference is taken first: the wedge references read the subset
+    masks, which are built on the same rows."""
+    pts, dls = _verify_case(kind, 12, 3)
+    dls += [[-d for d in dls[0]], [1] * len(pts)]
+    assert len(dls) == 4
+    want = _reference(kind, pts, dls)
     calls = []
     real = getattr(rangesums, name)
 
@@ -713,10 +719,7 @@ def test_four_lists_share_one_geometry(kind, name, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rangesums, name, counted)
-    pts, dls = _verify_case(kind, 12, 3)
-    dls += [[-d for d in dls[0]], [1] * len(pts)]
-    assert len(dls) == 4
-    assert max_range_sums(kind, pts, dls) == _reference(kind, pts, dls)
+    assert max_range_sums(kind, pts, dls) == want
     assert len(calls) == 1
 
 

@@ -238,6 +238,56 @@ def test_probe_depths_are_the_least_apex_sweep_sums(inp, scale, data):
     assert [tukey_depth(snap, p).value for p in probes] == want
 
 
+def _collinear_median_by_point(snap):
+    """The deepest support point, the least of equals, one apex sweep per point."""
+    ints, denom = snap.sample.scaled_weights
+    pts = snap.sample.points
+    depths = [Fraction(min(_ref_apex_sums(pts, ints, p)), denom * snap.n) for p in pts]
+    return min(zip(pts, depths), key=lambda pd: (-pd[1], pd[0]))
+
+
+def _spy_turn_rows(monkeypatch):
+    """Record the number of probes of every ``_half_turn`` call from ``stats``."""
+    calls = []
+    real = stats._half_turn
+    monkeypatch.setattr(stats, "_half_turn",
+                        lambda xs, ys, ax, ay: calls.append(len(ax)) or real(xs, ys, ax, ay))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 24), step=st.sampled_from([(1, 2), (3, -1), (0, 1), (1 << 20, 1 << 40)]),
+       frac=st.booleans(), data=st.data())
+def test_collinear_median_reads_its_probes_in_blocks(n, step, frac, data):
+    """A collinear support scores every support point as a probe; with 8
+    events per block (one or two probes) the probes span several blocks,
+    none larger than ``_block_rows(m)``, and the median is the per-point
+    reference's, on int64 and Python-int columns and Fraction points."""
+    scale = Fraction(1, 3) if frac else 1
+    ts = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    pts = [Point2(t * step[0] * scale, t * step[1] * scale) for t in ts]
+    snap = _weighted_snapshot(pts, _draw_weights(data, pts))
+    m = len(snap.sample.points)
+    assume(m >= 3 and len(set(snap.sample.points)) >= 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rangesums, "_BLOCK_EVENTS", 8)
+        calls = _spy_turn_rows(mp)
+        pt, dv = tukey_median(snap)
+        assert max(calls) <= stats._block_rows(m) < m
+    assert (pt, dv.value) == _collinear_median_by_point(snap)
+
+
+def test_large_collinear_median_reads_its_probes_in_blocks(monkeypatch):
+    """300 distinct collinear points at the default block size: two or more
+    blocks of probes, and the per-point reference's median."""
+    pts = [Point2(3 * t, 7 * t + 1) for t in random.Random(5).sample(range(-10000, 10000), 300)]
+    snap = _weighted_snapshot(pts, [1 + i % 4 for i in range(300)])
+    calls = _spy_turn_rows(monkeypatch)
+    pt, dv = tukey_median(snap)
+    assert len(calls) >= 2 and max(calls) <= stats._block_rows(300) < 300
+    assert (pt, dv.value) == _collinear_median_by_point(snap)
+
+
 def _search_from_zero(levels, region):
     """The deepest nonempty region, by the level search as it ran from the
     lowest level."""
